@@ -86,15 +86,16 @@ def _phi_from(spec: dict, p: float, n: int, w):
 
 
 def _field_csv(path: str, grid: Grid, columns: dict):
+    """Node coordinates and columns, one row per cell, as csv.writer would
+    write them: "%.17g" numbers and CRLF line ends."""
+    head = [f"x{i + 1}" for i in range(grid.dim)] + list(columns)
+    row = ",".join(["%.17g"] * len(head)) + "\r\n"
+    table = np.column_stack([grid.nodes, *columns.values()])
     with open(path, "w", newline="") as fh:
-        wcsv = csv.writer(fh)
-        head = [f"x{i + 1}" for i in range(grid.dim)] + list(columns)
-        wcsv.writerow(head)
-        arrays = list(columns.values())
-        for i in range(grid.n_cells):
-            row = [format(v, ".17g") for v in grid.nodes[i]]
-            row += [format(a[i], ".17g") for a in arrays]
-            wcsv.writerow(row)
+        csv.writer(fh).writerow(head)
+        # in chunks: a list of every row at once would raise the peak RSS
+        for start in range(0, len(table), 4096):
+            fh.writelines(row % tuple(r) for r in table[start:start + 4096].tolist())
 
 
 # ---------------------------------------------------------------------------

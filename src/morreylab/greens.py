@@ -10,9 +10,11 @@ Implemented instances of the Dirichlet problem (-Lap)^m u = f:
 
 Each Green function is assembled as G = Gamma + h with the regular part h in
 closed form, so both G and h (and their x-derivatives) are available off and
-on the diagonal.  Closed-form derivatives are used where the formulas permit;
-the remaining orders (disk m=2, orders >= 2) use Richardson-extrapolated
-central differences of the closed-form gradient.
+on the diagonal.  All x-derivatives come from one jet per Green function,
+`jet(alphas, x, y)`: the terms they share are built once, those of a single
+point on that point alone.  The derivatives are closed-form up to order 3;
+disk m=2 forms order 4 as a Richardson-extrapolated central difference of
+the closed-form order 3.
 
 The closed forms are treated as hypotheses: the test suite admits them only
 after they reproduce smooth solutions through the quadrature identity
@@ -22,7 +24,6 @@ u = integral of G * f.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 import numpy as np
 
@@ -40,8 +41,73 @@ __all__ = [
 ]
 
 
+class _Terms:
+    """The terms that the entries of one jet share.  Each is built on first
+    use by the rule of its name, then kept; keyword arguments seed inputs."""
+
+    def __init__(self, rules: dict, **given):
+        self.__dict__.update(given, _rules=rules)
+
+    def __getattr__(self, name):
+        if name not in self._rules:
+            raise AttributeError(name)
+        value = self.__dict__[name] = self._rules[name](self)
+        return value
+
+
 # ---------------------------------------------------------------------------
 # fundamental solutions of (-Lap)^m in dimension n, and their derivatives
+
+_GAMMA1_TERMS = {"a": lambda t: np.abs(t.t), "sg": lambda t: np.sign(t.t)}
+
+# derivatives of Gamma in 1D by order, over the offset t = x - y
+_GAMMA1_FORMS = {
+    1: (lambda t: -t.a / 2, lambda t: -t.sg / 2),
+    2: (lambda t: t.a**3 / 12, lambda t: t.t * t.a / 4, lambda t: t.a / 2,
+        lambda t: t.sg / 2),
+}
+
+_GAMMA2_TERMS = {
+    "z1sq": lambda t: t.z1 * t.z1,
+    "z2sq": lambda t: t.z2 * t.z2,
+    "z1cu": lambda t: t.z1sq * t.z1,
+    "z2cu": lambda t: t.z2sq * t.z2,
+    "r2": lambda t: t.z1sq + t.z2sq,
+    "r4": lambda t: t.r2 * t.r2,
+    "r6": lambda t: t.r4 * t.r2,
+    "inv": lambda t: 1.0 / t.r2,
+    "lr2": lambda t: np.log(t.r2),
+    "lr2p1": lambda t: t.lr2 + 1.0,
+}
+
+# derivatives of -2 pi Gamma = log r (m = 1)
+_M1_FORMS = {
+    (0, 0): lambda t: 0.5 * t.lr2,
+    (1, 0): lambda t: t.z1 / t.r2,
+    (0, 1): lambda t: t.z2 / t.r2,
+    (2, 0): lambda t: t.inv - 2.0 * t.z1sq / t.r4,
+    (1, 1): lambda t: -2.0 * t.z1 * t.z2 / t.r4,
+    (0, 2): lambda t: t.inv - 2.0 * t.z2sq / t.r4,
+}
+
+# derivatives of v = r^2 log r (biharmonic fundamental solution up to 1/8pi)
+_M2_FORMS = {
+    (0, 0): lambda t: t.r2 * 0.5 * t.lr2,
+    (1, 0): lambda t: t.z1 * t.lr2p1,
+    (0, 1): lambda t: t.z2 * t.lr2p1,
+    (2, 0): lambda t: t.lr2p1 + 2.0 * t.z1sq / t.r2,
+    (1, 1): lambda t: 2.0 * t.z1 * t.z2 / t.r2,
+    (0, 2): lambda t: t.lr2p1 + 2.0 * t.z2sq / t.r2,
+    (3, 0): lambda t: 6.0 * t.z1 / t.r2 - 4.0 * t.z1cu / t.r4,
+    (2, 1): lambda t: 2.0 * t.z2 / t.r2 - 4.0 * t.z1sq * t.z2 / t.r4,
+    (1, 2): lambda t: 2.0 * t.z1 / t.r2 - 4.0 * t.z2sq * t.z1 / t.r4,
+    (0, 3): lambda t: 6.0 * t.z2 / t.r2 - 4.0 * t.z2cu / t.r4,
+    (4, 0): lambda t: 6.0 / t.r2 - 24.0 * t.z1sq / t.r4 + 16.0 * (t.z1sq * t.z1sq) / t.r6,
+    (3, 1): lambda t: -12.0 * t.z1 * t.z2 / t.r4 + 16.0 * t.z1cu * t.z2 / t.r6,
+    (2, 2): lambda t: -2.0 / t.r2 + 16.0 * t.z1sq * t.z2sq / t.r6,
+    (1, 3): lambda t: -12.0 * t.z1 * t.z2 / t.r4 + 16.0 * t.z2cu * t.z1 / t.r6,
+    (0, 4): lambda t: 6.0 / t.r2 - 24.0 * t.z2sq / t.r4 + 16.0 * (t.z2sq * t.z2sq) / t.r6,
+}
 
 
 class FundamentalSolution:
@@ -59,96 +125,24 @@ class FundamentalSolution:
 
     def derivative(self, alpha: tuple[int, ...], z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        if self.dim == 1:
-            t = z.reshape(-1) if z.ndim else z[None]
-            out = _gamma_1d(self.m, alpha[0], t)
-            return out.reshape(z.shape) if z.ndim else out[0]
-        pts = np.atleast_2d(z)
-        out = _gamma_2d(self.m, tuple(alpha), pts[:, 0], pts[:, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.dim == 1:
+                out = self._forms(z.reshape(-1) if z.ndim else z[None])(tuple(alpha))
+                return out.reshape(z.shape) if z.ndim else out[0]
+            out = self._forms(np.atleast_2d(z))(tuple(alpha))
         return out if z.ndim > 1 else out[0]
 
-
-def _gamma_1d(m: int, k: int, t: np.ndarray) -> np.ndarray:
-    a = np.abs(t)
-    s = np.sign(t)
-    if m == 1:
-        table = [-a / 2, -s / 2, np.zeros_like(t)]
-    else:
-        table = [a**3 / 12, t * a / 4, a / 2, s / 2, np.zeros_like(t)]
-    if k >= len(table):
-        return np.zeros_like(t)
-    return table[k]
-
-
-_M1_FORMS = {
-    (0, 0): lambda z1, z2, r2: 0.5 * np.log(r2),
-    (1, 0): lambda z1, z2, r2: z1 / r2,
-    (0, 1): lambda z1, z2, r2: z2 / r2,
-    (2, 0): lambda z1, z2, r2: 1.0 / r2 - 2.0 * z1**2 / r2**2,
-    (1, 1): lambda z1, z2, r2: -2.0 * z1 * z2 / r2**2,
-    (0, 2): lambda z1, z2, r2: 1.0 / r2 - 2.0 * z2**2 / r2**2,
-}
-
-# derivatives of v = r^2 log r (biharmonic fundamental solution up to 1/8pi)
-_M2_FORMS = {
-    (0, 0): lambda z1, z2, r2: r2 * 0.5 * np.log(r2),
-    (1, 0): lambda z1, z2, r2: z1 * (np.log(r2) + 1.0),
-    (0, 1): lambda z1, z2, r2: z2 * (np.log(r2) + 1.0),
-    (2, 0): lambda z1, z2, r2: np.log(r2) + 1.0 + 2.0 * z1**2 / r2,
-    (1, 1): lambda z1, z2, r2: 2.0 * z1 * z2 / r2,
-    (0, 2): lambda z1, z2, r2: np.log(r2) + 1.0 + 2.0 * z2**2 / r2,
-    (3, 0): lambda z1, z2, r2: 6.0 * z1 / r2 - 4.0 * z1**3 / r2**2,
-    (2, 1): lambda z1, z2, r2: 2.0 * z2 / r2 - 4.0 * z1**2 * z2 / r2**2,
-    (1, 2): lambda z1, z2, r2: 2.0 * z1 / r2 - 4.0 * z2**2 * z1 / r2**2,
-    (0, 3): lambda z1, z2, r2: 6.0 * z2 / r2 - 4.0 * z2**3 / r2**2,
-    (4, 0): lambda z1, z2, r2: 6.0 / r2 - 24.0 * z1**2 / r2**2 + 16.0 * z1**4 / r2**3,
-    (3, 1): lambda z1, z2, r2: -12.0 * z1 * z2 / r2**2 + 16.0 * z1**3 * z2 / r2**3,
-    (2, 2): lambda z1, z2, r2: -2.0 / r2 + 16.0 * z1**2 * z2**2 / r2**3,
-    (1, 3): lambda z1, z2, r2: -12.0 * z1 * z2 / r2**2 + 16.0 * z2**3 * z1 / r2**3,
-    (0, 4): lambda z1, z2, r2: 6.0 / r2 - 24.0 * z2**2 / r2**2 + 16.0 * z2**4 / r2**3,
-}
-
-
-def _gamma_2d(m: int, alpha: tuple[int, int], z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    r2 = z1 * z1 + z2 * z2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if m == 1:
-            return -_M1_FORMS[alpha](z1, z2, r2) / (2.0 * np.pi)
-        return _M2_FORMS[alpha](z1, z2, r2) / (8.0 * np.pi)
-
-
-# ---------------------------------------------------------------------------
-# Richardson central differences (for derivative orders without closed forms)
-
-_STENCILS = {
-    0: ((0, 1.0),),
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-}
-
-
-def _fd_tensor(func, orders: tuple[int, ...], x: np.ndarray, step) -> np.ndarray:
-    """Composed central differences of per-axis orders at points x (..., dim);
-    step may be a scalar or a per-point array."""
-    step = np.asarray(step, dtype=float)
-    axes = [_STENCILS[k] for k in orders]
-    total = sum(orders)
-    out = 0.0
-    for combo in iproduct(*axes):
-        shift = np.zeros_like(x)
-        coeff = 1.0
-        for ax, (off, c) in enumerate(combo):
-            shift[..., ax] = off
-            coeff *= c
-        out = out + coeff * func(x + shift * step[..., None])
-    return out / step**total
-
-
-def _fd_richardson(func, orders, x, step):
-    f1 = _fd_tensor(func, orders, x, step)
-    f2 = _fd_tensor(func, orders, x, step / 2.0)
-    return (4.0 * f2 - f1) / 3.0
+    def _forms(self, z):
+        """alpha -> D^alpha Gamma, from terms of z shared by all alphas; z
+        holds the offsets t in 1D and the points (..., 2) in 2D."""
+        if self.dim == 1:
+            t = _Terms(_GAMMA1_TERMS, t=z)
+            forms = _GAMMA1_FORMS[self.m]
+            return lambda a: forms[a[0]](t) if a[0] < len(forms) else np.zeros_like(z)
+        t = _Terms(_GAMMA2_TERMS, z1=z[..., 0], z2=z[..., 1])
+        if self.m == 1:
+            return lambda a: -_M1_FORMS[a](t) / (2.0 * np.pi)
+        return lambda a: _M2_FORMS[a](t) / (8.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +161,9 @@ def _pairs(x, y, dim):
 
 
 class GreenFunction:
-    """Common interface: __call__(x, y), derivative(alpha, x, y),
-    regular_part(x, y), regular_derivative(alpha, x, y)."""
+    """Common interface: jet(alphas, x, y), and its one-alpha wrappers
+    __call__(x, y), derivative(alpha, x, y), regular_part(x, y) and
+    regular_derivative(alpha, x, y)."""
 
     domain: Domain
     m: int
@@ -181,29 +176,55 @@ class GreenFunction:
     def gamma(self) -> FundamentalSolution:
         return FundamentalSolution(self.dim, self.m)
 
+    def jet(self, alphas, x, y, regular: bool = False):
+        """Yield (alpha, D^alpha_x G(x, y)) for each alpha in turn, or the
+        derivatives of the regular part h alone when `regular`; dict() of it
+        maps each alpha to its array.
+
+        Meant for unbroadcast operands x (b, 1, d) and y (1, n, d): the
+        terms of one point are built on the b or n points, the pair terms
+        once for all alphas, and each (b, n) entry when it is asked for
+        (disk m=2 builds its order-4 entries together, as they share their
+        stencil points).  On the diagonal, Gamma's entries are inf or nan."""
+        alphas = [tuple(a) for a in alphas]
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
+        h = self._regular(alphas, x, y)
+        if not regular:
+            z = x - y
+            gam = self.gamma._forms(z if self.dim > 1 else z[..., 0])
+        for a in alphas:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if regular:
+                    v = h(a)
+                else:
+                    v = gam(a)
+                    v += h(a)
+            yield a, v if np.shape(v) == shape else np.broadcast_to(v, shape).copy()
+
     def __call__(self, x, y):
-        x, y = _pairs(x, y, self.dim)
-        return (self.gamma(x - y if self.dim > 1 else (x - y)[..., 0])
-                + self._h(x, y))
+        return self.derivative((0,) * self.dim, x, y)
 
     def derivative(self, alpha, x, y):
-        if sum(alpha) == 0:
-            return self(x, y)
         x, y = _pairs(x, y, self.dim)
-        z = x - y if self.dim > 1 else (x - y)[..., 0]
-        return self.gamma.derivative(tuple(alpha), z) + self._h_deriv(tuple(alpha), x, y)
+        return next(self.jet([alpha], x, y))[1]
 
     def regular_part(self, x, y):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        x, y = np.broadcast_arrays(x, y)
-        return self._h(x, y)
+        return self.regular_derivative((0,) * self.dim, x, y)
 
     def regular_derivative(self, alpha, x, y):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        x, y = np.broadcast_arrays(x, y)
-        return self._h_deriv(tuple(alpha), x, y)
+        return next(self.jet([alpha], x, y, regular=True))[1]
+
+    def _unit(self, p):
+        """Points in the unit model domain: t in [0, 1], or the coordinate
+        pair of a point of the unit disk."""
+        if isinstance(self.domain, Interval):
+            return (p[..., 0] - self.domain.a) / self.domain.diameter
+        u = (p - np.asarray(self.domain.center)) / self.domain.radius
+        return u[..., 0], u[..., 1]
 
 
 class IntervalGreen1(GreenFunction):
@@ -212,23 +233,16 @@ class IntervalGreen1(GreenFunction):
     def __init__(self, domain: Interval):
         self.domain = domain
         self.m = 1
-        self._L = domain.diameter
 
-    def _unit(self, x, y):
-        return (x[..., 0] - self.domain.a) / self._L, (y[..., 0] - self.domain.a) / self._L
+    def _regular(self, alphas, x, y):
+        xi, eta = self._unit(x), self._unit(y)
+        L = self.domain.diameter
 
-    def _h(self, x, y):
-        xi, eta = self._unit(x, y)
-        return self._L * ((xi + eta) / 2.0 - xi * eta)
-
-    def _h_deriv(self, alpha, x, y):
-        k = alpha[0]
-        xi, eta = self._unit(x, y)
-        if k == 0:
-            return self._h(x, y)
-        if k == 1:
-            return 0.5 - eta
-        return np.zeros_like(xi)
+        def h(alpha):
+            if alpha[0] == 0:
+                return L * ((xi + eta) / 2.0 - xi * eta)
+            return 0.5 - eta if alpha[0] == 1 else np.zeros(())
+        return h
 
 
 class IntervalGreen2(GreenFunction):
@@ -237,10 +251,6 @@ class IntervalGreen2(GreenFunction):
     def __init__(self, domain: Interval):
         self.domain = domain
         self.m = 2
-        self._L = domain.diameter
-
-    def _unit(self, x, y):
-        return (x[..., 0] - self.domain.a) / self._L, (y[..., 0] - self.domain.a) / self._L
 
     # regular part and x-derivatives on the unit interval (polynomials
     # generated symbolically from the x <= y branch of the cubic closed form)
@@ -258,14 +268,20 @@ class IntervalGreen2(GreenFunction):
             return -2 * y**3 + 3 * y**2 - 0.5 + 0.0 * x
         return 0.0 * x
 
-    def _h(self, x, y):
-        xi, eta = self._unit(x, y)
-        return self._L**3 * self._h_unit(0, xi, eta)
+    def _regular(self, alphas, x, y):
+        xi, eta = self._unit(x), self._unit(y)
+        L = self.domain.diameter
+        return lambda a: L ** (3 - a[0]) * self._h_unit(a[0], xi, eta)
 
-    def _h_deriv(self, alpha, x, y):
-        k = alpha[0]
-        xi, eta = self._unit(x, y)
-        return self._L ** (3 - k) * self._h_unit(k, xi, eta)
+
+_DISK1_TERMS = {
+    "x2": lambda t: t.x[0] * t.x[0] + t.x[1] * t.x[1],
+    "e2": lambda t: t.e[0] * t.e[0] + t.e[1] * t.e[1],
+    "A2": lambda t: t.x2 * t.e2 - 2.0 * (t.x[0] * t.e[0] + t.x[1] * t.e[1]) + 1.0,
+    "A4": lambda t: t.A2 * t.A2,
+    "eA": lambda t: t.e2 / t.A2,
+    "g": lambda t: [t.x[i] * t.e2 - t.e[i] for i in (0, 1)],  # d(A^2)/d(xi_i) / 2
+}
 
 
 class DiskGreen1(GreenFunction):
@@ -275,200 +291,129 @@ class DiskGreen1(GreenFunction):
         self.domain = domain
         self.m = 1
 
-    def _unit(self, x, y):
-        c = np.asarray(self.domain.center)
-        return (x - c) / self.domain.radius, (y - c) / self.domain.radius
-
-    @staticmethod
-    def _A2(xi, eta):
+    def _regular(self, alphas, x, y):
         # A^2 = |xi|^2 |eta|^2 - 2 xi.eta + 1 = |xi-eta|^2 + (1-|xi|^2)(1-|eta|^2)
-        return ((xi**2).sum(-1) * (eta**2).sum(-1)
-                - 2.0 * (xi * eta).sum(-1) + 1.0)
-
-    def _h(self, x, y):
-        xi, eta = self._unit(x, y)
-        return (0.5 * np.log(self._A2(xi, eta))
-                + np.log(self.domain.radius)) / (2.0 * np.pi)
-
-    def _h_deriv(self, alpha, x, y):
-        k = sum(alpha)
-        if k == 0:
-            return self._h(x, y)
-        xi, eta = self._unit(x, y)
-        A2 = self._A2(xi, eta)
-        e2 = (eta**2).sum(-1)
-        g1 = xi[..., 0] * e2 - eta[..., 0]   # d(A^2)/d(xi_1) / 2
-        g2 = xi[..., 1] * e2 - eta[..., 1]
+        t = _Terms(_DISK1_TERMS, x=self._unit(x), e=self._unit(y))
         R = self.domain.radius
-        if alpha == (1, 0):
-            return g1 / A2 / (2.0 * np.pi) / R
-        if alpha == (0, 1):
-            return g2 / A2 / (2.0 * np.pi) / R
-        if alpha == (2, 0):
-            return (e2 / A2 - 2.0 * g1 * g1 / A2**2) / (2.0 * np.pi) / R**2
-        if alpha == (0, 2):
-            return (e2 / A2 - 2.0 * g2 * g2 / A2**2) / (2.0 * np.pi) / R**2
-        if alpha == (1, 1):
-            return (-2.0 * g1 * g2 / A2**2) / (2.0 * np.pi) / R**2
-        raise ValueError(f"derivative order {alpha} not available for disk m=1")
+        c = 2.0 * np.pi
+
+        def h(alpha):
+            if sum(alpha) == 0:
+                return (0.5 * np.log(t.A2) + np.log(R)) / c
+            if sum(alpha) == 1:
+                return t.g[0 if alpha[0] else 1] / t.A2 / c / R
+            if alpha == (1, 1):
+                return (-2.0 * t.g[0] * t.g[1] / t.A4) / c / R**2
+            if sum(alpha) == 2:
+                g = t.g[0 if alpha[0] else 1]
+                return (t.eA - 2.0 * g * g / t.A4) / c / R**2
+            raise ValueError(f"derivative order {alpha} not available for disk m=1")
+        return h
+
+
+_DISK2_TERMS = {
+    "x2": lambda t: t.x[0] * t.x[0] + t.x[1] * t.x[1],
+    "Qe": lambda t: 1.0 - (t.e[0] * t.e[0] + t.e[1] * t.e[1]),
+    "add": lambda t: 2.0 * (1.0 - t.Qe),
+    "d": lambda t: [t.x[i] - t.e[i] for i in (0, 1)],
+    "s": lambda t: t.d[0] * t.d[0] + t.d[1] * t.d[1],
+    "q": lambda t: (1.0 - t.x2) * t.Qe,
+    "A": lambda t: t.s + t.q,
+    "A2": lambda t: t.A * t.A,
+    # pow, not A2 * A: the order-4 difference amplifies a last-bit change
+    # of A^3 to 3e-10 of a fitted kernel-bound constant
+    "A3": lambda t: t.A**3,
+    "u": lambda t: np.log(t.A),
+    "P": lambda t: t.s / 2.0,
+    "xQ": lambda t: [2.0 * t.x[i] * t.Qe for i in (0, 1)],
+    "Ad": lambda t: [2.0 * t.d[i] - t.xQ[i] for i in (0, 1)],
+    "AdA": lambda t: [t.Ad[i] / t.A for i in (0, 1)],
+    "addA": lambda t: t.add / t.A,
+    "X": lambda t: {(i, j): t.Ad[i] * t.Ad[j] / t.A2 for i, j in ((0, 0), (0, 1), (1, 1))},
+}
+
+
+def _disk2_partial(t, alpha):
+    """x-partial of the unit-disk regular part h = (q/2 - P log A)/(8 pi) for
+    |alpha| <= 3.  P = s/2 and A = s + q are quadratic in x, so their third
+    partials vanish and the chain rule terminates: P has partials d_i and
+    delta_ij, A has Ad_i and delta_ij * add."""
+    idx = [ax for ax in (0, 1) for _ in range(alpha[ax])]
+    if not idx:
+        val = t.q / 2.0 - t.P * t.u
+    elif len(idx) == 1:
+        (i,) = idx
+        val = -t.xQ[i] / 2.0 - t.d[i] * t.u - t.P * t.Ad[i] / t.A
+    elif len(idx) == 2:
+        i, j = idx
+        val = -2.0 * t.Qe / 2.0 - t.u if i == j else 0.0
+        val = (val - t.d[i] * t.Ad[j] / t.A - t.d[j] * t.Ad[i] / t.A
+               - t.P * ((t.addA if i == j else 0.0) - t.X[i, j]))
+    else:
+        i, j, l = idx
+        d, Ad, AdA, X = t.d, t.Ad, t.AdA, t.X
+        val = (-(AdA[l] if i == j else 0.0)
+               - (AdA[j] if i == l else 0.0)
+               - d[i] * ((t.addA if j == l else 0.0) - X[j, l])
+               - (AdA[i] if j == l else 0.0)
+               - d[j] * ((t.addA if i == l else 0.0) - X[i, l])
+               - d[l] * ((t.addA if i == j else 0.0) - X[i, j])
+               - t.P * (-(t.add * Ad[l] / t.A2 if i == j else 0.0)
+                        - ((t.add * Ad[j] if i == l else 0.0)
+                           + (Ad[i] * t.add if j == l else 0.0)) / t.A2
+                        + 2.0 * Ad[i] * Ad[j] * Ad[l] / t.A3))
+    return val / (8.0 * np.pi)
+
+
+def _disk2_fourth(t, alphas) -> dict:
+    """Order-4 partials (unit disk) as one central difference of the
+    closed-form order 3, Richardson-extrapolated over steps h and h/2.  The
+    step stays below the pair separation and inside the disk (the continued
+    formula degenerates at the exterior image points).  The terms of each
+    stencil point are built once for every alpha that differences along
+    its axis."""
+    step = np.minimum(2e-3, np.minimum(np.sqrt(t.s) / 8.0, (1.0 - np.sqrt(t.x2)) / 4.0))
+    step = np.maximum(step, 1e-6)
+    diffs = {a: [] for a in alphas}
+    for h in (step, step / 2.0):
+        for axis in sorted({0 if a[0] else 1 for a in alphas}):
+            along = [a for a in alphas if (a[0] > 0) == (axis == 0)]
+            rests = [(a[0] - 1, a[1]) if axis == 0 else (a[0], a[1] - 1) for a in along]
+            x = list(t.x)
+            x[axis] = t.x[axis] + h
+            side = _Terms(_DISK2_TERMS, x=x, e=t.e, Qe=t.Qe, add=t.add)
+            plus = [0.5 * _disk2_partial(side, r) for r in rests]
+            x[axis] = t.x[axis] - h
+            side = _Terms(_DISK2_TERMS, x=x, e=t.e, Qe=t.Qe, add=t.add)
+            for a, r, p in zip(along, rests, plus):
+                diffs[a].append((p - 0.5 * _disk2_partial(side, r)) / h)
+    return {a: (4.0 * f2 - f1) / 3.0 for a, (f1, f2) in diffs.items()}
 
 
 class DiskGreen2(GreenFunction):
     """Clamped plate Lap^2 u = f on a disk (ball formula).
 
-    h and its gradient are closed-form; higher x-derivatives use Richardson
-    central differences of the gradient with a diagonal-aware step.
+    h and its x-derivatives up to order 3 are closed-form; order 4 is a
+    Richardson central difference of order 3 with a diagonal-aware step.
     """
 
     def __init__(self, domain: Disk):
         self.domain = domain
         self.m = 2
 
-    def _unit(self, x, y):
-        c = np.asarray(self.domain.center)
-        return (x - c) / self.domain.radius, (y - c) / self.domain.radius
-
-    @staticmethod
-    def _h_unit(xi, eta):
-        s = ((xi - eta) ** 2).sum(-1)
-        q = (1.0 - (xi**2).sum(-1)) * (1.0 - (eta**2).sum(-1))
-        return (q / 2.0 - (s / 2.0) * np.log(s + q)) / (8.0 * np.pi)
-
-    @staticmethod
-    def _h_unit_grad(i, xi, eta):
-        s = ((xi - eta) ** 2).sum(-1)
-        q = (1.0 - (xi**2).sum(-1)) * (1.0 - (eta**2).sum(-1))
-        ds = 2.0 * (xi[..., i] - eta[..., i])
-        dq = -2.0 * xi[..., i] * (1.0 - (eta**2).sum(-1))
-        return (dq / 2.0 - (ds / 2.0) * np.log(s + q)
-                - (s / 2.0) * (ds + dq) / (s + q)) / (8.0 * np.pi)
-
-    @staticmethod
-    def _h_unit_partials(alpha, xi, eta):
-        """Closed-form partials of h = (q/2 - P log A)/(8 pi) up to order 3:
-        P = s/2 and A = s + q are quadratic in xi, so their third partials
-        vanish and the chain rule terminates."""
-        Qe = 1.0 - (eta**2).sum(-1)
-        s = ((xi - eta) ** 2).sum(-1)
-        q = (1.0 - (xi**2).sum(-1)) * Qe
-        A = s + q
-        u = np.log(A)
-        P = s / 2.0
-
-        def Pd(i):
-            return xi[..., i] - eta[..., i]
-
-        def Ad(i):
-            return 2.0 * (xi[..., i] - eta[..., i]) - 2.0 * xi[..., i] * Qe
-
-        def Pdd(i, j):
-            return 1.0 if i == j else 0.0
-
-        def Add(i, j):
-            return 2.0 * (1.0 - Qe) if i == j else 0.0
-
-        idx = [ax for ax in (0, 1) for _ in range(alpha[ax])]
-        k = len(idx)
-        if k == 0:
-            return (q / 2.0 - P * u) / (8.0 * np.pi)
-        if k == 1:
-            (i,) = idx
-            qd = -2.0 * xi[..., i] * Qe
-            return (qd / 2.0 - Pd(i) * u - P * Ad(i) / A) / (8.0 * np.pi)
-        if k == 2:
-            i, j = idx
-            qdd = -2.0 * Qe if i == j else 0.0
-            val = (qdd / 2.0 - Pdd(i, j) * u
-                   - Pd(i) * Ad(j) / A - Pd(j) * Ad(i) / A
-                   - P * (Add(i, j) / A - Ad(i) * Ad(j) / A**2))
-            return val / (8.0 * np.pi)
-        # k == 3
-        i, j, l = idx
-        T = (-Pdd(i, j) * Ad(l) / A
-             - Pdd(i, l) * Ad(j) / A
-             - Pd(i) * (Add(j, l) / A - Ad(j) * Ad(l) / A**2)
-             - Pdd(j, l) * Ad(i) / A
-             - Pd(j) * (Add(i, l) / A - Ad(i) * Ad(l) / A**2)
-             - Pd(l) * (Add(i, j) / A - Ad(i) * Ad(j) / A**2)
-             - P * (-Add(i, j) * Ad(l) / A**2
-                    - (Add(i, l) * Ad(j) + Ad(i) * Add(j, l)) / A**2
-                    + 2.0 * Ad(i) * Ad(j) * Ad(l) / A**3))
-        return T / (8.0 * np.pi)
-
-    def regular_jet(self, x, y, max_order: int = 3) -> dict:
-        """All regular-part x-derivatives with |alpha| <= max_order (<= 3) in
-        one pass over shared intermediates; the solver's pairwise quadrature
-        is memory-bound, so the shared s, q, A terms matter."""
-        if max_order > 3:
-            raise ValueError("closed forms stop at order 3")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        x, y = np.broadcast_arrays(x, y)
-        xi, eta = self._unit(x, y)
+    def _regular(self, alphas, x, y):
+        t = _Terms(_DISK2_TERMS, x=self._unit(x), e=self._unit(y))
         R = self.domain.radius
-        Qe = 1.0 - (eta**2).sum(-1)
-        s = ((xi - eta) ** 2).sum(-1)
-        q = (1.0 - (xi**2).sum(-1)) * Qe
-        A = s + q
-        invA = 1.0 / A
-        u = np.log(A)
-        P = s / 2.0
-        Pd = [xi[..., i] - eta[..., i] for i in (0, 1)]
-        Ad = [2.0 * Pd[i] - 2.0 * xi[..., i] * Qe for i in (0, 1)]
-        qd = [-2.0 * xi[..., i] * Qe for i in (0, 1)]
-        add = 2.0 * (1.0 - Qe)  # Add(i,i); mixed entries vanish
-        c = 1.0 / (8.0 * np.pi)
-        out = {(0, 0): R**2 * c * (q / 2.0 - P * u)}
-        if max_order >= 1:
-            for i, alpha in ((0, (1, 0)), (1, (0, 1))):
-                out[alpha] = R * c * (qd[i] / 2.0 - Pd[i] * u - P * Ad[i] * invA)
-        if max_order >= 2:
-            for (i, j), alpha in (((0, 0), (2, 0)), ((0, 1), (1, 1)), ((1, 1), (0, 2))):
-                dij = 1.0 if i == j else 0.0
-                qdd = -2.0 * Qe * dij
-                val = (qdd / 2.0 - dij * u
-                       - (Pd[i] * Ad[j] + Pd[j] * Ad[i]) * invA
-                       - P * (add * dij * invA - Ad[i] * Ad[j] * invA**2))
-                out[alpha] = c * val
-        if max_order >= 3:
-            for idx, alpha in (((0, 0, 0), (3, 0)), ((0, 0, 1), (2, 1)),
-                               ((0, 1, 1), (1, 2)), ((1, 1, 1), (0, 3))):
-                i, j, l = idx
-                dij, dil, djl = float(i == j), float(i == l), float(j == l)
-                T = (-dij * Ad[l] * invA
-                     - dil * Ad[j] * invA
-                     - Pd[i] * (add * djl * invA - Ad[j] * Ad[l] * invA**2)
-                     - djl * Ad[i] * invA
-                     - Pd[j] * (add * dil * invA - Ad[i] * Ad[l] * invA**2)
-                     - Pd[l] * (add * dij * invA - Ad[i] * Ad[j] * invA**2)
-                     - P * (-add * dij * Ad[l] * invA**2
-                            - (add * dil * Ad[j] + Ad[i] * add * djl) * invA**2
-                            + 2.0 * Ad[i] * Ad[j] * Ad[l] * invA**3))
-                out[alpha] = (c / R) * T
-        return out
+        fourth = {}
 
-    def _h(self, x, y):
-        xi, eta = self._unit(x, y)
-        return self.domain.radius**2 * self._h_unit(xi, eta)
-
-    def _h_deriv(self, alpha, x, y):
-        k = sum(alpha)
-        R = self.domain.radius
-        xi, eta = self._unit(x, y)
-        if k <= 3:
-            return R ** (2 - k) * self._h_unit_partials(alpha, xi, eta)
-        # order 4: one central difference of the closed-form third order;
-        # step stays below the pair separation and inside the disk (the
-        # continued formula degenerates at the exterior image points)
-        i = 0 if alpha[0] else 1
-        rest = (alpha[0] - 1, alpha[1]) if alpha[0] else (alpha[0], alpha[1] - 1)
-        sep = np.sqrt(((xi - eta) ** 2).sum(-1))
-        bdist = 1.0 - np.sqrt((xi**2).sum(-1))
-        step = np.minimum(2e-3, np.minimum(sep / 8.0, bdist / 4.0))
-        step = np.maximum(step, 1e-6)
-        func = lambda p: self._h_unit_partials(rest, p, eta)
-        return R ** (2 - k) * _fd_richardson(func, (1 if i == 0 else 0,
-                                                    0 if i == 0 else 1), xi, step)
+        def h(alpha):
+            k = sum(alpha)
+            if k > 4:
+                raise ValueError(f"derivative order {alpha} not available for disk m=2")
+            if k == 4 and not fourth:
+                fourth.update(_disk2_fourth(t, [a for a in alphas if sum(a) == 4]))
+            return R ** (2 - k) * (fourth[alpha] if k == 4 else _disk2_partial(t, alpha))
+        return h
 
 
 def green_function(domain: Domain, m: int) -> GreenFunction:
@@ -663,33 +608,35 @@ def verify_kernel_bounds(domain: Domain, m: int, x: np.ndarray, y: np.ndarray,
     gf = green_function(domain, m)
     n = domain.dim
     d = domain.diameter
+    x, y = _pairs(x, y, n)
     sep = np.linalg.norm(x - y, axis=-1)
     dx = _bdist(domain, x)
     dy = _bdist(domain, y)
+    near = sep <= dx
+    high = [a for a in alphas if sum(a) > 2 * m - n + 1] if near.any() else []
+    regular = dict(gf.jet(high, x[near], y[near], regular=True))
     fits = []
-    for alpha in alphas:
+    for alpha, vals in gf.jet(alphas, x, y):
         k = sum(alpha)
-        vals = np.abs(gf.derivative(alpha, x, y))
+        vals = np.abs(vals)
         if k < 2 * m - n:
-            fits.append(RegimeFit("bounded", tuple(alpha), float(vals.max()), len(x)))
+            fits.append(RegimeFit("bounded", alpha, float(vals.max()), len(x)))
         elif k == 2 * m - n:
             shape = np.log(2.0 * d / sep)
-            fits.append(RegimeFit("log", tuple(alpha), float((vals / shape).max()), len(x)))
+            fits.append(RegimeFit("log", alpha, float((vals / shape).max()), len(x)))
         else:
             shape = sep ** (2 * m - n - k)
-            fits.append(RegimeFit("power", tuple(alpha), float((vals / shape).max()), len(x)))
+            fits.append(RegimeFit("power", alpha, float((vals / shape).max()), len(x)))
         if k == 2 * m:
             for tag, dd in (("min-dx", dx), ("min-dy", dy)):
                 shape = np.minimum(1.0, dd / sep) ** m / sep**n
-                fits.append(RegimeFit(f"singular-{tag}", tuple(alpha),
+                fits.append(RegimeFit(f"singular-{tag}", alpha,
                                       float((vals / shape).max()), len(x)))
-        if k > 2 * m - n + 1:
-            near = sep <= dx
-            if near.any():
-                hv = np.abs(gf.regular_derivative(alpha, x[near], y[near]))
-                shape = dx[near] ** (2 * m - n - k)
-                fits.append(RegimeFit("regular-part", tuple(alpha),
-                                      float((hv / shape).max()), int(near.sum())))
+        if alpha in regular:
+            hv = np.abs(regular[alpha])
+            shape = dx[near] ** (2 * m - n - k)
+            fits.append(RegimeFit("regular-part", alpha,
+                                  float((hv / shape).max()), int(near.sum())))
     if not fits:
         raise ValueError("regime not applicable")
     return fits

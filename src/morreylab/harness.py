@@ -513,15 +513,10 @@ def _offdiagonal_region_sums(g: Grid, gf, alphas, F: np.ndarray, MF: np.ndarray)
         sl = slice(start, min(start + block, g.n_cells))
         X = g.nodes[sl][:, None, :]
         Y = g.nodes[None, :, :]
-        sep = np.linalg.norm(X - Y, axis=-1)
-        mask = sep > g.boundary_dist[sl][:, None]
-        for a in alphas:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                kv = gf.gamma.derivative(a, (X - Y).reshape(-1, 2) if g.dim == 2
-                                         else (X - Y)[..., 0].reshape(-1))
-            kv = kv.reshape(mask.shape)
-            kv = kv + gf.regular_derivative(a, X, Y)
-            kv = np.where(mask, np.abs(kv), 0.0)
+        mask = np.linalg.norm(X - Y, axis=-1) > g.boundary_dist[sl][:, None]
+        for a, kv in gf.jet(alphas, X, Y):
+            np.abs(kv, out=kv)
+            kv[~mask] = 0.0
             kf[a][sl] = kv @ F
         mk = np.where(mask, 1.0, 0.0)
         sf[sl] = mk @ F

@@ -156,23 +156,16 @@ def _masked_fd(grid: Grid, lattice: np.ndarray, axis: int) -> np.ndarray:
 def _interval_kernels(grid: Grid, m: int) -> dict:
     """Quadrature matrices for every derivative order < 2m."""
     gf = green_function(grid.domain, m)
-    gam = FundamentalSolution(1, m)
-    x = grid.nodes[:, 0]
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    z = X - Y
-    offdiag = ~np.eye(len(x), dtype=bool)
+    nodes = grid.nodes
+    orders = [(k,) for k in range(2 * m)]
+    idx = np.arange(len(nodes))
+    diag = dict(gf.jet(orders, nodes, nodes, regular=True))
     kernels = {}
-    for order in range(2 * m):
-        alpha = (order,)
-        kern = np.zeros_like(z)
-        kern[offdiag] = gam.derivative(alpha, z[offdiag])
-        kern += gf.regular_derivative(alpha, grid.nodes[:, None, :],
-                                      grid.nodes[None, :, :])
+    for alpha, kern in gf.jet(orders, nodes[:, None, :], nodes[None, :, :]):
         kern *= grid.cell_measure
         # diagonal cell: analytic Gamma integral plus midpoint regular part
-        diag = (_gamma_diagonal_cell(1, m, alpha, grid.h)
-                + gf.regular_derivative(alpha, grid.nodes, grid.nodes) * grid.cell_measure)
-        kern[np.arange(len(x)), np.arange(len(x))] = diag
+        kern[idx, idx] = (_gamma_diagonal_cell(1, m, alpha, grid.h)
+                          + diag[alpha] * grid.cell_measure)
         kernels[alpha] = kern
     return kernels
 
@@ -278,29 +271,20 @@ def _bilinear(grid: Grid, lattice: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def _solve_disk_m2_values(grid: Grid, F: np.ndarray, block: int = 256) -> dict:
-    from .greens import _M2_FORMS
-
     gf = green_function(grid.domain, 2)
     nodes = grid.nodes
     M = len(nodes)
     orders = [a for a in multi_indices(2, 3)]
     vals = {a: np.empty((M, F.shape[1])) for a in orders}
     FV = F * grid.cell_measure
+    # diagonal cells: analytic Gamma integral plus the midpoint regular part
+    diag = {a: _gamma_diagonal_cell(2, 2, a, grid.h) / grid.cell_measure + h
+            for a, h in gf.jet(orders, nodes, nodes, regular=True)}
     for start in range(0, M, block):
-        sl = slice(start, min(start + block, M))
-        X = nodes[sl][:, None, :]
-        Y = nodes[None, :, :]
-        Z = X - Y
-        z1, z2 = Z[..., 0], Z[..., 1]
-        r2 = z1 * z1 + z2 * z2
-        diag = r2 < (grid.h / 2) ** 2
-        hjet = gf.regular_jet(X, Y, max_order=3)
-        for a in orders:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                kern = _M2_FORMS[a](z1, z2, r2) / (8.0 * np.pi)
-            kern[diag] = _gamma_diagonal_cell(2, 2, a, grid.h) / grid.cell_measure
-            kern += hjet[a]
-            vals[a][sl] = kern @ FV
+        rows = np.arange(start, min(start + block, M))
+        for a, kern in gf.jet(orders, nodes[rows][:, None, :], nodes[None, :, :]):
+            kern[rows - start, rows] = diag[a][rows]
+            vals[a][rows] = kern @ FV
     for alpha in multi_indices(2, 4):
         if sum(alpha) != 4:
             continue

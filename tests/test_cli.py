@@ -1,9 +1,12 @@
+import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
-from morreylab.cli import main
+from morreylab.cli import _field_csv, main
+from morreylab.geometry import Disk, Grid, Interval
 
 
 def write_cfg(tmp_path, extra=None):
@@ -110,3 +113,19 @@ def test_out_env_fallback(tmp_path, monkeypatch, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["norm", "--config", str(path)]) == 0
     assert (envdir / "norm.csv").exists()
+
+
+@pytest.mark.parametrize("grid", [Grid(Interval(0.0, 1.0), 5000),
+                                  Grid(Disk((0.0, 0.0), 1.0), 12)])
+def test_field_csv_matches_csv_writer(tmp_path, grid):
+    vals = np.linspace(-3.0, 3.0, grid.n_cells) / 7.0
+    vals[:6] = [np.nan, np.inf, -np.inf, -0.0, 1e-300, 5e-324]
+    cols = {"f": vals, "u00": vals[::-1] * 1e-7, "u10": np.arange(grid.n_cells) / 3.0}
+    _field_csv(str(tmp_path / "got.csv"), grid, cols)
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        wcsv = csv.writer(fh)
+        wcsv.writerow([f"x{i + 1}" for i in range(grid.dim)] + list(cols))
+        for i in range(grid.n_cells):
+            wcsv.writerow([format(v, ".17g") for v in grid.nodes[i]]
+                          + [format(c[i], ".17g") for c in cols.values()])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

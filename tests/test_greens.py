@@ -11,6 +11,7 @@ from morreylab.greens import (
     verify_kernel_bounds,
     verify_poisson_bounds,
 )
+from morreylab.spaces import multi_indices
 
 UNIT = Interval(0.0, 1.0)
 DISK = Disk((0.0, 0.0), 1.0)
@@ -165,6 +166,55 @@ def test_disk_m2_fd_higher_orders_trace():
              + gf.derivative((0, 4), x, y))
     scale = abs(gf.derivative((4, 0), x, y)[0])
     assert abs(total[0]) < 5e-3 * scale
+
+
+# --- jets ----------------------------------------------------------------------
+
+# (domain, m, highest derivative order the jet serves)
+JET_CASES = [(UNIT, 1, 2), (UNIT, 2, 4), (DISK, 1, 2), (DISK, 2, 4)]
+
+
+@pytest.mark.parametrize("regular", [False, True])
+@pytest.mark.parametrize("dom,m,kmax", JET_CASES)
+def test_jet_unbroadcast_equals_broadcast(dom, m, kmax, regular):
+    # per-point terms on (b,1,d) x (1,n,d) operands give the very bits of the
+    # jet on fully broadcast (b,n,d) operands, diagonal cells included
+    gf = green_function(dom, m)
+    nodes = Grid(dom, 16 if dom.dim == 1 else 8).nodes
+    x, y = nodes[:, None, :], nodes[None, :, :]
+    alphas = multi_indices(dom.dim, kmax)
+    got = list(gf.jet(alphas, x, y, regular))
+    want = list(gf.jet(alphas, *np.broadcast_arrays(x, y), regular))
+    assert [a for a, _ in got] == [a for a, _ in want] == alphas
+    for (a, v), (_, w) in zip(got, want):
+        assert v.shape == w.shape == (len(nodes), len(nodes))
+        assert v.tobytes() == w.tobytes(), a
+
+
+@pytest.mark.parametrize("regular", [False, True])
+@pytest.mark.parametrize("dom,m,kmax", JET_CASES)
+def test_jet_entries_are_derivatives_of_the_order_below(dom, m, kmax, regular):
+    # each entry of order k >= 1 matches a central difference of an order
+    # k-1 entry at interior off-diagonal points
+    gf = green_function(dom, m)
+    if dom.dim == 1:
+        x, y = np.array([[0.2], [0.35]]), np.array([[0.6], [0.75], [0.9]])
+    else:
+        x = np.array([[0.1, -0.3], [-0.4, 0.2], [0.3, 0.25]])
+        y = np.array([[0.5, 0.1], [-0.1, 0.6], [0.2, -0.7], [-0.6, -0.2]])
+    x, y = x[:, None, :], y[None, :, :]
+    jet = dict(gf.jet(multi_indices(dom.dim, kmax), x, y, regular))
+    eps = 1e-5
+    for alpha, val in jet.items():
+        if sum(alpha) == 0:
+            continue
+        axis = next(i for i, k in enumerate(alpha) if k)
+        below = tuple(k - (i == axis) for i, k in enumerate(alpha))
+        step = eps * np.eye(dom.dim)[axis]
+        fd = (dict(gf.jet([below], x + step, y, regular))[below]
+              - dict(gf.jet([below], x - step, y, regular))[below]) / (2 * eps)
+        np.testing.assert_allclose(val, fd, rtol=1e-6,
+                                   atol=1e-8 * np.abs(jet[below]).max(), err_msg=str(alpha))
 
 
 # --- kernel bounds -----------------------------------------------------------

@@ -140,34 +140,38 @@ def test_suite_lemma22_oracle_n64():
 
 
 def test_lemma22_region_sums_match_oracle_2d():
-    # the blocked masked double sums against plain Python loops on a small disk
+    # the blocked masked double sums against plain Python loops on a small
+    # disk, for every order-2m alpha the jet serves (disk m=1 and m=2)
     from morreylab.greens import green_function
     from morreylab.harness import _nested_operator_grid, _offdiagonal_region_sums
+    from morreylab.spaces import multi_indices
 
     dom = Disk((0.0, 0.0), 1.0)
-    g = Grid(dom, 16)
+    g = Grid(dom, 10)
     corpus = build_corpus(g, seed=7, n_random=1)[:2]
-    gf = green_function(dom, 1)
     F = np.column_stack([np.abs(f.values) for _, f in corpus])
     MF = np.column_stack([maximal_field(f, _nested_operator_grid(g, 3)).values
                           for _, f in corpus])
-    alphas = [(2, 0)]
-    kf, sf, smf = _offdiagonal_region_sums(g, gf, alphas, F, MF)
     hn = g.cell_measure
-    lhs_mod = float((kf[(2, 0)][:, 0] * F[:, 1]).sum() * hn * hn)
-    rhs_mod = float((F[:, 1] * smf[:, 0]).sum() * hn * hn
-                    + (MF[:, 1] * sf[:, 0]).sum() * hn * hn)
     nodes = [tuple(p) for p in g.nodes]
     dists = list(g.boundary_dist)
+    for m in (1, 2):
+        gf = green_function(dom, m)
+        alphas = [a for a in multi_indices(2, 2 * m) if sum(a) == 2 * m]
+        kf, sf, smf = _offdiagonal_region_sums(g, gf, alphas, F, MF)
+        rhs_mod = float((F[:, 1] * smf[:, 0]).sum() * hn * hn
+                        + (MF[:, 1] * sf[:, 0]).sum() * hn * hn)
+        for a in alphas:
+            lhs_mod = float((kf[a][:, 0] * F[:, 1]).sum() * hn * hn)
 
-    def kernel(xi, yj):
-        return float(gf.derivative((2, 0), np.array([xi]), np.array([yj]))[0])
+            def kernel(xi, yj):
+                return float(gf.derivative(a, np.array([xi]), np.array([yj]))[0])
 
-    lhs_or, rhs_or = oracles.lemma22_sides(
-        nodes, dists, hn, kernel, list(F[:, 0]), list(F[:, 1]),
-        list(MF[:, 0]), list(MF[:, 1]))
-    assert lhs_mod == pytest.approx(lhs_or, rel=1e-10)
-    assert rhs_mod == pytest.approx(rhs_or, rel=1e-10)
+            lhs_or, rhs_or = oracles.lemma22_sides(
+                nodes, dists, hn, kernel, list(F[:, 0]), list(F[:, 1]),
+                list(MF[:, 0]), list(MF[:, 1]))
+            assert lhs_mod == pytest.approx(lhs_or, rel=1e-10), (m, a)
+            assert rhs_mod == pytest.approx(rhs_or, rel=1e-10), (m, a)
 
 
 def test_suite_boundedness_small():
