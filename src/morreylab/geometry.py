@@ -25,6 +25,7 @@ __all__ = [
     "SampledField",
     "integrate",
     "ball_sweep",
+    "nested_sweep",
 ]
 
 
@@ -300,14 +301,25 @@ def nested_log_radii(r_max: float, r_min: float, per_octave: int = 4) -> np.ndar
     return r[r >= r_min * (1 - 1e-12)][::-1].copy()
 
 
+def centered_sweep(grid: Grid, centers_per_axis: int, radii) -> list[Ball]:
+    """Every radius at every center of the uniform sub-grid of sweep
+    centers, center by center."""
+    return [Ball(tuple(float(v) for v in c), float(r))
+            for c in sweep_centers(grid, centers_per_axis) for r in radii]
+
+
 def ball_sweep(grid: Grid, centers_per_axis: int, radii_count: int) -> list[Ball]:
     """Discretize sup over (x, r): centers on a uniform sub-grid of the
     domain times log-spaced radii in [h, diam], including r = diam exactly."""
     if centers_per_axis < 2 or radii_count < 2:
         raise ValueError("sweep counts must be >= 2")
-    radii = log_radii(grid.h, grid.domain.diameter, radii_count)
-    balls = []
-    for c in sweep_centers(grid, centers_per_axis):
-        for r in radii:
-            balls.append(Ball(tuple(float(v) for v in c), float(r)))
-    return balls
+    return centered_sweep(grid, centers_per_axis,
+                          log_radii(grid.h, grid.domain.diameter, radii_count))
+
+
+def nested_sweep(grid: Grid, centers_per_axis: int, per_octave: int = 3) -> list[Ball]:
+    """Morrey sweep whose ball set at a finer grid contains the coarser
+    one: fixed centers, radii anchored at the diameter (sups become
+    monotone across refinement levels, so trends measure convergence)."""
+    return centered_sweep(grid, centers_per_axis,
+                          nested_log_radii(grid.domain.diameter, grid.h, per_octave))

@@ -16,6 +16,7 @@ data, and a summary entry {suite, verdict, fittedConstant, tolerance, trend}.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -31,8 +32,10 @@ from .geometry import (
     Grid,
     Interval,
     SampledField,
+    ball_sweep,
+    centered_sweep,
     nested_log_radii,
-    sweep_centers,
+    nested_sweep,
 )
 from .greens import green_function, sample_pairs, verify_kernel_bounds, verify_poisson_bounds
 from .operators import (
@@ -44,6 +47,7 @@ from .operators import (
 from .solver import solve_dirichlet_many
 from .spaces import (
     InverseWeightMeasurePhi,
+    MorreyEvaluator,
     PowerLawPhi,
     SweepCache,
     WeightMeasurePhi,
@@ -142,18 +146,6 @@ def validate_weight_classes(dom: Domain, ps, gammas=(-0.4, 0.5)):
                 raise ValueError(f"negative control {name} is actually in class")
 
 
-def _nested_sweep(grid: Grid, centers_per_axis: int, per_octave: int = 3) -> list[Ball]:
-    """Morrey sweep whose ball set at a finer grid contains the coarser
-    one: fixed centers, radii anchored at the diameter (sups become
-    monotone across refinement levels, so trends measure convergence)."""
-    radii = nested_log_radii(grid.domain.diameter, grid.h, per_octave)
-    balls = []
-    for c in sweep_centers(grid, centers_per_axis):
-        for r in radii:
-            balls.append(Ball(tuple(float(v) for v in c), float(r)))
-    return balls
-
-
 def _nested_operator_grid(grid: Grid, per_octave: int = 4) -> np.ndarray:
     return nested_log_radii(grid.domain.diameter, grid.h, per_octave)
 
@@ -229,92 +221,6 @@ def write_reports(results: list[SuiteResult], out_dir: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# shared norm machinery
-
-
-def _ball_sums(cache: SweepCache, sweep, a: np.ndarray) -> np.ndarray:
-    """Sum of the cell array a over every ball of the sweep."""
-    out = np.empty(len(sweep))
-    by_center = {}
-    for i, b in enumerate(sweep):
-        by_center.setdefault(b.center, []).append(i)
-    for c, idxs in by_center.items():
-        radii = np.array([sweep[i].radius for i in idxs])
-        counts = cache.counts(c, radii)
-        cs = cache.prefix_sums(c, a)
-        out[np.array(idxs)] = cs[counts]
-    return out
-
-
-def _weak_ball_norms(cache: SweepCache, sweep, absf, wcells, p) -> np.ndarray:
-    from .spaces import _weak_from_arrays
-
-    out = np.empty(len(sweep))
-    for i, b in enumerate(sweep):
-        order = cache.order(b.center)
-        k = cache.counts(b.center, np.array([b.radius]))[0]
-        cells = order[:k]
-        out[i] = _weak_from_arrays(absf[cells], wcells[cells], p)
-    return out
-
-
-class MorreyEvaluator:
-    """Morrey norms of many fields against one (grid, sweep), reusing the
-    distance-sorted prefix sums.  Inner ball norms are cached per
-    (values array, w, p), so sweeping the phi family costs one pass over the
-    balls per phi; callers must not mutate value arrays between calls."""
-
-    def __init__(self, grid: Grid, sweep):
-        self.grid = grid
-        self.sweep = sweep
-        self.cache = SweepCache(grid, sweep)
-        self._wsums = {}
-        self._inner = {}
-
-    def weight_sums(self, w) -> np.ndarray:
-        if w not in self._wsums:
-            self._wsums[w] = _ball_sums(self.cache, self.sweep,
-                                        weight_cell_integrals(w, self.grid))
-        return self._wsums[w]
-
-    def _inner_norms(self, values: np.ndarray, w, p: float, weak: bool) -> np.ndarray:
-        # the cached values array is kept alive inside the entry so a freed
-        # array's id can never alias a live key
-        key = (id(values), w, p, weak)
-        hit = self._inner.get(key)
-        if hit is not None and hit[0] is values:
-            return hit[1]
-        wc = weight_cell_integrals(w, self.grid)
-        if weak:
-            inner = _weak_ball_norms(self.cache, self.sweep, np.abs(values), wc, p)
-        else:
-            inner = _ball_sums(self.cache, self.sweep,
-                               np.abs(values) ** p * wc) ** (1.0 / p)
-        self._inner[key] = (values, inner)
-        return inner
-
-    def phi_values(self, phi) -> np.ndarray:
-        """phi on every sweep ball; measure-based phis reuse the cached ball
-        sums (the domain-restricted measure convention)."""
-        if isinstance(phi, PowerLawPhi):
-            return np.array([b.radius ** ((phi.lam - phi.n) / phi.p)
-                             for b in self.sweep])
-        if isinstance(phi, WeightMeasurePhi):
-            return self.weight_sums(phi.w) ** ((phi.k - 1.0) / phi.p)
-        if isinstance(phi, InverseWeightMeasurePhi):
-            return self.weight_sums(phi.w) ** (-1.0 / phi.p)
-        return np.array([phi(b.center, b.radius, self.grid) for b in self.sweep])
-
-    def norm(self, values: np.ndarray, w, phi, p: float, weak: bool = False) -> float:
-        wsums = self.weight_sums(w)
-        inner = self._inner_norms(values, w, p, weak)
-        phiv = self.phi_values(phi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(wsums > 0, inner / (phiv * wsums ** (1.0 / p)), 0.0)
-        return float(np.nanmax(vals, initial=0.0))
-
-
-# ---------------------------------------------------------------------------
 # suite: A_p estimation
 
 
@@ -328,8 +234,6 @@ def suite_ap(config: dict) -> SuiteResult:
     ok = True
 
     g = Grid(dom, grids[-1])
-    from .geometry import ball_sweep
-
     one = ap_constant(ConstantWeight(1.0), p, g, ball_sweep(g, 5, 6))
     rows.append(("ap", "const", one.value, 1.0, one.value, grids[-1], ""))
     ok &= abs(one.value - 1.0) < 1e-12
@@ -637,6 +541,9 @@ def suite_lemma24(config: dict) -> SuiteResult:
 # suite: operator boundedness on the Morrey scale
 
 
+# the check depends on no grid, and both suites repeat each (phi, w, p) at
+# every grid level
+@functools.cache
 def _condition_ok(phi1, phi2, w, p, dom: Domain, upper_mult=10.0):
     x = _interior_center(dom)
     r_grid = np.geomspace(0.02 * dom.diameter, 0.9 * dom.diameter, 6)
@@ -668,7 +575,7 @@ def suite_boundedness(config: dict) -> SuiteResult:
             g = Grid(dom, n)
             radii = _nested_operator_grid(g, cfg.get("per_octave_1d", 6)
                                           if dom.dim == 1 else cfg.get("per_octave_2d", 3))
-            sweep = _nested_sweep(g, 5 if dom.dim == 2 else 9, 3)
+            sweep = nested_sweep(g, 5 if dom.dim == 2 else 9, 3)
             ev = MorreyEvaluator(g, sweep)
             kern = CZKernel(2, m, (2 * m, 0)) if dom.dim == 2 else None
             for p in ps:
@@ -775,30 +682,30 @@ def suite_marok1(config: dict) -> SuiteResult:
         radii = _nested_operator_grid(g, 4)
         kern = CZKernel(2, 1, (2, 0))
         corpus = build_corpus(g, seed=seed, n_random=2)[:5]
-        # level-independent balls: fixed centers, fixed radii
-        sweep = [Ball(tuple(c), float(r))
-                 for c in sweep_centers(g, 3)
-                 for r in np.geomspace(0.02, 0.2, 6) * dom.diameter]
-        cache = SweepCache(g, sweep)
-        wc = weight_cell_integrals(w, g)
-        fits = []
+        # level-independent balls: fixed centers, fixed radii; each ball's
+        # tail integral runs over 24 balls of the same center
+        sweep = centered_sweep(g, 3, np.geomspace(0.02, 0.2, 6) * dom.diameter)
         d = dom.diameter
+        ts = [np.geomspace(2 * b.radius, d, 24) for b in sweep]
+        tails = [Ball(b.center, float(t)) for b, tb in zip(sweep, ts) for t in tb]
+        cache = SweepCache(g, sweep + tails)
+        nb = len(sweep)
+        wc = weight_cell_integrals(w, g)
+        wsums = cache.ball_sums(wc)
+        wt_all = wsums[nb:].reshape(nb, -1)
+        fits = []
         for name, f in corpus:
             ks = singular_field(f, kern, radii).values
-            a_ks = np.abs(ks) ** p * wc
-            a_f = np.abs(f.values) ** p * wc
-            for b in sweep:
-                counts = cache.counts(b.center, np.array([b.radius]))
-                lhs = cache.prefix_sums(b.center, a_ks)[counts][0] ** (1.0 / p)
-                wball = cache.prefix_sums(b.center, wc)[counts][0]
-                ts = np.geomspace(2 * b.radius, d, 24)
-                cnt_t = cache.counts(b.center, ts)
-                fnorm_t = cache.prefix_sums(b.center, a_f)[cnt_t] ** (1.0 / p)
-                wt = cache.prefix_sums(b.center, wc)[cnt_t]
+            ks_sums = cache.ball_sums(np.abs(ks) ** p * wc)
+            f_sums = cache.ball_sums(np.abs(f.values) ** p * wc)[nb:].reshape(nb, -1)
+            for j, b in enumerate(sweep):
+                lhs = ks_sums[j] ** (1.0 / p)
+                fnorm_t = f_sums[j] ** (1.0 / p)
+                wt = wt_all[j]
                 good = wt > 0
                 integ = np.trapezoid(
-                    (fnorm_t[good] * wt[good] ** (-1.0 / p)), np.log(ts[good]))
-                rhs = wball ** (1.0 / p) * integ
+                    (fnorm_t[good] * wt[good] ** (-1.0 / p)), np.log(ts[j][good]))
+                rhs = wsums[j] ** (1.0 / p) * integ
                 if rhs > 0 and lhs > 0:
                     fits.append(lhs / rhs)
                     rows.append(("marok1", f"{name}-r{b.radius:.3f}", lhs, rhs,
@@ -837,7 +744,7 @@ def suite_apriori(config: dict) -> SuiteResult:
             g = Grid(dom, n)
             corpus = build_corpus(g, seed=seed, n_random=n_random)
             sols = solve_dirichlet_many(dom, m, [f for _, f in corpus])
-            sweep = _nested_sweep(g, 5 if dom.dim == 2 else 9, 3)
+            sweep = nested_sweep(g, 5 if dom.dim == 2 else 9, 3)
             ev = MorreyEvaluator(g, sweep)
             jets = [a for a in multi_indices(dom.dim, 2 * m)]
             for p in ps:

@@ -9,9 +9,8 @@ the Sobolev-Morrey sum over a derivative jet, and the integral condition on
 phi pairs under which the maximal/singular operators are bounded.
 
 The domain-restricted norm uses the weight measure of Omega(x,r) = Omega n
-B(x,r) in the prefactor (``measure_mode="omega"``, the default).  The
-alternative reading, with the full-ball analytic measure w(B(x,r)), is
-available as ``measure_mode="ball"``.
+B(x,r) in the prefactor.  Every sum over the balls of a sweep comes from one
+``SweepCache``; ``MorreyEvaluator`` builds the Morrey norm on it.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ __all__ = [
     "sobolev_morrey_norm",
     "multi_indices",
     "MorreyNorm",
+    "MorreyEvaluator",
     "SweepCache",
     "condition_213",
     "ConditionReport",
@@ -44,19 +44,28 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # phi families (Remark-style: power law, weight measure, inverse weight
-# measure, custom callable)
+# measure, custom callable).  ``over(centers, radii, measure)`` evaluates phi
+# on many balls at once; ``measure(w)`` gives w's measure of each ball.
+
+
+class _Phi:
+    def __call__(self, x, r) -> float:
+        """phi(x, r); the measure families take the full-space w(B(x, r))."""
+        dim = len(np.atleast_1d(x))
+        return float(self.over([x], np.array([float(r)]),
+                               lambda w: np.array([ball_measure(w, x, r, dim)]))[0])
 
 
 @dataclass(frozen=True)
-class PowerLawPhi:
+class PowerLawPhi(_Phi):
     """phi(x, r) = r^{(lam - n)/p} with 0 < lam < n."""
 
     lam: float
     p: float
     n: int
 
-    def __call__(self, x, r, grid=None, mode="omega"):
-        return float(r) ** ((self.lam - self.n) / self.p)
+    def over(self, centers, radii, measure) -> np.ndarray:
+        return np.asarray(radii, dtype=float) ** ((self.lam - self.n) / self.p)
 
     @property
     def label(self):
@@ -64,15 +73,15 @@ class PowerLawPhi:
 
 
 @dataclass(frozen=True)
-class WeightMeasurePhi:
+class WeightMeasurePhi(_Phi):
     """phi(x, r) = w(B(x,r))^{(k-1)/p}, 0 <= k < 1."""
 
     k: float
     p: float
     w: Weight
 
-    def __call__(self, x, r, grid=None, mode="omega"):
-        return _region_measure(self.w, x, r, grid, mode) ** ((self.k - 1.0) / self.p)
+    def over(self, centers, radii, measure) -> np.ndarray:
+        return measure(self.w) ** ((self.k - 1.0) / self.p)
 
     @property
     def label(self):
@@ -80,21 +89,21 @@ class WeightMeasurePhi:
 
 
 @dataclass(frozen=True)
-class InverseWeightMeasurePhi:
+class InverseWeightMeasurePhi(_Phi):
     """phi(x, r) = w(B(x,r))^{-1/p}; collapses the Morrey norm to L_{p,w}."""
 
     p: float
     w: Weight
 
-    def __call__(self, x, r, grid=None, mode="omega"):
-        return _region_measure(self.w, x, r, grid, mode) ** (-1.0 / self.p)
+    def over(self, centers, radii, measure) -> np.ndarray:
+        return measure(self.w) ** (-1.0 / self.p)
 
     @property
     def label(self):
         return f"invwmeas(p={self.p:g})"
 
 
-class CustomPhi:
+class CustomPhi(_Phi):
     """phi from a user callable (x, r) -> value; a (radii, values) table is
     wrapped into log-linear interpolation."""
 
@@ -105,27 +114,21 @@ class CustomPhi:
         self._func = func
         self.label = label
 
-    def __call__(self, x, r, grid=None, mode="omega"):
-        return float(self._func(x, r))
+    def over(self, centers, radii, measure) -> np.ndarray:
+        return np.array([float(self._func(c, r)) for c, r in zip(centers, radii)])
 
 
 PhiFunction = PowerLawPhi | WeightMeasurePhi | InverseWeightMeasurePhi | CustomPhi
 
 
-def _region_measure(w: Weight, x, r, grid: Grid | None, mode: str) -> float:
-    if mode == "ball" or grid is None:
-        dim = len(np.atleast_1d(x))
-        return ball_measure(w, x, r, dim)
-    from .weights import weight_measure
-
-    return weight_measure(w, Ball(tuple(np.atleast_1d(x)), float(r)), grid)
-
-
-def phi_value(phi: PhiFunction, x, r, grid=None, mode="omega") -> float:
-    v = phi(x, r, grid, mode)
-    if not (np.isfinite(v) and v > 0):
+def _checked_phi(values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values) & (values > 0)):
         raise ValueError("invalid phi")
-    return v
+    return values
+
+
+def phi_value(phi: PhiFunction, x, r) -> float:
+    return float(_checked_phi(np.array([phi(x, r)]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -173,27 +176,34 @@ def weak_lp_weighted_norm(f: SampledField, w: Weight, p: float,
 
 
 # ---------------------------------------------------------------------------
-# sweep cache: per-center distance ordering makes all radii of a center one
-# cumulative sum
+# the ball-sum engine: per-center distance ordering makes all radii of a
+# center one cumulative sum
 
 
 class SweepCache:
-    """Distance-sorted cell orderings for the unique centers of a ball sweep."""
+    """Distance-sorted cell orderings for the unique centers of a ball sweep,
+    with the sweep grouped by center once."""
 
     def __init__(self, grid: Grid, sweep: list[Ball]):
         self.grid = grid
         self.balls = list(sweep)
-        centers = {}
-        for b in self.balls:
-            centers.setdefault(b.center, None)
-        self.centers = list(centers)
+        by_center: dict[tuple, list[int]] = {}
+        for i, b in enumerate(self.balls):
+            by_center.setdefault(b.center, []).append(i)
         self._order = {}
         self._dist = {}
-        for c in self.centers:
+        # (center, ball indices, cell counts) per center, in first-seen order
+        self._groups = []
+        self.sizes = np.zeros(len(self.balls), dtype=int)
+        for c, idx in by_center.items():
             d = np.linalg.norm(grid.nodes - np.asarray(c)[None, :], axis=1)
             o = np.argsort(d, kind="stable")
             self._order[c] = o
             self._dist[c] = d[o]
+            idx = np.array(idx)
+            k = self.counts(c, np.array([self.balls[i].radius for i in idx]))
+            self._groups.append((c, idx, k))
+            self.sizes[idx] = k
 
     def counts(self, center, radii: np.ndarray) -> np.ndarray:
         """Number of cells with |node - center| < r for each r."""
@@ -206,6 +216,98 @@ class SweepCache:
     def order(self, center) -> np.ndarray:
         return self._order[center]
 
+    def ball_sums(self, a: np.ndarray) -> np.ndarray:
+        """Sum of the cell array a over every ball, in sweep order."""
+        out = np.empty(len(self.balls))
+        for c, idx, k in self._groups:
+            out[idx] = self.prefix_sums(c, a)[k]
+        return out
+
+    def ball_cells(self):
+        """(ball index, the ball's cells nearest first) for every ball."""
+        for c, idx, k in self._groups:
+            order = self._order[c]
+            for i, n in zip(idx, k):
+                yield i, order[:n]
+
+    def weak_ball_norms(self, absf: np.ndarray, wc: np.ndarray, p: float) -> np.ndarray:
+        """The weak L_{p,w} norm of |f| over every ball, in sweep order."""
+        out = np.empty(len(self.balls))
+        for i, cells in self.ball_cells():
+            out[i] = _weak_from_arrays(absf[cells], wc[cells], p)
+        return out
+
+
+class MorreyEvaluator:
+    """Morrey norms of many fields against one (grid, sweep).  Weight sums
+    and phi values are computed once per weight and phi; inner ball norms
+    are cached per (values array, w, p, weak), so sweeping the phi family
+    costs one pass over the balls per phi.  Callers must not mutate value
+    arrays between calls."""
+
+    def __init__(self, grid: Grid, sweep):
+        self.grid = grid
+        self.cache = SweepCache(grid, sweep)
+        self._wsums = {}
+        self._phis = {}
+        self._inner = {}
+
+    def weight_sums(self, w) -> np.ndarray:
+        """w(Omega n B) for every sweep ball."""
+        if w not in self._wsums:
+            self._wsums[w] = self.cache.ball_sums(weight_cell_integrals(w, self.grid))
+        return self._wsums[w]
+
+    def phi_values(self, phi) -> np.ndarray:
+        """phi on every sweep ball, with domain-restricted measures; it must
+        be finite and > 0 on every ball that holds a cell."""
+        if phi not in self._phis:
+            balls = self.cache.balls
+            # a ball without cells has zero measure; its value is never used
+            with np.errstate(divide="ignore"):
+                vals = phi.over([b.center for b in balls],
+                                np.array([b.radius for b in balls]), self.weight_sums)
+            _checked_phi(vals[self.cache.sizes > 0])
+            self._phis[phi] = vals
+        return self._phis[phi]
+
+    def _inner_norms(self, values: np.ndarray, w, p: float, weak: bool) -> np.ndarray:
+        # the cached values array is kept alive inside the entry so a freed
+        # array's id can never alias a live key
+        key = (id(values), w, p, weak)
+        hit = self._inner.get(key)
+        if hit is not None and hit[0] is values:
+            return hit[1]
+        wc = weight_cell_integrals(w, self.grid)
+        if weak:
+            inner = self.cache.weak_ball_norms(np.abs(values), wc, p)
+        else:
+            inner = self.cache.ball_sums(np.abs(values) ** p * wc) ** (1.0 / p)
+        self._inner[key] = (values, inner)
+        return inner
+
+    def attaining(self, values: np.ndarray, w, phi, p: float,
+                  weak: bool = False) -> tuple[float, int]:
+        """The discrete Morrey norm, the max of phi^{-1} w(ball)^{-1/p}
+        ||f||_ball over the balls of positive weight measure, and the index
+        of the first ball that attains it."""
+        if p < 1:
+            raise ValueError("invalid exponent")
+        wsums = self.weight_sums(w)
+        inner = self._inner_norms(values, w, p, weak)
+        phiv = self.phi_values(phi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.where(wsums > 0, inner / (phiv * wsums ** (1.0 / p)), -np.inf)
+        if not len(vals):
+            raise ValueError("empty sweep")
+        i = int(np.argmax(vals))
+        if vals[i] == -np.inf:
+            raise ValueError("empty region")
+        return float(vals[i]), i
+
+    def norm(self, values: np.ndarray, w, phi, p: float, weak: bool = False) -> float:
+        return self.attaining(values, w, phi, p, weak)[0]
+
 
 @dataclass(frozen=True)
 class MorreyNorm:
@@ -215,55 +317,14 @@ class MorreyNorm:
 
 
 def morrey_norm(f: SampledField, w: Weight, phi: PhiFunction, p: float,
-                sweep: list[Ball], weak: bool = False,
-                measure_mode: str = "omega",
-                cache: SweepCache | None = None) -> MorreyNorm:
+                sweep: list[Ball], weak: bool = False) -> MorreyNorm:
     """Discrete generalized weighted Morrey norm over a ball sweep.
 
     Returns the max over balls of phi^{-1} w(region)^{-1/p} ||f||_{region}
     together with the attaining ball (first index wins ties).
     """
-    if p < 1:
-        raise ValueError("invalid exponent")
-    if not sweep:
-        raise ValueError("empty sweep")
-    grid = f.grid
-    cache = cache or SweepCache(grid, sweep)
-    wc = weight_cell_integrals(w, grid)
-    apow = np.abs(f.values) ** p * wc
-    # group balls by center so each center costs one cumsum
-    by_center: dict[tuple, list[tuple[int, float]]] = {}
-    for i, b in enumerate(sweep):
-        by_center.setdefault(b.center, []).append((i, b.radius))
-    best, best_i = -np.inf, -1
-    for c, items in by_center.items():
-        radii = np.array([r for _, r in items])
-        counts = cache.counts(c, radii)
-        wsum = cache.prefix_sums(c, wc)[counts]
-        if weak:
-            inner = np.empty(len(items))
-            order = cache.order(c)
-            absf = np.abs(f.values)
-            for j, k in enumerate(counts):
-                cells = order[:k]
-                inner[j] = _weak_from_arrays(absf[cells], wc[cells], p)
-        else:
-            inner = (cache.prefix_sums(c, apow)[counts]) ** (1.0 / p)
-        for j, (i, r) in enumerate(items):
-            if counts[j] == 0:
-                continue
-            if measure_mode == "omega":
-                wm = wsum[j]
-            else:
-                wm = ball_measure(w, np.asarray(c), r, grid.dim)
-            if wm <= 0:
-                continue
-            val = inner[j] / (phi_value(phi, c, r, grid, measure_mode) * wm ** (1.0 / p))
-            if val > best or (val == best and i < best_i):
-                best, best_i = val, i
-    if best_i < 0:
-        raise ValueError("empty region")
-    return MorreyNorm(value=float(best), attaining_ball=sweep[best_i], weak=weak)
+    value, i = MorreyEvaluator(f.grid, sweep).attaining(f.values, w, phi, p, weak)
+    return MorreyNorm(value=value, attaining_ball=sweep[i], weak=weak)
 
 
 def multi_indices(dim: int, max_order: int) -> list[tuple[int, ...]]:
@@ -280,8 +341,7 @@ def multi_indices(dim: int, max_order: int) -> list[tuple[int, ...]]:
 
 def sobolev_morrey_norm(jet: dict[tuple[int, ...], SampledField], w: Weight,
                         phi: PhiFunction, p: float, sweep: list[Ball], m: int,
-                        weak: bool = False, measure_mode: str = "omega",
-                        cache: SweepCache | None = None) -> float:
+                        weak: bool = False) -> float:
     """Sum of Morrey norms of D^s u over all |s| <= m."""
     any_field = next(iter(jet.values()))
     dim = any_field.grid.dim
@@ -289,11 +349,8 @@ def sobolev_morrey_norm(jet: dict[tuple[int, ...], SampledField], w: Weight,
     missing = [s for s in need if s not in jet]
     if missing:
         raise ValueError(f"incomplete jet: missing {missing}")
-    cache = cache or SweepCache(any_field.grid, sweep)
-    return float(sum(
-        morrey_norm(jet[s], w, phi, p, sweep, weak=weak,
-                    measure_mode=measure_mode, cache=cache).value
-        for s in need))
+    ev = MorreyEvaluator(any_field.grid, sweep)
+    return float(sum(ev.norm(jet[s].values, w, phi, p, weak) for s in need))
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +385,7 @@ class _MeasureTable:
         return self._tables[w]
 
     def phi(self, phi) -> np.ndarray:
-        if isinstance(phi, WeightMeasurePhi):
-            return self.raw(phi.w) ** ((phi.k - 1.0) / phi.p)
-        if isinstance(phi, InverseWeightMeasurePhi):
-            return self.raw(phi.w) ** (-1.0 / phi.p)
-        vals = np.array([phi_value(phi, self.x, t, None, "ball")
-                         for t in self.t_grid])
-        return vals
+        return _checked_phi(phi.over([self.x] * len(self.t_grid), self.t_grid, self.raw))
 
 
 def _condition_lhs(phi1, w, p, table: "_MeasureTable"):
@@ -368,11 +419,7 @@ def _fitted_constant(phi1, phi2, w, p, x, r_grid, upper_limit, points, dim):
     lhs = _suffix_log_trapz(t_grid, integrand)
     phi2_vals = table.phi(phi2)
     idx = np.searchsorted(t_grid, r_grid)
-    rows = []
-    for r, i in zip(r_grid, idx):
-        if not (np.isfinite(phi2_vals[i]) and phi2_vals[i] > 0):
-            raise ValueError("invalid phi")
-        rows.append((float(r), float(lhs[i] / phi2_vals[i])))
+    rows = [(float(r), float(lhs[i] / phi2_vals[i])) for r, i in zip(r_grid, idx)]
     return max(v for _, v in rows), rows
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Ball, Grid, region_mask
+from .geometry import Ball, Grid, nested_log_radii, region_mask, sweep_centers
 
 __all__ = [
     "ConstantWeight",
@@ -126,6 +126,8 @@ def conjugate_weight(w: Weight, p: float) -> Weight:
 
 
 def _power_antiderivative(t: np.ndarray, gamma: float) -> np.ndarray:
+    if gamma == -1.0:
+        return np.sign(t) * np.log(np.abs(t))
     return np.sign(t) * np.abs(t) ** (gamma + 1.0) / (gamma + 1.0)
 
 
@@ -278,38 +280,32 @@ def ap_constant(w: Weight, p: float, grid: Grid, sweep: list[Ball]) -> ApEstimat
 
     p = 1 uses the A_1 form sup_B avg_B(w) / ess inf_B(w).
     """
+    from .spaces import SweepCache
+
     if p < 1:
         raise ValueError("invalid exponent")
     balls = _admissible(grid, sweep)
     if not balls:
         raise ValueError("empty region")
-    wc = weight_cell_integrals(w, grid)
-    wconj = weight_cell_integrals(conjugate_weight(w, p), grid) if p > 1 else None
-    best = -np.inf
-    best_ball = balls[0]
-    for b in balls:
-        sel = region_mask(grid, b)
-        m = int(sel.sum())
-        if m == 0:
-            continue
-        meas = m * grid.cell_measure
-        avg_w = wc[sel].sum() / meas
+    cache = SweepCache(grid, balls)
+    live = cache.sizes > 0
+    meas = cache.sizes * grid.cell_measure
+    with np.errstate(divide="ignore", invalid="ignore"):
+        avg_w = cache.ball_sums(weight_cell_integrals(w, grid)) / meas
         if p > 1:
-            val = avg_w * (wconj[sel].sum() / meas) ** (p - 1.0)
+            wconj = weight_cell_integrals(conjugate_weight(w, p), grid)
+            vals = avg_w * (cache.ball_sums(wconj) / meas) ** (p - 1.0)
         else:
-            lo, _ = _cell_extrema(w, grid, sel)
-            val = avg_w / lo if lo > 0 else np.inf
-        if val > best:
-            best, best_ball = val, b
-    if best == -np.inf:
+            lo = np.ones(len(balls))
+            for i, cells in cache.ball_cells():
+                if len(cells):
+                    lo[i] = _cell_extrema(w, grid, cells)[0]
+            vals = np.where(lo > 0, avg_w / lo, np.inf)
+    vals = np.where(live, vals, -np.inf)
+    i = int(np.argmax(vals))
+    if not live[i]:
         raise ValueError("empty region")
-    return ApEstimate(p=p, value=float(best), attaining_ball=best_ball, n_balls=len(balls))
-
-
-def _nested_radii(r_max: float, r_min: float, per_octave: int = 4) -> np.ndarray:
-    from .geometry import nested_log_radii
-
-    return nested_log_radii(r_max, r_min, per_octave)
+    return ApEstimate(p=p, value=float(vals[i]), attaining_ball=balls[i], n_balls=len(balls))
 
 
 def ap_sweep(grid: Grid, w: Weight, centers_per_axis: int = 9,
@@ -317,8 +313,6 @@ def ap_sweep(grid: Grid, w: Weight, centers_per_axis: int = 9,
     """Sweep for A_p estimation: coarse sub-grid centers plus balls centered
     at the weight's singular center, nested radii from the largest inscribed
     radius down to one cell width."""
-    from .geometry import sweep_centers
-
     centers = [tuple(float(v) for v in c) for c in sweep_centers(grid, centers_per_axis)]
     if isinstance(w, PowerWeight):
         centers.append(tuple(float(v) for v in w.center))
@@ -333,7 +327,7 @@ def ap_sweep(grid: Grid, w: Weight, centers_per_axis: int = 9,
             grid.domain.boundary_distance(arr if grid.dim > 1 else arr[0:1]))[0])
         if dist <= grid.h:
             continue
-        for r in _nested_radii(dist, grid.h, per_octave):
+        for r in nested_log_radii(dist, grid.h, per_octave):
             balls.append(Ball(c, float(r)))
     return balls
 

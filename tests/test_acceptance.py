@@ -21,12 +21,11 @@ import pytest
 
 import oracles
 from morreylab.corpus import build_corpus, polynomial_bump
-from morreylab.geometry import Ball, Disk, Grid, Interval, SampledField, ball_sweep
+from morreylab.geometry import Ball, Disk, Grid, Interval, SampledField, ball_sweep, nested_sweep
 from morreylab.greens import sample_pairs, verify_kernel_bounds, verify_poisson_bounds
 from morreylab.hardy import HardySetting, hardy_best_constant, hardy_verify_inequality
 from morreylab.harness import (
     MorreyEvaluator,
-    _nested_sweep,
     default_config,
     run_suite,
 )
@@ -312,7 +311,7 @@ def test_criterion_10_apriori():
     dom = Interval(0.0, 1.0)
     g = Grid(dom, 128)
     f = build_corpus(g, seed=3, n_random=1)[2][1]
-    ev = MorreyEvaluator(g, _nested_sweep(g, 5))
+    ev = MorreyEvaluator(g, nested_sweep(g, 5))
     phi = InverseWeightMeasurePhi(2.0, ONE)
 
     def ratio(field):

@@ -6,11 +6,10 @@ import pytest
 
 import oracles
 from morreylab.corpus import build_corpus
-from morreylab.geometry import Disk, Grid, Interval
+from morreylab.geometry import Disk, Grid, Interval, nested_sweep
 from morreylab.harness import (
     SUITES,
     MorreyEvaluator,
-    _nested_sweep,
     default_config,
     default_weights,
     run_suite,
@@ -70,14 +69,14 @@ def test_trend_verdict_rules():
 
 def test_nested_sweep_is_nested():
     dom = Interval(0.0, 1.0)
-    coarse = {(b.center, round(b.radius, 12)) for b in _nested_sweep(Grid(dom, 32), 5)}
-    fine = {(b.center, round(b.radius, 12)) for b in _nested_sweep(Grid(dom, 64), 5)}
+    coarse = {(b.center, round(b.radius, 12)) for b in nested_sweep(Grid(dom, 32), 5)}
+    fine = {(b.center, round(b.radius, 12)) for b in nested_sweep(Grid(dom, 64), 5)}
     assert coarse <= fine
 
 
 def test_morrey_evaluator_matches_direct():
     g = Grid(Interval(0.0, 1.0), 48)
-    sweep = _nested_sweep(g, 5)
+    sweep = nested_sweep(g, 5)
     ev = MorreyEvaluator(g, sweep)
     rng = np.random.default_rng(2)
     vals = rng.normal(size=g.n_cells)
@@ -200,7 +199,7 @@ def test_apriori_ratio_scale_invariance():
     dom = Interval(0.0, 1.0)
     g = Grid(dom, 64)
     f = build_corpus(g, seed=3, n_random=1)[2][1]
-    sweep = _nested_sweep(g, 5)
+    sweep = nested_sweep(g, 5)
     ev = MorreyEvaluator(g, sweep)
     w = ConstantWeight(1.0)
     phi = InverseWeightMeasurePhi(2.0, w)

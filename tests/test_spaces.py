@@ -8,6 +8,7 @@ from morreylab.geometry import Ball, Grid, Interval, SampledField, ball_sweep
 from morreylab.spaces import (
     CustomPhi,
     InverseWeightMeasurePhi,
+    MorreyEvaluator,
     PowerLawPhi,
     WeightMeasurePhi,
     condition_213,
@@ -213,9 +214,31 @@ def test_morrey_attaining_ball_invariant_under_weight_scaling():
 def test_morrey_invalid_phi():
     g = grid(16)
     f = const_field(g)
-    bad = CustomPhi(func=lambda x, r: -1.0)
-    with pytest.raises(ValueError, match="invalid phi"):
-        morrey_norm(f, ONE, bad, 2.0, ball_sweep(g, 3, 3))
+    sweep = ball_sweep(g, 3, 3)
+    for bad in (CustomPhi(func=lambda x, r: -1.0), CustomPhi(func=lambda x, r: np.nan)):
+        with pytest.raises(ValueError, match="invalid phi"):
+            morrey_norm(f, ONE, bad, 2.0, sweep)
+        with pytest.raises(ValueError, match="invalid phi"):
+            MorreyEvaluator(g, sweep).norm(f.values, ONE, bad, 2.0)
+
+
+def test_morrey_skips_balls_without_cells():
+    g = grid(16)
+    rng = np.random.default_rng(23)
+    f = SampledField(g, rng.normal(size=g.n_cells))
+    sweep = ball_sweep(g, 3, 3)
+    # no cell center lies within 0.01 of a cell boundary point
+    empty = [Ball((g.h,), 0.01), Ball((2 * g.h,), 0.01)]
+    for phi in (PowerLawPhi(0.5, 2.0, 1), WeightMeasurePhi(0.5, 2.0, ONE)):
+        for weak in (False, True):
+            want = morrey_norm(f, ONE, phi, 2.0, sweep, weak=weak)
+            got = morrey_norm(f, ONE, phi, 2.0, empty[:1] + sweep + empty[1:], weak=weak)
+            assert got.value == want.value
+            assert got.attaining_ball == want.attaining_ball
+            with pytest.raises(ValueError, match="empty region"):
+                morrey_norm(f, ONE, phi, 2.0, empty, weak=weak)
+    with pytest.raises(ValueError, match="empty sweep"):
+        morrey_norm(f, ONE, PowerLawPhi(0.5, 2.0, 1), 2.0, [])
 
 
 # --- Sobolev-Morrey --------------------------------------------------------

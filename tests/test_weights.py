@@ -100,18 +100,27 @@ def test_ap_constant_power_origin_balls():
 
 
 def test_ap_constant_matches_oracle():
-    g = Grid(SYM, 32)
-    w = PowerWeight((0.2,), 0.5)
-    p = 2.0
-    wc = weight_cell_integrals(w, g)
-    cc = weight_cell_integrals(conjugate_weight(w, p), g)
-    nodes = [tuple(q) for q in g.nodes]
-    balls = [Ball((0.0,), 0.5), Ball((0.3,), 0.4), Ball((-0.4,), 0.25)]
-    want = max(oracles.ap_expression(nodes, list(wc), list(cc), p, b.center, b.radius,
-                                     g.cell_measure)
-               for b in balls)
-    got = ap_constant(w, p, g, balls)
-    assert got.value == pytest.approx(want, rel=1e-12)
+    # the last disk ball holds no cell center
+    cases = [(Grid(SYM, 32), PowerWeight((0.2,), 0.5), (2.0,),
+              [Ball((0.0,), 0.5), Ball((0.3,), 0.4), Ball((-0.4,), 0.25)]),
+             (Grid(Disk(), 16), PowerWeight((0.1, -0.2), 0.5), (1.5, 2.0, 3.0),
+              [Ball((0.0, 0.0), 0.9), Ball((0.3, -0.2), 0.5), Ball((-0.4, 0.1), 0.3),
+               Ball((0.1, 0.1), 0.05)])]
+    for g, w, ps, balls in cases:
+        wc = weight_cell_integrals(w, g)
+        nodes = [tuple(q) for q in g.nodes]
+        for p in ps:
+            cc = weight_cell_integrals(conjugate_weight(w, p), g)
+            exprs = [oracles.ap_expression(nodes, list(wc), list(cc), p, b.center,
+                                           b.radius, g.cell_measure)
+                     for b in balls]
+            want = max(e for e in exprs if e is not None)
+            first = next(i for i, e in enumerate(exprs)
+                         if e is not None and e >= want * (1 - 1e-12))
+            got = ap_constant(w, p, g, balls)
+            assert got.value == pytest.approx(want, rel=1e-12)
+            assert got.attaining_ball == balls[first]
+    assert exprs[-1] is None
 
 
 def test_ap_divergence_out_of_class():
@@ -185,6 +194,20 @@ def test_ap_monotone_in_sweep():
 def test_ap_estimate_invariant_guard():
     with pytest.raises(ValueError):
         ApEstimate(p=2.0, value=0.5, attaining_ball=Ball((0.0,), 1.0), n_balls=1)
+
+
+def test_conjugate_exponent_minus_one():
+    # gamma / (p - 1) == 1 makes the conjugate |x|^-1: cells off the
+    # singular point integrate to log ratios, not 0/0
+    g = Grid(SYM, 24)
+    w = PowerWeight((0.0,), 0.8999999999999999)
+    cells = weight_cell_integrals(conjugate_weight(w, 1.9), g)
+    x = g.nodes[:, 0]
+    lo, hi = np.abs(x) - g.h / 2, np.abs(x) + g.h / 2
+    off = lo > 0
+    np.testing.assert_allclose(cells[off], np.log(hi[off] / lo[off]), rtol=1e-12)
+    assert np.all(np.isfinite(cells))
+    assert ap_constant(w, 1.9, g, ball_sweep(g, 5, 5)).value >= 1.0 - 1e-9
 
 
 @settings(max_examples=20, deadline=None)
