@@ -591,18 +591,21 @@ def suite_boundedness(config: dict) -> SuiteResult:
                                    0.25 * dom.diameter))
                 if dom.dim == 2:
                     corpus = corpus[: cfg.get("corpus_2d", 7)] + [corpus[-1]]
-                tf_fields = {}
-                for name, f in corpus:
-                    tf = {"M": maximal_field(f, radii).values}
+                F = np.stack([f.values for _, f in corpus])
+                # the operator fields of corpus member i are rows
+                # i * len(tnames) ... of one stack
+                tnames = ["M"] if kern is None else ["M", "K*"]
+                T = np.empty((len(corpus) * len(tnames), g.n_cells))
+                for i, (_, f) in enumerate(corpus):
+                    T[i * len(tnames)] = maximal_field(f, radii).values
                     if kern is not None:
-                        tf["K*"] = singular_field(f, kern, radii).values
-                    tf_fields[name] = tf
+                        T[i * len(tnames) + 1] = singular_field(f, kern, radii).values
                 if dom.dim == 1 and p == ps[0]:
                     # radius-grid doubling probe (flag if the maximal field
                     # is still grid-sensitive at this density)
                     probe = corpus[0][1]
                     fine = maximal_field(probe, _nested_operator_grid(g, 12)).values
-                    coarse = tf_fields[corpus[0][0]]["M"]
+                    coarse = T[0]
                     sens = np.abs(fine - coarse).max() / max(np.abs(fine).max(), 1e-300)
                     if sens > 0.01:
                         rows.append((f"{case[0]}-m{m}", f"radius-grid-probe-N{n}",
@@ -617,16 +620,15 @@ def suite_boundedness(config: dict) -> SuiteResult:
                                          f"p{p}-{wname}-{phname}", np.nan, np.nan,
                                          np.nan, n, "condition-divergent-skip"))
                             continue
-                        weak_out = p == 1.0
+                        fns = ev.norm(F, w, phi, p)
+                        tns = ev.norm(T, w, phi, p, weak=p == 1.0).reshape(len(corpus), -1)
                         sup_ratio, sup_case = 0.0, ""
-                        for name, f in corpus:
+                        for (name, _), fn, tn_row in zip(corpus, fns, tns):
                             if in_class and name == "singular":
                                 continue  # grid-adapted member is control-only
-                            fn = ev.norm(f.values, w, phi, p, weak=False)
                             if fn <= 0:
                                 continue
-                            for tname, tvals in tf_fields[name].items():
-                                tn = ev.norm(tvals, w, phi, p, weak=weak_out)
+                            for tname, tn in zip(tnames, tn_row):
                                 if tn / fn > sup_ratio:
                                     sup_ratio, sup_case = tn / fn, f"{tname}:{name}"
                         key = (case[0], m, p, wname, phname, tag)
@@ -694,10 +696,13 @@ def suite_marok1(config: dict) -> SuiteResult:
         wsums = cache.ball_sums(wc)
         wt_all = wsums[nb:].reshape(nb, -1)
         fits = []
-        for name, f in corpus:
-            ks = singular_field(f, kern, radii).values
-            ks_sums = cache.ball_sums(np.abs(ks) ** p * wc)
-            f_sums = cache.ball_sums(np.abs(f.values) ** p * wc)[nb:].reshape(nb, -1)
+        # one stack: the K* field of every corpus member, then every member
+        ks = np.stack([singular_field(f, kern, radii).values for _, f in corpus]
+                      + [f.values for _, f in corpus])
+        sums = cache.ball_sums(np.abs(ks) ** p * wc)
+        for i, (name, f) in enumerate(corpus):
+            ks_sums = sums[i]
+            f_sums = sums[len(corpus) + i, nb:].reshape(nb, -1)
             for j, b in enumerate(sweep):
                 lhs = ks_sums[j] ** (1.0 / p)
                 fnorm_t = f_sums[j] ** (1.0 / p)
@@ -723,6 +728,24 @@ def suite_marok1(config: dict) -> SuiteResult:
 # suite: the a priori estimate
 
 
+def _apriori_stack(corpus, sols, jets) -> np.ndarray:
+    """One stack per level: every corpus member f, then the jet of each
+    member's solution u, member by member."""
+    return np.stack([f.values for _, f in corpus]
+                    + [sol.jet[a].values for sol in sols for a in jets])
+
+
+def _apriori_norms(ev, stack, n_fields, w, phi, p):
+    """(||f||, sum over the jet of ||D^a u||) for every corpus member, from
+    one evaluator call on the level's stack."""
+    norms = ev.norm(stack, w, phi, p)
+    jet_norms = norms[n_fields:].reshape(n_fields, -1)
+    unorms = np.zeros(n_fields)
+    for col in jet_norms.T:  # summed in jet order, as sum() over the jet
+        unorms = unorms + col
+    return norms[:n_fields], unorms
+
+
 def suite_apriori(config: dict) -> SuiteResult:
     cfg = config.get("apriori", {})
     tol = cfg.get("tolerance", 0.15)
@@ -746,7 +769,8 @@ def suite_apriori(config: dict) -> SuiteResult:
             sols = solve_dirichlet_many(dom, m, [f for _, f in corpus])
             sweep = nested_sweep(g, 5 if dom.dim == 2 else 9, 3)
             ev = MorreyEvaluator(g, sweep)
-            jets = [a for a in multi_indices(dom.dim, 2 * m)]
+            jets = multi_indices(dom.dim, 2 * m)
+            stack = _apriori_stack(corpus, sols, jets)
             for p in ps:
                 for wname, w, tag in default_weights(dom, p):
                     if tag != "in-class":
@@ -759,17 +783,13 @@ def suite_apriori(config: dict) -> SuiteResult:
                                          np.nan, n, "condition-divergent-skip"))
                             continue
                         sup_ratio, sup_name = 0.0, ""
-                        ratios = []
-                        for (name, f), sol in zip(corpus, sols):
-                            fnorm = ev.norm(f.values, w, phi, p)
+                        fnorms, unorms = _apriori_norms(ev, stack, len(corpus), w, phi, p)
+                        for (name, _), fnorm, unorm in zip(corpus, fnorms, unorms):
                             if fnorm <= 0:
                                 rows.append((f"{case[0]}-m{m}",
                                              f"p{p}-{wname}-{phname}-{name}",
                                              0.0, 0.0, np.nan, n, "vacuous"))
                                 continue
-                            unorm = sum(ev.norm(sol.jet[a].values, w, phi, p)
-                                        for a in jets)
-                            ratios.append((name, unorm / fnorm))
                             if unorm / fnorm > sup_ratio:
                                 sup_ratio, sup_name = unorm / fnorm, name
                         key = (case[0], m, p, wname, phname)
@@ -787,18 +807,15 @@ def suite_apriori(config: dict) -> SuiteResult:
                 wname, w, _ = default_weights(dom, p)[0]
                 phi = default_phis(dom, p, w)[0][1]
 
-                def sup_over(corp, sls):
+                def sup_over(corp, stk):
                     best = 0.0
-                    for (nm, f), sol in zip(corp, sls):
-                        fn = ev.norm(f.values, w, phi, p)
+                    for fn, un in zip(*_apriori_norms(ev, stk, len(corp), w, phi, p)):
                         if fn > 0:
-                            un = sum(ev.norm(sol.jet[a].values, w, phi, p)
-                                     for a in jets)
                             best = max(best, un / fn)
                     return best
 
-                base = sup_over(corpus, sols)
-                doubled = sup_over(corpus2, sols2)
+                base = sup_over(corpus, stack)
+                doubled = sup_over(corpus2, _apriori_stack(corpus2, sols2, jets))
                 flag = "" if doubled <= (1 + tol) * base else " EXCEEDS TOLERANCE"
                 doubling_note = (f"{case}: corpus doubling sup "
                                  f"{base:.4g} -> {doubled:.4g}{flag}")

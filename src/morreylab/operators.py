@@ -150,7 +150,8 @@ class _Convolver:
         return full[n - 1: 2 * n - 1, n - 1: 2 * n - 1]
 
 
-@lru_cache(maxsize=8)
+# one live convolver: a finished level's spectra are freed, not held
+@lru_cache(maxsize=1)
 def _convolver(grid: Grid) -> _Convolver:
     return _Convolver(grid)
 

@@ -16,6 +16,7 @@ B(x,r) in the prefactor.  Every sum over the balls of a sweep comes from one
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -154,13 +155,15 @@ def lp_weighted_norm(f: SampledField, w: Weight, p: float,
     return float((np.abs(f.values[sel]) ** p * wc[sel]).sum() ** (1.0 / p))
 
 
-def _weak_from_arrays(absf: np.ndarray, wc: np.ndarray, p: float) -> float:
-    order = np.argsort(absf)[::-1]
-    v = absf[order]
-    cw = np.cumsum(wc[order])
+def _weak_from_arrays(absf: np.ndarray, wc: np.ndarray, p: float) -> np.ndarray:
+    """The weak norm of each row of absf (..., n) against the cell weights
+    wc (n,): rows are sorted independently, largest first."""
+    order = np.argsort(absf, axis=-1)[..., ::-1]
+    v = np.take_along_axis(absf, order, axis=-1)
+    cw = np.cumsum(wc[order], axis=-1)
     with np.errstate(invalid="ignore"):
         vals = v * cw ** (1.0 / p)
-    return float(vals.max(initial=0.0))
+    return vals.max(axis=-1, initial=0.0)
 
 
 def weak_lp_weighted_norm(f: SampledField, w: Weight, p: float,
@@ -172,17 +175,19 @@ def weak_lp_weighted_norm(f: SampledField, w: Weight, p: float,
         raise ValueError("invalid exponent")
     sel = _region_sel(f, region)
     wc = weight_cell_integrals(w, f.grid)
-    return _weak_from_arrays(np.abs(f.values[sel]), wc[sel], p)
+    return float(_weak_from_arrays(np.abs(f.values[sel]), wc[sel], p))
 
 
 # ---------------------------------------------------------------------------
-# the ball-sum engine: per-center distance ordering makes all radii of a
-# center one cumulative sum
+# the ball-sum engine: the balls of one center are nested, so every cell
+# falls in one shell between consecutive radii, and a ball sum is a cumulative
+# sum over shell sums.  Arrays come as one field (cells,) or a stack
+# (k, cells); a row's sums never depend on the other rows of its stack.
 
 
 class SweepCache:
-    """Distance-sorted cell orderings for the unique centers of a ball sweep,
-    with the sweep grouped by center once."""
+    """Per-center shell indices and distance orderings for the cells of a
+    ball sweep, with the sweep grouped by center once."""
 
     def __init__(self, grid: Grid, sweep: list[Ball]):
         self.grid = grid
@@ -192,7 +197,8 @@ class SweepCache:
             by_center.setdefault(b.center, []).append(i)
         self._order = {}
         self._dist = {}
-        # (center, ball indices, cell counts) per center, in first-seen order
+        # (center, ball indices, each ball's shell, cell shells, shell count)
+        # per center, in first-seen order
         self._groups = []
         self.sizes = np.zeros(len(self.balls), dtype=int)
         for c, idx in by_center.items():
@@ -201,49 +207,59 @@ class SweepCache:
             self._order[c] = o
             self._dist[c] = d[o]
             idx = np.array(idx)
-            k = self.counts(c, np.array([self.balls[i].radius for i in idx]))
-            self._groups.append((c, idx, k))
-            self.sizes[idx] = k
+            radii = np.array([self.balls[i].radius for i in idx])
+            shells, ball_shell = np.unique(radii, return_inverse=True)
+            # a cell with |node - c| < r lies in every ball of radius r, so
+            # its shell is the number of radii <= |node - c|
+            cell_shell = np.searchsorted(shells, d, side="right")
+            self._groups.append((c, idx, ball_shell, cell_shell, len(shells)))
+            self.sizes[idx] = self.counts(c, radii)
 
     def counts(self, center, radii: np.ndarray) -> np.ndarray:
         """Number of cells with |node - center| < r for each r."""
         return np.searchsorted(self._dist[center], radii, side="left")
 
     def prefix_sums(self, center, values: np.ndarray) -> np.ndarray:
-        cs = np.concatenate([[0.0], np.cumsum(values[self._order[center]])])
-        return cs
-
-    def order(self, center) -> np.ndarray:
-        return self._order[center]
+        """Sums of values over the cells nearest center, for every count."""
+        return np.concatenate([[0.0], np.cumsum(values[self._order[center]])])
 
     def ball_sums(self, a: np.ndarray) -> np.ndarray:
-        """Sum of the cell array a over every ball, in sweep order."""
-        out = np.empty(len(self.balls))
-        for c, idx, k in self._groups:
-            out[idx] = self.prefix_sums(c, a)[k]
-        return out
+        """Sum of each row of a, (cells,) or (k, cells), over every ball,
+        in sweep order; the result has shape a.shape[:-1] + (balls,)."""
+        rows = np.atleast_2d(a)
+        k = len(rows)
+        out = np.empty((k, len(self.balls)))
+        bins = np.empty(rows.shape, dtype=np.intp)
+        for c, idx, ball_shell, cell_shell, s in self._groups:
+            # one bincount gives every (row, shell) sum; the outer shell s
+            # holds the cells outside every ball
+            np.add(np.arange(k)[:, None] * (s + 1), cell_shell[None, :], out=bins)
+            shell = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=k * (s + 1))
+            out[:, idx] = np.cumsum(shell.reshape(k, s + 1)[:, :s], axis=1)[:, ball_shell]
+        return out.reshape(np.shape(a)[:-1] + (len(self.balls),))
 
     def ball_cells(self):
         """(ball index, the ball's cells nearest first) for every ball."""
-        for c, idx, k in self._groups:
+        for c, idx, *_ in self._groups:
             order = self._order[c]
-            for i, n in zip(idx, k):
+            for i, n in zip(idx, self.sizes[idx]):
                 yield i, order[:n]
 
     def weak_ball_norms(self, absf: np.ndarray, wc: np.ndarray, p: float) -> np.ndarray:
-        """The weak L_{p,w} norm of |f| over every ball, in sweep order."""
-        out = np.empty(len(self.balls))
+        """The weak L_{p,w} norm of each row of |f|, (cells,) or (k, cells),
+        over every ball, in sweep order (shaped as ``ball_sums``)."""
+        out = np.empty(np.shape(absf)[:-1] + (len(self.balls),))
         for i, cells in self.ball_cells():
-            out[i] = _weak_from_arrays(absf[cells], wc[cells], p)
+            out[..., i] = _weak_from_arrays(absf[..., cells], wc[cells], p)
         return out
 
 
 class MorreyEvaluator:
-    """Morrey norms of many fields against one (grid, sweep).  Weight sums
-    and phi values are computed once per weight and phi; inner ball norms
-    are cached per (values array, w, p, weak), so sweeping the phi family
-    costs one pass over the balls per phi.  Callers must not mutate value
-    arrays between calls."""
+    """Morrey norms of fields, or stacks of fields, against one (grid,
+    sweep).  Weight sums and phi values are computed once per weight and
+    phi; inner ball norms are cached per (values array, w, p, weak), so
+    sweeping the phi family costs one pass over the balls per phi.  Callers
+    must not mutate value arrays between calls."""
 
     def __init__(self, grid: Grid, sweep):
         self.grid = grid
@@ -286,26 +302,29 @@ class MorreyEvaluator:
         self._inner[key] = (values, inner)
         return inner
 
-    def attaining(self, values: np.ndarray, w, phi, p: float,
-                  weak: bool = False) -> tuple[float, int]:
+    def attaining(self, values: np.ndarray, w, phi, p: float, weak: bool = False):
         """The discrete Morrey norm, the max of phi^{-1} w(ball)^{-1/p}
         ||f||_ball over the balls of positive weight measure, and the index
-        of the first ball that attains it."""
+        of the first ball that attains it: a (float, int) for one field
+        (cells,), a pair of (k,) arrays for a stack (k, cells)."""
         if p < 1:
             raise ValueError("invalid exponent")
         wsums = self.weight_sums(w)
         inner = self._inner_norms(values, w, p, weak)
         phiv = self.phi_values(phi)
+        if not len(wsums):
+            raise ValueError("empty sweep")
+        if not (wsums > 0).any():
+            raise ValueError("empty region")
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where(wsums > 0, inner / (phiv * wsums ** (1.0 / p)), -np.inf)
-        if not len(vals):
-            raise ValueError("empty sweep")
-        i = int(np.argmax(vals))
-        if vals[i] == -np.inf:
-            raise ValueError("empty region")
-        return float(vals[i]), i
+        i = np.argmax(vals, axis=-1)
+        if np.ndim(values) == 1:
+            return float(vals[i]), int(i)
+        return vals.max(axis=-1), i
 
-    def norm(self, values: np.ndarray, w, phi, p: float, weak: bool = False) -> float:
+    def norm(self, values: np.ndarray, w, phi, p: float, weak: bool = False):
+        """``attaining(...)[0]``: a float for one field, (k,) for a stack."""
         return self.attaining(values, w, phi, p, weak)[0]
 
 
@@ -349,8 +368,8 @@ def sobolev_morrey_norm(jet: dict[tuple[int, ...], SampledField], w: Weight,
     missing = [s for s in need if s not in jet]
     if missing:
         raise ValueError(f"incomplete jet: missing {missing}")
-    ev = MorreyEvaluator(any_field.grid, sweep)
-    return float(sum(ev.norm(jet[s].values, w, phi, p, weak) for s in need))
+    stack = np.stack([jet[s].values for s in need])
+    return float(MorreyEvaluator(any_field.grid, sweep).norm(stack, w, phi, p, weak).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -368,21 +387,27 @@ class ConditionReport:
     flags: tuple[str, ...]
 
 
+@lru_cache(maxsize=64)
+def _ball_measures(w, x: tuple, t_grid: tuple, dim: int) -> np.ndarray:
+    """Full-space w(B(x, t)) for every t, shared (read-only) by the
+    condition checks of every phi that goes with w."""
+    out = np.array([ball_measure(w, x, t, dim) for t in t_grid])
+    out.setflags(write=False)
+    return out
+
+
 class _MeasureTable:
     """Full-space ball measures of the weights appearing in a condition
-    check, tabulated once on the shared t grid."""
+    check, on the shared t grid."""
 
     def __init__(self, x, t_grid, dim):
         self.x = x
         self.t_grid = t_grid
         self.dim = dim
-        self._tables: dict = {}
+        self._key = tuple(t_grid.tolist())
 
     def raw(self, w) -> np.ndarray:
-        if w not in self._tables:
-            self._tables[w] = np.array(
-                [ball_measure(w, self.x, t, self.dim) for t in self.t_grid])
-        return self._tables[w]
+        return _ball_measures(w, self.x, self._key, self.dim)
 
     def phi(self, phi) -> np.ndarray:
         return _checked_phi(phi.over([self.x] * len(self.t_grid), self.t_grid, self.raw))

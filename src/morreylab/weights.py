@@ -290,12 +290,15 @@ def ap_constant(w: Weight, p: float, grid: Grid, sweep: list[Ball]) -> ApEstimat
     cache = SweepCache(grid, balls)
     live = cache.sizes > 0
     meas = cache.sizes * grid.cell_measure
+    wc = weight_cell_integrals(w, grid)
     with np.errstate(divide="ignore", invalid="ignore"):
-        avg_w = cache.ball_sums(weight_cell_integrals(w, grid)) / meas
         if p > 1:
             wconj = weight_cell_integrals(conjugate_weight(w, p), grid)
-            vals = avg_w * (cache.ball_sums(wconj) / meas) ** (p - 1.0)
+            sums = cache.ball_sums(np.stack([wc, wconj]))
+            avg_w = sums[0] / meas
+            vals = avg_w * (sums[1] / meas) ** (p - 1.0)
         else:
+            avg_w = cache.ball_sums(wc) / meas
             lo = np.ones(len(balls))
             for i, cells in cache.ball_cells():
                 if len(cells):

@@ -1,0 +1,39 @@
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from morreylab.harness import SuiteResult, write_reports
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+
+
+def _write(out, ratio, verdict="PASS"):
+    rows = [("s", "a", 1.0, 2.0, 0.5, 8, ""),
+            ("s", "b", np.nan, np.nan, np.nan, 8, "skip"),
+            ("s", "c", 3.0, 1.0, ratio, 8, "")]
+    write_reports([SuiteResult(suite="demo", verdict=verdict, fitted_constant=3.0,
+                               tolerance=0.1, trend=[], rows=rows)], str(out))
+
+
+def _run(a, b, *extra):
+    return subprocess.run([sys.executable, str(SCRIPT), str(a), str(b), *extra],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_compare_outputs(tmp_path):
+    a, b, c, d = (tmp_path / n for n in "abcd")
+    _write(a, 3.0)
+    _write(b, 3.0 * (1 + 1e-14))
+    _write(c, 3.0 * (1 + 1e-6))
+    _write(d, 3.0, verdict="FAIL")
+    same = _run(a, b)
+    assert same.returncode == 0, same.stdout
+    assert "demo.csv: 3 rows, verdict PASS, max rel diff" in same.stdout
+    far = _run(a, c)
+    assert far.returncode == 1
+    assert "DIFFERS demo.csv" in far.stdout and "(row 3, ratio)" in far.stdout
+    assert _run(a, c, "--rtol", "1e-5").returncode == 0
+    verdict = _run(a, d)
+    assert verdict.returncode == 1 and "verdict PASS != FAIL" in verdict.stdout

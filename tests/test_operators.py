@@ -195,6 +195,21 @@ def test_singular_linearity():
     assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
 
 
+def test_one_live_convolver():
+    from morreylab.operators import _convolver
+
+    a, b = disk_grid(24), disk_grid(20)
+    rng = np.random.default_rng(9)
+    fa = SampledField(a, rng.normal(size=a.n_cells))
+    fb = SampledField(b, rng.normal(size=b.n_cells))
+    first = maximal_field(fa, operator_radius_grid(a, 8)).values
+    maximal_field(fb, operator_radius_grid(b, 8))
+    again = maximal_field(fa, operator_radius_grid(a, 8)).values
+    # grid a's spectra were freed with its convolver and built again
+    assert np.array_equal(first, again)
+    assert _convolver.cache_info().currsize == 1
+
+
 # --- identity -----------------------------------------------------------------
 
 def test_identity_zero_field():

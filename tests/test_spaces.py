@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from morreylab.geometry import Ball, Grid, Interval, SampledField, ball_sweep
+from morreylab.geometry import Ball, Disk, Grid, Interval, SampledField, ball_sweep
 from morreylab.spaces import (
     CustomPhi,
     InverseWeightMeasurePhi,
     MorreyEvaluator,
     PowerLawPhi,
+    SweepCache,
     WeightMeasurePhi,
     condition_213,
     lp_weighted_norm,
@@ -239,6 +240,108 @@ def test_morrey_skips_balls_without_cells():
                 morrey_norm(f, ONE, phi, 2.0, empty, weak=weak)
     with pytest.raises(ValueError, match="empty sweep"):
         morrey_norm(f, ONE, PowerLawPhi(0.5, 2.0, 1), 2.0, [])
+
+
+# --- the stacked engine ----------------------------------------------------
+
+def _stack_case(dim):
+    """A grid, a sweep with two balls that hold no cells, a weight and a
+    four-row stack: two random rows, a zero row and a spike."""
+    if dim == 1:
+        g = grid(24)
+        sweep = ball_sweep(g, 4, 5)
+        w = PowerWeight((0.25,), 0.4)
+    else:
+        g = Grid(Disk((0.0, 0.0), 1.0), 10)
+        sweep = ball_sweep(g, 3, 4)
+        w = PowerWeight((0.1, 0.2), 0.5)
+    # a corner of the cell around a node is h/sqrt(2) or h/2 from every node
+    corner = tuple(float(v) for v in g.nodes[len(g.nodes) // 2] + 0.5 * g.h)
+    # a ball with a node on its sphere, which it must leave out
+    c0 = tuple(float(v) for v in g.nodes[0])
+    on_sphere = Ball(c0, float(np.linalg.norm(g.nodes[5] - g.nodes[0])))
+    sweep = [Ball(corner, 0.01 * g.h), on_sphere] + sweep + [Ball(corner, 0.02 * g.h)]
+    rng = np.random.default_rng(29)
+    spike = np.zeros(g.n_cells)
+    spike[3] = 5.0
+    stack = np.stack([rng.normal(size=g.n_cells), np.zeros(g.n_cells),
+                      rng.uniform(0.0, 2.0, g.n_cells), spike])
+    return g, sweep, w, stack
+
+
+def _phis(dim, p, w):
+    return (PowerLawPhi(lam=0.5 * dim, p=p, n=dim), WeightMeasurePhi(0.3, p, w),
+            InverseWeightMeasurePhi(p, w), CustomPhi(func=lambda x, r: 1.0 + r))
+
+
+def _oracle_phi(phi, nodes, wcells, c, r):
+    """phi with the domain-restricted measure the evaluator uses."""
+    if isinstance(phi, WeightMeasurePhi):
+        return oracles.weight_measure(nodes, wcells, c, r) ** ((phi.k - 1.0) / phi.p)
+    if isinstance(phi, InverseWeightMeasurePhi):
+        return oracles.weight_measure(nodes, wcells, c, r) ** (-1.0 / phi.p)
+    return phi(c, r)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("weak", [False, True])
+def test_stacked_morrey_matches_oracle_and_rows(dim, weak):
+    g, sweep, w, stack = _stack_case(dim)
+    ev = MorreyEvaluator(g, sweep)
+    assert ev.cache.sizes[0] == ev.cache.sizes[-1] == 0
+    nodes = [tuple(q) for q in g.nodes]
+    wcells = list(weight_cell_integrals(w, g))
+    balls = [(b.center, b.radius) for b in sweep]
+    for p in (1.0, 1.5, 2.0):
+        # every ball's oracle (inner norm, weight measure), per row
+        inner = oracles.weak_lp_weighted_norm if weak else oracles.lp_weighted_norm
+        per_row = [[(inner(nodes, list(row), wcells, p, c, r),
+                     oracles.weight_measure(nodes, wcells, c, r)) for c, r in balls]
+                   for row in stack]
+        for phi in _phis(dim, p, w):
+            values, idx = ev.attaining(stack, w, phi, p, weak)
+            assert values.shape == idx.shape == (len(stack),)
+            for i, row in enumerate(stack):
+                # a row's result does not depend on the rest of its stack,
+                # and a 1-D field is a one-row stack
+                assert ev.norm(stack[i:i + 1], w, phi, p, weak)[0] == values[i]
+                assert ev.attaining(row, w, phi, p, weak) == (values[i], idx[i])
+                ov = [-np.inf if wm <= 0 else
+                      nb / (_oracle_phi(phi, nodes, wcells, c, r) * wm ** (1.0 / p))
+                      for (nb, wm), (c, r) in zip(per_row[i], balls)]
+                best = max(ov)
+                assert values[i] == pytest.approx(best, rel=1e-10, abs=0.0)
+                # balls that tie in exact arithmetic (the whole domain seen
+                # from two centers) are told apart by rounding
+                assert ov[idx[i]] >= best * (1 - 1e-12)
+            assert values[1] == 0.0 and idx[1] == 1  # zero row: first ball with cells
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("weak", [False, True])
+def test_stacked_attaining_is_first_maximum(dim, weak):
+    g, sweep, w, stack = _stack_case(dim)
+    twice = [b for b in sweep for _ in range(2)]  # each ball twice in a row
+    once, doubled = MorreyEvaluator(g, sweep), MorreyEvaluator(g, twice)
+    for phi in _phis(dim, 1.5, w):
+        v1, i1 = once.attaining(stack, w, phi, 1.5, weak)
+        v2, i2 = doubled.attaining(stack, w, phi, 1.5, weak)
+        assert np.array_equal(v1, v2)
+        assert np.array_equal(i2, 2 * i1)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_ball_sums_match_prefix_sums(dim):
+    g, sweep, _, stack = _stack_case(dim)
+    cache = SweepCache(g, sweep)
+    got = cache.ball_sums(stack)
+    assert got.shape == (len(stack), len(sweep))
+    for row, sums in zip(stack, got):
+        assert np.array_equal(cache.ball_sums(row), sums)
+        want = [cache.prefix_sums(b.center, row)[cache.counts(b.center, [b.radius])[0]]
+                for b in sweep]
+        np.testing.assert_allclose(sums, want, rtol=1e-12, atol=1e-15)
+    assert np.all(got[:, 0] == 0.0) and np.all(got[:, -1] == 0.0)
 
 
 # --- Sobolev-Morrey --------------------------------------------------------
