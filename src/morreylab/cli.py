@@ -71,6 +71,7 @@ def _weight_from(spec: dict):
         return ConstantWeight(spec.get("c", 1.0))
     if kind == "power":
         return PowerWeight(tuple(spec["center"]), spec["gamma"])
+    print(f"unknown weight kind {kind!r}; valid: constant, power", file=sys.stderr)
     raise SystemExit(_EXIT_CONFIG)
 
 
@@ -82,6 +83,8 @@ def _phi_from(spec: dict, p: float, n: int, w):
         return WeightMeasurePhi(k=spec.get("k", 0.5), p=p, w=w)
     if kind == "inverse-weight-measure":
         return InverseWeightMeasurePhi(p=p, w=w)
+    print(f"unknown phi kind {kind!r}; valid: power-law, weight-measure, "
+          "inverse-weight-measure", file=sys.stderr)
     raise SystemExit(_EXIT_CONFIG)
 
 
@@ -211,9 +214,11 @@ def cmd_solve(args) -> int:
     n = args.grid or sec.get("grid", 128)
     g = Grid(dom, n)
     corpus = dict(build_corpus(g, seed=cfg.get("seed", 7), n_random=3))
-    f = corpus.get(sec.get("f", "const"))
+    fname = sec.get("f", "const")
+    f = corpus.get(fname)
     if f is None:
-        print("unknown corpus field", file=sys.stderr)
+        print(f"unknown corpus field {fname!r}; have {sorted(corpus)}",
+              file=sys.stderr)
         return _EXIT_CONFIG
     sol = solve_dirichlet(dom, m, f)
     resid = residual_check(dom, m, sol, f)

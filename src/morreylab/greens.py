@@ -530,17 +530,15 @@ def sample_pairs(domain: Domain, count: int, seed: int, min_sep: float) -> tuple
     seps = nested_log_radii(d / 2.0, min_sep, 2)
     n_dir = 2 if domain.dim == 1 else 8
     n_pos = max(2, budget // (max(len(seps), 1) * n_dir))
-    positions = _pair_positions(domain)[:n_pos]
-    xs, ys = [], []
-    for sep in seps:
-        for b in positions:
-            for v in _direction_fan(domain, b, n_dir):
-                y = b + sep * v
-                dy = domain.boundary_distance(y if domain.dim > 1 else y[0:1])
-                if np.all(np.atleast_1d(dy) >= floor):
-                    xs.append(b)
-                    ys.append(y)
-    xs, ys = xs[:budget], ys[:budget]
+    positions = np.array(_pair_positions(domain)[:n_pos])
+    fans = np.stack([_direction_fan(domain, b, n_dir) for b in positions])
+    # (sep, position, direction) lattice, kept where y stays off the boundary
+    ys = positions[None, :, None, :] + seps[:, None, None, None] * fans[None]
+    xs = np.broadcast_to(positions[None, :, None, :], ys.shape)
+    ys, xs = ys.reshape(-1, domain.dim), xs.reshape(-1, domain.dim)
+    keep = _bdist(domain, ys) >= floor
+    xs, ys = [xs[keep][:budget]], [ys[keep][:budget]]
+    have = len(xs[0])
 
     def draw_interior(k):
         if isinstance(domain, Interval):
@@ -554,7 +552,7 @@ def sample_pairs(domain: Domain, count: int, seed: int, min_sep: float) -> tuple
             u = np.vstack([u, extra])[:k]
         return c[None, :] + u
 
-    while len(xs) < count:
+    while have < count:
         k = count
         x = draw_interior(k)
         if rng.uniform() < 0.5:
@@ -577,9 +575,10 @@ def sample_pairs(domain: Domain, count: int, seed: int, min_sep: float) -> tuple
             th = rng.uniform(0, 2 * np.pi, size=k)
             y = x + np.column_stack([r * np.cos(th), r * np.sin(th)])
             ok = np.asarray(domain.boundary_distance(y) >= floor)
-        xs.extend(x[ok])
-        ys.extend(y[ok])
-    return np.asarray(xs[:count]), np.asarray(ys[:count])
+        xs.append(x[ok])
+        ys.append(y[ok])
+        have += len(xs[-1])
+    return np.concatenate(xs)[:count], np.concatenate(ys)[:count]
 
 
 @dataclass(frozen=True)

@@ -271,8 +271,10 @@ def suite_ap(config: dict) -> SuiteResult:
 # suite: kernel bounds (Green function and Poisson kernel estimates)
 
 
-def _kernel_alphas(dom: Domain, m: int):
-    return multi_indices(dom.dim, 2 * m)
+def _case_domain(case) -> tuple[Domain, int]:
+    kind, m = case
+    dom = Interval(0.0, 1.0) if kind == "interval" else Disk((0.0, 0.0), 1.0)
+    return dom, m
 
 
 def suite_kernels(config: dict) -> SuiteResult:
@@ -285,13 +287,14 @@ def suite_kernels(config: dict) -> SuiteResult:
     worst = 0.0
     all_pass = True
     cases = cfg.get("cases", [["interval", 1], ["interval", 2], ["disk", 1], ["disk", 2]])
-    for kind, m in cases:
-        dom = Interval(0.0, 1.0) if kind == "interval" else Disk((0.0, 0.0), 1.0)
+    for case in cases:
+        kind = case[0]
+        dom, m = _case_domain(case)
         fits = {}
         for n in grids:
             for count in pair_counts:
                 x, y = sample_pairs(dom, count, seed, min_sep=dom.diameter / n)
-                out = verify_kernel_bounds(dom, m, x, y, _kernel_alphas(dom, m))
+                out = verify_kernel_bounds(dom, m, x, y, multi_indices(dom.dim, 2 * m))
                 for f in out:
                     # pool per (regime, |alpha|): the bounds are per class
                     key = (f.regime, sum(f.alpha))
@@ -354,12 +357,6 @@ def suite_identity(config: dict) -> SuiteResult:
 
 # ---------------------------------------------------------------------------
 # suite: pointwise domination |D^a u| <= C Mf
-
-
-def _case_domain(case) -> tuple[Domain, int]:
-    kind, m = case
-    dom = Interval(0.0, 1.0) if kind == "interval" else Disk((0.0, 0.0), 1.0)
-    return dom, m
 
 
 def suite_pointwise(config: dict) -> SuiteResult:
@@ -501,8 +498,7 @@ def suite_lemma24(config: dict) -> SuiteResult:
             kern = CZKernel(2, m, (2 * m, 0)) if dom.dim == 2 else None
             hn = g.cell_measure
             alphas = [a for a in multi_indices(dom.dim, 2 * m) if sum(a) == 2 * m]
-            wone = ConstantWeight(1.0)
-            wc = weight_cell_integrals(wone, g)
+            wdist = default_weights(dom, p)[1][1](g.nodes)
             fits = []
             for (fname, f), sol in zip(corpus, sols):
                 mf = maximal_field(f, radii).values
@@ -513,7 +509,6 @@ def suite_lemma24(config: dict) -> SuiteResult:
                 for a in alphas[1:]:
                     if np.abs(sol.jet[a].values).max() > np.abs(dau).max():
                         dau = sol.jet[a].values
-                wdist = default_weights(dom, p)[1][1](g.nodes)
                 gs = [("dist-g", np.abs(dau) ** (p - 1.0) * np.sign(dau)),
                       ("dist-g-weighted",
                        np.abs(dau) ** (p - 1.0) * np.sign(dau) * wdist)]

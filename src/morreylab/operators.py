@@ -5,7 +5,9 @@ All operators treat the field as extended by zero outside the domain; ball
 volumes in the maximal operator are full Lebesgue ball measures.  Pointwise
 evaluations are direct sums; whole-field evaluations on 2D grids go through
 cached-spectrum FFT convolutions (the discrete sums are translation-invariant
-on the lattice, so the two routes agree to rounding).
+on the lattice, so the two routes agree to rounding).  `_convolutions` is the
+one path: one forward transform per field, then one product per kernel; the
+solver's free-space potentials take it too.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def maximal_singular(f: SampledField, kernel: CZKernel, x, eps_grid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# whole-field variants (1D: sliding windows; 2D: cached-spectrum FFT)
+# lattice convolution: one forward transform per field, cached kernel spectra
 
 
 class _Convolver:
@@ -156,6 +158,108 @@ def _convolver(grid: Grid) -> _Convolver:
     return _Convolver(grid)
 
 
+def _convolutions(grid: Grid, values: np.ndarray, kernels):
+    """Lattice convolutions of the masked-cell `values` (zero outside) with
+    each (key, build) kernel in turn, all from one forward transform."""
+    conv = _convolver(grid)
+    fwd = conv.forward(grid.embed(values))
+    for key, build in kernels:
+        yield conv.apply(fwd, key, build)
+
+
+# ---------------------------------------------------------------------------
+# lattice kernels: (spectrum key, builder on the offset lattice)
+
+
+def _ball_kernel(grid: Grid, t: float):
+    """Indicator of |offset| < t times the cell measure."""
+    def build(o1, o2):
+        return (o1**2 + o2**2 < t**2) * grid.cell_measure
+    return ("ball", round(t / grid.h, 9)), build
+
+
+def _truncated_kernel(grid: Grid, kernel: CZKernel, eps: float):
+    """k(offset) times the cell measure where |offset| >= eps, zero inside."""
+    def build(o1, o2):
+        z = np.stack([o1, o2], axis=-1)
+        r2 = o1**2 + o2**2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = kernel(z.reshape(-1, 2)).reshape(o1.shape)
+        return np.where(r2 >= eps**2, vals, 0.0) * grid.cell_measure
+    return ("cz", kernel.alpha, kernel.m, round(eps / grid.h, 9)), build
+
+
+@lru_cache(maxsize=None)
+def _unit_square_log_moments() -> tuple[float, float]:
+    """I0 = integral of log|z| and I2 = integral of |z|^2 log|z| over the
+    unit square [-1/2, 1/2]^2, by the exact polar reduction
+    8 * int_0^{pi/4} int_0^{R(th)} rho^{1+2k} log rho drho dth."""
+    nodes, weights = np.polynomial.legendre.leggauss(96)
+    th = 0.25 * np.pi * (nodes + 1.0) / 2.0
+    wth = 0.25 * np.pi * weights / 2.0
+    R = 0.5 / np.cos(th)
+    i0 = 8.0 * ((R**2 / 2.0) * (np.log(R) - 0.5) * wth).sum()
+    i2 = 8.0 * ((R**4 / 4.0) * (np.log(R) - 0.25) * wth).sum()
+    return float(i0), float(i2)
+
+
+def _gamma_diagonal_cell(dim: int, m: int, alpha: tuple[int, ...], h: float) -> float:
+    """integral of D^alpha Gamma over the centered cell [-h/2, h/2]^dim.
+
+    Odd-order kernels integrate to zero by symmetry; the even closed forms
+    follow from the |t|^k antiderivatives (1D) and the scaled unit-square
+    log moments (2D).
+    """
+    k = sum(alpha)
+    if k % 2 == 1:
+        return 0.0
+    if dim == 1:
+        if m == 1:
+            return -(h / 2.0) ** 2 / 2.0 if k == 0 else 0.0  # int -|t|/2
+        if k == 0:
+            return (h / 2.0) ** 4 / 24.0  # int |t|^3/12
+        if k == 2:
+            return (h / 2.0) ** 2 / 2.0   # int |t|/2
+        return 0.0
+    i0, i2 = _unit_square_log_moments()
+    log_int = h**2 * (np.log(h) + i0)          # int log|z| over the cell
+    if m == 1:
+        # d11 Gamma = -(1/2pi)(1/r^2 - 2 z1^2/r^4) is not absolutely
+        # integrable on the cell; its principal value vanishes by the
+        # kernel's zero angular mean and the square's symmetry
+        return -log_int / (2.0 * np.pi) if k == 0 else 0.0
+    # m = 2: Gamma = |z|^2 log|z| / (8 pi)
+    if k == 0:
+        return (h**4 * (np.log(h) / 6.0 + i2)) / (8.0 * np.pi)
+    if alpha in ((2, 0), (0, 2)):
+        # d11 v = 2 log|z| + 1 + 2 z1^2/|z|^2; the last term integrates to
+        # h^2/2 by symmetry
+        return (2.0 * log_int + h**2 + h**2) / (2.0 * 8.0 * np.pi)
+    return 0.0  # (1, 1) is odd in each coordinate
+
+
+def _gamma_kernel(grid: Grid, m: int, alpha: tuple[int, int]):
+    """D^alpha Gamma(offset) times the cell measure, with the analytic
+    diagonal-cell integral at offset zero."""
+    gam = FundamentalSolution(2, m)
+    diag = _gamma_diagonal_cell(2, m, alpha, grid.h)
+
+    def build(o1, o2):
+        z = np.stack([o1, o2], axis=-1).reshape(-1, 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = gam.derivative(alpha, z).reshape(o1.shape)
+        center = (o1 == 0.0) & (o2 == 0.0)
+        vals = vals * grid.cell_measure
+        vals[center] = diag
+        vals[~np.isfinite(vals)] = 0.0
+        return vals
+    return ("gamma", m, alpha, round(grid.h, 12)), build
+
+
+# ---------------------------------------------------------------------------
+# whole-field variants (1D: sliding windows; 2D: lattice convolutions)
+
+
 def _window_sums_1d(lattice: np.ndarray, k: int) -> np.ndarray:
     """sum over |j - i| <= k of lattice[j] at every i (zero padded)."""
     cs = np.concatenate([[0.0], np.cumsum(lattice)])
@@ -177,13 +281,9 @@ def maximal_field(f: SampledField, radius_grid) -> SampledField:
             s = _window_sums_1d(lattice, k) * g.cell_measure
             np.maximum(best, s / (2.0 * t), out=best)
         return SampledField(g, g.extract(best))
-    conv = _convolver(g)
-    fwd = conv.forward(g.embed(np.abs(f.values)))
+    sums = _convolutions(g, np.abs(f.values), [_ball_kernel(g, t) for t in radii])
     best = None
-    for t in radii:
-        build = (lambda t: lambda o1, o2: ((o1**2 + o2**2 < t**2)
-                                           * g.cell_measure))(t)
-        s = conv.apply(fwd, ("ball", round(t / g.h, 9)), build)
+    for t, s in zip(radii, sums):
         avg = s / (np.pi * t**2)
         best = avg if best is None else np.maximum(best, avg)
     return SampledField(g, np.maximum(g.extract(best), 0.0))
@@ -197,29 +297,36 @@ def singular_field(f: SampledField, kernel: CZKernel, eps_grid) -> SampledField:
         raise ValueError("truncation below resolution")
     if g.dim == 1:
         return SampledField(g, np.zeros(g.n_cells))
-    conv = _convolver(g)
-    fwd = conv.forward(g.embed(f.values))
     best = None
-    for e in eps:
-        def build(o1, o2, e=e):
-            z = np.stack([o1, o2], axis=-1)
-            r2 = o1**2 + o2**2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = kernel(z.reshape(-1, 2)).reshape(o1.shape)
-            return np.where(r2 >= e**2, vals, 0.0) * g.cell_measure
-        part = np.abs(conv.apply(fwd, ("cz", kernel.alpha, kernel.m,
-                                       round(e / g.h, 9)), build))
+    for part in _convolutions(g, f.values,
+                              [_truncated_kernel(g, kernel, e) for e in eps]):
+        part = np.abs(part)
         best = part if best is None else np.maximum(best, part)
     return SampledField(g, g.extract(best))
 
 
-def potential_field(f: SampledField, kernel_builder, key) -> np.ndarray:
-    """Lattice convolution of f with an arbitrary offset kernel (cellwise
-    midpoint with the kernel's own value at offset zero)."""
-    g = f.grid
-    conv = _convolver(g)
-    fwd = conv.forward(g.embed(f.values))
-    return conv.apply(fwd, key, kernel_builder)
+# ---------------------------------------------------------------------------
+# mask-aware lattice finite differences
+
+
+def _masked_fd(grid: Grid, lattice: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """d/dx_axis by central differences where both neighbours are masked,
+    one-sided at mask edges, zero on isolated cells; the second output marks
+    the central cells."""
+    mask = np.moveaxis(grid.lattice_mask.reshape(lattice.shape), axis, 0)
+    v = np.moveaxis(lattice, axis, 0)
+    vp, vm = np.roll(v, -1, axis=0), np.roll(v, 1, axis=0)
+    mp, mm = np.roll(mask, -1, axis=0), np.roll(mask, 1, axis=0)
+    mp[-1] = False
+    mm[0] = False
+    central = mask & mp & mm
+    fwd = mask & mp & ~mm
+    bwd = mask & ~mp & mm
+    out = np.zeros_like(v)
+    out[central] = (vp[central] - vm[central]) / (2 * grid.h)
+    out[fwd] = (vp[fwd] - v[fwd]) / grid.h
+    out[bwd] = (v[bwd] - vm[bwd]) / grid.h
+    return np.moveaxis(out, 0, axis), np.moveaxis(central, 0, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -235,22 +342,6 @@ class IdentityReport:
     max_discrepancy: float
     trace_residual: float
     skipped_nodes: int
-
-
-def _lattice_fd(grid: Grid, lattice: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Central difference along an axis; second output marks full stencils
-    (both neighbours inside the mask)."""
-    mask = grid.lattice_mask.reshape(grid.n, grid.n)
-    out = np.zeros_like(lattice)
-    ok = np.zeros_like(mask)
-    sl_p = [slice(None)] * 2
-    sl_m = [slice(None)] * 2
-    sl_c = [slice(1, -1) if a == axis else slice(None) for a in range(2)]
-    sl_p[axis] = slice(2, None)
-    sl_m[axis] = slice(0, -2)
-    out[tuple(sl_c)] = (lattice[tuple(sl_p)] - lattice[tuple(sl_m)]) / (2 * grid.h)
-    ok[tuple(sl_c)] = mask[tuple(sl_p)] & mask[tuple(sl_m)] & mask[tuple(sl_c)]
-    return out, ok
 
 
 def singular_identity_check(f: SampledField, alpha: tuple[int, int],
@@ -270,21 +361,13 @@ def singular_identity_check(f: SampledField, alpha: tuple[int, int],
     if sorted(diff) != [0, 1] or min(diff) < 0:
         raise ValueError("alpha must extend beta by one coordinate")
     axis = 0 if diff[0] == 1 else 1
-    gam = FundamentalSolution(2, 1)
 
-    def build_beta(o1, o2):
-        z = np.stack([o1, o2], axis=-1).reshape(-1, 2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = gam.derivative(beta, z).reshape(o1.shape)
-        vals[np.isnan(vals) | np.isinf(vals)] = 0.0  # odd kernel: zero cell
-        return vals * g.cell_measure
-
-    pot = potential_field(f, build_beta, ("dgamma", beta))
-    lhs, ok = _lattice_fd(g, pot, axis)
-
-    kern = CZKernel(2, 1, alpha)
-    eps = eps_factor * g.h
-    kf = singular_field_signed(f, kern, eps)
+    # d_i Gamma * f for i = 1, 2 (beta is one of them), then K_eps f
+    firsts = ((1, 0), (0, 1))
+    kernels = [_gamma_kernel(g, 1, b) for b in firsts]
+    kernels.append(_truncated_kernel(g, CZKernel(2, 1, alpha), eps_factor * g.h))
+    *pots, kf = _convolutions(g, f.values, kernels)
+    lhs, ok = _masked_fd(g, pots[firsts.index(tuple(beta))], axis)
     expected_a = -(1.0 / 2.0) if alpha[0] != 1 else 0.0  # -delta_ij / n
 
     fv = g.embed(f.values)
@@ -294,20 +377,9 @@ def singular_identity_check(f: SampledField, alpha: tuple[int, int],
     resid = np.abs(lhs - kf - expected_a * fv)[ok].max() / max(np.abs(f.values).max(), 1e-300)
 
     # trace: sum_i d_i (d_i Gamma * f) = -f on interior nodes
-    trace = np.zeros((g.n, g.n))
-    trace_ok = np.ones((g.n, g.n), dtype=bool)
-    for i, b in ((0, (1, 0)), (1, (0, 1))):
-        def build(o1, o2, b=b):
-            z = np.stack([o1, o2], axis=-1).reshape(-1, 2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = gam.derivative(b, z).reshape(o1.shape)
-            vals[~np.isfinite(vals)] = 0.0
-            return vals * g.cell_measure
-        p = potential_field(f, build, ("dgamma", b))
-        dfield, dok = _lattice_fd(g, p, i)
-        trace += dfield
-        trace_ok &= dok
-    trace_res = np.abs(trace + fv)[trace_ok].max() / max(np.abs(f.values).max(), 1e-300)
+    (d0, ok0), (d1, ok1) = (_masked_fd(g, p, i) for i, p in enumerate(pots))
+    trace_ok = ok0 & ok1
+    trace_res = np.abs(d0 + d1 + fv)[trace_ok].max() / max(np.abs(f.values).max(), 1e-300)
 
     skipped = int(g.lattice_mask.sum() - ok.sum())
     return IdentityReport(alpha=tuple(alpha), beta=tuple(beta),
@@ -315,20 +387,3 @@ def singular_identity_check(f: SampledField, alpha: tuple[int, int],
                           max_discrepancy=float(resid),
                           trace_residual=float(trace_res),
                           skipped_nodes=skipped)
-
-
-def singular_field_signed(f: SampledField, kernel: CZKernel, eps: float) -> np.ndarray:
-    """K_eps f on the full lattice (signed, single truncation)."""
-    g = f.grid
-    conv = _convolver(g)
-    fwd = conv.forward(g.embed(f.values))
-
-    def build(o1, o2):
-        z = np.stack([o1, o2], axis=-1)
-        r2 = o1**2 + o2**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = kernel(z.reshape(-1, 2)).reshape(o1.shape)
-        return np.where(r2 >= eps**2, vals, 0.0) * g.cell_measure
-
-    return conv.apply(fwd, ("cz1", kernel.alpha, kernel.m, round(eps / g.h, 9)),
-                      build)

@@ -16,18 +16,22 @@ Evaluation strategy per instance:
   potential is harmonic, so its boundary trace determines it; this keeps
   512-per-axis solves in seconds),
 * disk m = 2: blocked pairwise closed-form kernels.
+
+Each instance maps a (cells, k) stack of right-hand sides to one (cells, k)
+array per multi-index, and `solve_dirichlet_many` splits the columns into
+solutions.  Disk m = 1 still solves column by column (one forward transform
+each), so a field's solution does not depend on the rest of its batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .geometry import Disk, Domain, Grid, Interval, SampledField
-from .greens import FundamentalSolution, PoissonKernel, green_function
-from .operators import _convolver
+from .greens import PoissonKernel, green_function
+from .operators import _convolutions, _gamma_diagonal_cell, _gamma_kernel, _masked_fd
 from .spaces import multi_indices
 
 __all__ = ["solve_dirichlet", "solve_dirichlet_many", "residual_check", "Solution"]
@@ -42,111 +46,6 @@ class Solution:
     @property
     def u(self) -> SampledField:
         return self.jet[(0,) * self.domain.dim]
-
-
-# ---------------------------------------------------------------------------
-# diagonal-cell integrals of the fundamental solution and its derivatives
-
-
-@lru_cache(maxsize=None)
-def _unit_square_log_moments() -> tuple[float, float]:
-    """I0 = integral of log|z| and I2 = integral of |z|^2 log|z| over the
-    unit square [-1/2, 1/2]^2, by the exact polar reduction
-    8 * int_0^{pi/4} int_0^{R(th)} rho^{1+2k} log rho drho dth."""
-    nodes, weights = np.polynomial.legendre.leggauss(96)
-    th = 0.25 * np.pi * (nodes + 1.0) / 2.0
-    wth = 0.25 * np.pi * weights / 2.0
-    R = 0.5 / np.cos(th)
-    i0 = 8.0 * ((R**2 / 2.0) * (np.log(R) - 0.5) * wth).sum()
-    i2 = 8.0 * ((R**4 / 4.0) * (np.log(R) - 0.25) * wth).sum()
-    return float(i0), float(i2)
-
-
-def _gamma_diagonal_cell(dim: int, m: int, alpha: tuple[int, ...], h: float) -> float:
-    """integral of D^alpha Gamma over the centered cell [-h/2, h/2]^dim.
-
-    Odd-order kernels integrate to zero by symmetry; the even closed forms
-    follow from the |t|^k antiderivatives (1D) and the scaled unit-square
-    log moments (2D).
-    """
-    k = sum(alpha)
-    if k % 2 == 1:
-        return 0.0
-    if dim == 1:
-        if m == 1:
-            return -(h / 2.0) ** 2 / 2.0 if k == 0 else 0.0  # int -|t|/2
-        if k == 0:
-            return (h / 2.0) ** 4 / 24.0  # int |t|^3/12
-        if k == 2:
-            return (h / 2.0) ** 2 / 2.0   # int |t|/2
-        return 0.0
-    i0, i2 = _unit_square_log_moments()
-    log_int = h**2 * (np.log(h) + i0)          # int log|z| over the cell
-    if m == 1:
-        return -log_int / (2.0 * np.pi) if k == 0 else _disk_m1_order2_cell(alpha, h, log_int)
-    # m = 2: Gamma = |z|^2 log|z| / (8 pi)
-    if k == 0:
-        return (h**4 * (np.log(h) / 6.0 + i2)) / (8.0 * np.pi)
-    if alpha in ((2, 0), (0, 2)):
-        # d11 v = 2 log|z| + 1 + 2 z1^2/|z|^2; the last term integrates to
-        # h^2/2 by symmetry
-        return (2.0 * log_int + h**2 + h**2) / (2.0 * 8.0 * np.pi)
-    if alpha == (1, 1):
-        return 0.0  # odd in each coordinate
-    return 0.0
-
-
-def _disk_m1_order2_cell(alpha, h, log_int):
-    # d11 Gamma = -(1/2pi)(1/r^2 - 2 z1^2/r^4): not absolutely integrable on
-    # the cell; the principal-value cell integral vanishes by the kernel's
-    # zero angular mean and the square's symmetry
-    return 0.0
-
-
-# ---------------------------------------------------------------------------
-# lattice finite differences (mask-aware)
-
-
-def _masked_fd(grid: Grid, lattice: np.ndarray, axis: int) -> np.ndarray:
-    """d/dx_axis by central differences where both neighbours are masked,
-    one-sided at mask edges, zero on isolated cells."""
-    if grid.dim == 1:
-        mask = grid.lattice_mask.astype(bool)
-        v = lattice
-        out = np.zeros_like(v)
-        vp = np.roll(v, -1)
-        vm = np.roll(v, 1)
-        mp = np.roll(mask, -1)
-        mm = np.roll(mask, 1)
-        mp[-1] = False
-        mm[0] = False
-        central = mask & mp & mm
-        fwd = mask & mp & ~mm
-        bwd = mask & ~mp & mm
-        out[central] = (vp[central] - vm[central]) / (2 * grid.h)
-        out[fwd] = (vp[fwd] - v[fwd]) / grid.h
-        out[bwd] = (v[bwd] - vm[bwd]) / grid.h
-        return out
-    mask = grid.lattice_mask.reshape(grid.n, grid.n)
-    v = lattice
-    out = np.zeros_like(v)
-    vp = np.roll(v, -1, axis=axis)
-    vm = np.roll(v, 1, axis=axis)
-    mp = np.roll(mask, -1, axis=axis)
-    mm = np.roll(mask, 1, axis=axis)
-    edge_hi = [slice(None)] * 2
-    edge_hi[axis] = -1
-    edge_lo = [slice(None)] * 2
-    edge_lo[axis] = 0
-    mp[tuple(edge_hi)] = False
-    mm[tuple(edge_lo)] = False
-    central = mask & mp & mm
-    fwd = mask & mp & ~mm
-    bwd = mask & ~mp & mm
-    out[central] = (vp[central] - vm[central]) / (2 * grid.h)
-    out[fwd] = (vp[fwd] - v[fwd]) / grid.h
-    out[bwd] = (v[bwd] - vm[bwd]) / grid.h
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +73,7 @@ def _fd_columns(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
     out = np.empty_like(values)
     for col in range(values.shape[1]):
         lattice = grid.embed(values[:, col])
-        out[:, col] = grid.extract(_masked_fd(grid, lattice, axis))
+        out[:, col] = grid.extract(_masked_fd(grid, lattice, axis)[0])
     return out
 
 
@@ -184,27 +83,6 @@ def _solve_interval_values(grid: Grid, m: int, F: np.ndarray) -> dict:
     vals = {alpha: kern @ F for alpha, kern in kernels.items()}
     vals[(2 * m,)] = _fd_columns(grid, vals[(2 * m - 1,)], 0)
     return vals
-
-
-def _free_space_potential(grid: Grid, m: int, f: SampledField, alpha) -> np.ndarray:
-    """(D^alpha Gamma) * f on the full lattice via cached-spectrum FFT, with
-    the analytic diagonal-cell value at offset zero."""
-    gam = FundamentalSolution(2, m)
-    diag = _gamma_diagonal_cell(2, m, alpha, grid.h)
-
-    def build(o1, o2):
-        z = np.stack([o1, o2], axis=-1).reshape(-1, 2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = gam.derivative(alpha, z).reshape(o1.shape)
-        center = (o1 == 0.0) & (o2 == 0.0)
-        vals = vals * grid.cell_measure
-        vals[center] = diag
-        vals[~np.isfinite(vals)] = 0.0
-        return vals
-
-    conv = _convolver(grid)
-    fwd = conv.forward(grid.embed(f.values))
-    return conv.apply(fwd, ("gamma", m, alpha, round(grid.h, 12)), build)
 
 
 def _harmonic_completion(grid: Grid, boundary_data: np.ndarray):
@@ -238,25 +116,28 @@ def _harmonic_completion(grid: Grid, boundary_data: np.ndarray):
     return H, dH1, dH2
 
 
-def _solve_disk_m1(grid: Grid, f: SampledField, boundary_factor: int = 8) -> dict:
-    dom: Disk = grid.domain
-    kern = PoissonKernel(dom, 0)
+def _solve_disk_m1_values(grid: Grid, F: np.ndarray, boundary_factor: int = 8) -> dict:
+    """F: (cells, k) right-hand sides -> dict alpha -> (cells, k), one
+    column at a time: free-space potentials from one forward transform per
+    column, plus the harmonic completion of the negated boundary trace."""
+    kern = PoissonKernel(grid.domain, 0)
     Pb, _ = kern.boundary_nodes(boundary_factor * grid.n)
-
-    pot0 = _free_space_potential(grid, 1, f, (0, 0))
-    # boundary trace of the free-space potential by bilinear interpolation
-    trace = _bilinear(grid, pot0, Pb)
-    H, dH1, dH2 = _harmonic_completion(grid, -trace)
-
-    vals = {(0, 0): grid.extract(pot0) + H}
-    for alpha, hpart in (((1, 0), dH1), ((0, 1), dH2)):
-        gamma_part = grid.extract(_free_space_potential(grid, 1, f, alpha))
-        vals[alpha] = gamma_part + hpart
+    kernels = [_gamma_kernel(grid, 1, a) for a in ((0, 0), (1, 0), (0, 1))]
+    vals = {a: np.empty_like(F) for a in ((0, 0), (1, 0), (0, 1))}
+    for i in range(F.shape[1]):
+        pots = _convolutions(grid, F[:, i], kernels)
+        pot0 = next(pots)
+        trace = _bilinear(grid, pot0, Pb)  # by bilinear interpolation
+        u0 = grid.extract(pot0)
+        del pot0  # free the padded lattice before the next transform
+        H, dH1, dH2 = _harmonic_completion(grid, -trace)
+        vals[(0, 0)][:, i] = u0 + H
+        vals[(1, 0)][:, i] = grid.extract(next(pots)) + dH1
+        vals[(0, 1)][:, i] = grid.extract(next(pots)) + dH2
     for alpha in ((2, 0), (1, 1), (0, 2)):
         source = (1, 0) if alpha[0] else (0, 1)
         axis = 0 if alpha == (2, 0) else 1
-        lattice = grid.embed(vals[source])
-        vals[alpha] = grid.extract(_masked_fd(grid, lattice, axis))
+        vals[alpha] = _fd_columns(grid, vals[source], axis)
     return vals
 
 
@@ -312,16 +193,11 @@ def solve_dirichlet_many(domain: Domain, m: int,
     if any(f.grid is not grid for f in fields[1:]):
         raise ValueError("batch fields must share one grid")
     green_function(domain, m)  # raises "no Green function" for bad pairs
-    if isinstance(domain, Disk) and m == 1:
-        out = []
-        for f in fields:
-            vals = _solve_disk_m1(grid, f)
-            jet = {a: SampledField(grid, v) for a, v in vals.items()}
-            out.append(Solution(domain=domain, m=m, jet=jet))
-        return out
     F = np.column_stack([f.values for f in fields])
     if isinstance(domain, Interval):
         vals = _solve_interval_values(grid, m, F)
+    elif m == 1:
+        vals = _solve_disk_m1_values(grid, F)
     else:
         vals = _solve_disk_m2_values(grid, F)
     out = []

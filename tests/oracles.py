@@ -201,3 +201,19 @@ def lemma22_sides(nodes, dists, h_n, green_deriv, f, g, Mf, Mg):
                 rhs1 += Mf[j] * abs(g[i]) * h_n * h_n
                 rhs2 += Mg[i] * abs(f[j]) * h_n * h_n
     return lhs, rhs1 + rhs2
+
+
+def pair_lattice(domain, positions, fans, seps, floor, budget):
+    """The configuration lattice of sample_pairs, one candidate pair at a
+    time: separations outermost, then base positions, then each position's
+    direction fan; a pair is kept when y = b + sep * v lies at least `floor`
+    inside the domain."""
+    xs, ys = [], []
+    for sep in seps:
+        for b, fan in zip(positions, fans):
+            for v in fan:
+                y = b + sep * v
+                if domain.boundary_distance(y if domain.dim > 1 else y[0]) >= floor:
+                    xs.append(b)
+                    ys.append(y)
+    return xs[:budget], ys[:budget]

@@ -82,6 +82,24 @@ def test_verify_unknown_suite_exit_2(tmp_path, capsys):
     assert "apriori" in err  # the message lists the valid suites
 
 
+@pytest.mark.parametrize("cmd,extra,words", [
+    ("norm", {"weight": {"kind": "bogus"}},
+     ["unknown weight kind 'bogus'", "constant", "power"]),
+    ("condition", {"phi1": {"kind": "bogus"}},
+     ["unknown phi kind 'bogus'", "power-law", "inverse-weight-measure"]),
+    ("solve", {"f": "bogus"}, ["unknown corpus field 'bogus'", "'const'"]),
+])
+def test_config_errors_exit_2_and_say_why(tmp_path, capsys, cmd, extra, words):
+    cfg = json.loads(open(write_cfg(tmp_path)).read())
+    cfg[cmd].update(extra)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main([cmd, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    for word in words:
+        assert word in err
+
+
 def test_verify_ap_suite_and_report(tmp_path, capsys):
     cfgp = write_cfg(tmp_path)
     code = main(["verify", "--suite", "ap", "--jobs", "1", "--config", cfgp])

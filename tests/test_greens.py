@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from morreylab.corpus import polynomial_bump
 from morreylab.geometry import Disk, Grid, Interval
 from morreylab.greens import (
@@ -250,6 +251,28 @@ def test_kernel_bounds_regime_not_applicable():
     x, y = sample_pairs(UNIT, 10, seed=7, min_sep=0.01)
     with pytest.raises(ValueError, match="regime not applicable"):
         verify_kernel_bounds(UNIT, 1, x, y, [])
+
+
+@pytest.mark.parametrize("dom", [UNIT, DISK])
+@pytest.mark.parametrize("count,n", [(1000, 48), (1000, 512), (4000, 48), (4000, 256)])
+def test_sample_pairs_lattice_matches_loop_oracle(dom, count, n):
+    from morreylab.geometry import nested_log_radii
+    from morreylab.greens import _direction_fan, _pair_positions
+
+    min_sep = dom.diameter / n
+    x, y = sample_pairs(dom, count, seed=7, min_sep=min_sep)
+    assert x.shape == y.shape == (count, dom.dim)
+    # the lattice part of sample_pairs, rebuilt from the same ingredients
+    budget = int(0.9 * count)
+    seps = nested_log_radii(dom.diameter / 2.0, min_sep, 2)
+    n_dir = 2 if dom.dim == 1 else 8
+    positions = _pair_positions(dom)[:max(2, budget // (len(seps) * n_dir))]
+    fans = [_direction_fan(dom, b, n_dir) for b in positions]
+    xo, yo = oracles.pair_lattice(dom, positions, fans, seps, dom.diameter / 2048.0,
+                                  budget)
+    assert len(xo) > 0
+    assert np.array_equal(x[:len(xo)], np.array(xo))
+    assert np.array_equal(y[:len(yo)], np.array(yo))
 
 
 def test_poisson_bounds():

@@ -13,6 +13,7 @@ from morreylab.operators import (
     singular_identity_check,
     truncated_singular,
 )
+from morreylab.solver import solve_dirichlet, solve_dirichlet_many
 
 D1 = Disk((0.0, 0.0), 1.0)
 
@@ -235,3 +236,66 @@ def test_identity_requires_compatible_indices():
     f = SampledField(g, np.ones(g.n_cells))
     with pytest.raises(ValueError):
         singular_identity_check(f, (2, 0), (0, 1))
+
+
+# --- one convolution path -----------------------------------------------------
+
+def test_one_forward_transform_per_field(monkeypatch):
+    from morreylab.operators import _Convolver
+
+    calls = []
+    forward = _Convolver.forward
+    monkeypatch.setattr(_Convolver, "forward",
+                        lambda self, lattice: calls.append(1) or forward(self, lattice))
+    g = disk_grid(32, R=2.0)
+    bump, _, _ = polynomial_bump([0.0, 0.0], 1.0, 2)
+    f = SampledField(g, bump(g.nodes))
+    radii = operator_radius_grid(g, 6)
+    singular_identity_check(f, (2, 0), (1, 0))
+    assert len(calls) == 1
+    maximal_field(f, radii)
+    singular_field(f, CZKernel(2, 1, (1, 1)), radii)
+    assert len(calls) == 3
+    solve_dirichlet(g.domain, 1, f)
+    assert len(calls) == 4
+    solve_dirichlet_many(g.domain, 1, [f, f])
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("grid", [Grid(Interval(0.0, 1.0), 16), disk_grid(24)])
+def test_masked_fd_exact_on_linear_fields(grid):
+    from morreylab.operators import _masked_fd
+
+    slopes = [3.0, -2.0][: grid.dim]
+    lattice = (grid.lattice_nodes @ slopes + 0.25).reshape((grid.n,) * grid.dim)
+    mask = grid.lattice_mask.reshape(lattice.shape)
+    for axis in range(grid.dim):
+        out, central = _masked_fd(grid, lattice, axis)
+        up = np.roll(mask, -1, axis=axis)
+        down = np.roll(mask, 1, axis=axis)
+        np.moveaxis(up, axis, 0)[-1] = False
+        np.moveaxis(down, axis, 0)[0] = False
+        assert np.array_equal(central, mask & up & down)
+        one_sided = mask & (up ^ down)
+        assert one_sided.any() and central.any()
+        assert np.allclose(out[central | one_sided], slopes[axis], rtol=1e-12)
+        assert not out[~mask].any()
+
+
+def test_masked_fd_zero_on_isolated_cell():
+    from types import SimpleNamespace
+
+    from morreylab.operators import _masked_fd
+
+    mask = np.zeros((5, 5), dtype=bool)
+    mask[2, 2] = True          # isolated along both axes
+    mask[0, 1:4] = True        # a row: isolated along axis 0 only
+    grid = SimpleNamespace(lattice_mask=mask.ravel(), h=0.5)
+    lattice = np.arange(25.0).reshape(5, 5) ** 2
+    out0, central0 = _masked_fd(grid, lattice, 0)
+    out1, central1 = _masked_fd(grid, lattice, 1)
+    assert out0[2, 2] == 0.0 and out1[2, 2] == 0.0
+    assert not out0[0].any()
+    assert out1[0, 2] == (lattice[0, 3] - lattice[0, 1]) / (2 * grid.h)
+    assert not central0.any()
+    assert central1.sum() == 1 and central1[0, 2]

@@ -4,7 +4,7 @@ import pytest
 from morreylab.corpus import build_corpus, smoothstep_indicator
 from morreylab.geometry import Disk, Grid, Interval, SampledField
 from morreylab.operators import maximal_field, operator_radius_grid
-from morreylab.solver import residual_check, solve_dirichlet
+from morreylab.solver import residual_check, solve_dirichlet, solve_dirichlet_many
 from morreylab.spaces import multi_indices
 
 UNIT = Interval(0.0, 1.0)
@@ -148,3 +148,21 @@ def test_domain_mismatch():
     g = Grid(UNIT, 16)
     with pytest.raises(ValueError, match="different domain"):
         solve_dirichlet(Interval(0.0, 2.0), 1, ones(g))
+
+
+@pytest.mark.parametrize("dom,m,n", [(UNIT, 1, 64), (UNIT, 2, 64), (DISK, 1, 32),
+                                     (DISK, 2, 16)])
+def test_batch_equals_single(dom, m, n):
+    g = Grid(dom, n)
+    fields = [f for _, f in build_corpus(g, seed=3, n_random=2)]
+    batch = solve_dirichlet_many(dom, m, fields)
+    for f, many in zip(fields, batch):
+        one = solve_dirichlet(dom, m, f)
+        assert list(many.jet) == list(one.jet)
+        for a, fld in one.jet.items():
+            got, want = many.jet[a].values, fld.values
+            if dom == DISK and m == 1:
+                assert np.array_equal(got, want)  # each column solved alone
+            else:
+                scale = max(np.abs(want).max(), 1e-300)
+                assert np.abs(got - want).max() <= 1e-13 * scale
