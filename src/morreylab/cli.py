@@ -41,7 +41,7 @@ _EXIT_PASS, _EXIT_FAIL, _EXIT_CONFIG = 0, 1, 2
 
 
 def _out_dir(args, config) -> str:
-    out = args.out or os.environ.get("MORREYLAB_OUT") or config.get("out", "out")
+    out = args.out or os.environ.get("MORREYLAB_OUT") or config["out"]
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -50,32 +50,25 @@ def _load(args) -> dict:
     try:
         cfg = harness.load_config(args.config)
     except FileNotFoundError:
-        print(f"config not found: {args.config}", file=sys.stderr)
-        raise SystemExit(_EXIT_CONFIG)
+        raise harness.ConfigError(f"config not found: {args.config}") from None
     except json.JSONDecodeError as exc:
-        print(f"bad config: {exc}", file=sys.stderr)
-        raise SystemExit(_EXIT_CONFIG)
+        raise harness.ConfigError(f"bad config: {exc}") from None
     if args.seed is not None:
         cfg["seed"] = args.seed
     return cfg
 
 
-def _domain(cfg_section) -> tuple:
-    dom = harness._domain_from(cfg_section.get("domain", {"kind": "interval"}))
-    return dom, cfg_section.get("m", 1)
-
-
-def _weight_from(spec: dict):
+def _weight_from(spec: dict, path: str):
     kind = spec.get("kind", "constant")
     if kind == "constant":
         return ConstantWeight(spec.get("c", 1.0))
     if kind == "power":
         return PowerWeight(tuple(spec["center"]), spec["gamma"])
-    print(f"unknown weight kind {kind!r}; valid: constant, power", file=sys.stderr)
-    raise SystemExit(_EXIT_CONFIG)
+    raise harness.ConfigError(f"{path}.kind: unknown weight kind {kind!r}; "
+                              "valid: constant, power")
 
 
-def _phi_from(spec: dict, p: float, n: int, w):
+def _phi_from(spec: dict, path: str, p: float, n: int, w):
     kind = spec.get("kind", "inverse-weight-measure")
     if kind == "power-law":
         return PowerLawPhi(lam=spec.get("lam", 0.5 * n), p=p, n=n)
@@ -83,9 +76,16 @@ def _phi_from(spec: dict, p: float, n: int, w):
         return WeightMeasurePhi(k=spec.get("k", 0.5), p=p, w=w)
     if kind == "inverse-weight-measure":
         return InverseWeightMeasurePhi(p=p, w=w)
-    print(f"unknown phi kind {kind!r}; valid: power-law, weight-measure, "
-          "inverse-weight-measure", file=sys.stderr)
-    raise SystemExit(_EXIT_CONFIG)
+    raise harness.ConfigError(f"{path}.kind: unknown phi kind {kind!r}; valid: "
+                              "power-law, weight-measure, inverse-weight-measure")
+
+
+def _corpus_field(g: Grid, seed: int, name: str, path: str) -> SampledField:
+    corpus = dict(build_corpus(g, seed=seed, n_random=3))
+    if name not in corpus:
+        raise harness.ConfigError(f"{path}: unknown corpus field {name!r}; "
+                                  f"have {sorted(corpus)}")
+    return corpus[name]
 
 
 def _field_csv(path: str, grid: Grid, columns: dict):
@@ -107,21 +107,16 @@ def _field_csv(path: str, grid: Grid, columns: dict):
 
 def cmd_norm(args) -> int:
     cfg = _load(args)
-    sec = cfg.get("norm", {})
-    dom, _ = _domain(sec)
-    n = args.grid or sec.get("grid", 64)
+    sec = cfg["norm"]
+    dom = harness._domain_from(sec["domain"], "norm.domain")
+    n = args.grid or sec["grid"]
     g = Grid(dom, n)
-    corpus = dict(build_corpus(g, seed=cfg.get("seed", 7), n_random=3))
-    fname = sec.get("f", "const")
-    f = corpus.get(fname)
-    if f is None:
-        print(f"unknown corpus field {fname!r}; have {sorted(corpus)}",
-              file=sys.stderr)
-        return _EXIT_CONFIG
-    p = sec.get("p", 2.0)
-    w = _weight_from(sec.get("weight", {}))
-    phi = _phi_from(sec.get("phi", {}), p, dom.dim, w)
-    sweep = ball_sweep(g, sec.get("centers", 5), sec.get("radii", 8))
+    fname = sec["f"]
+    f = _corpus_field(g, cfg["seed"], fname, "norm.f")
+    p = sec["p"]
+    w = _weight_from(sec["weight"], "norm.weight")
+    phi = _phi_from(sec["phi"], "norm.phi", p, dom.dim, w)
+    sweep = ball_sweep(g, sec["centers"], sec["radii"])
     res = morrey_norm(f, w, phi, p, sweep)
     print(format(res.value, ".12g"))
     out = _out_dir(args, cfg)
@@ -136,12 +131,12 @@ def cmd_norm(args) -> int:
 
 def cmd_weight(args) -> int:
     cfg = _load(args)
-    sec = cfg.get("weight", {})
-    dom, _ = _domain(sec)
-    n = args.grid or sec.get("grid", 128)
+    sec = cfg["weight"]
+    dom = harness._domain_from(sec["domain"], "weight.domain")
+    n = args.grid or sec["grid"]
     g = Grid(dom, n)
-    w = _weight_from(sec.get("spec", {"kind": "power", "center": [0.0], "gamma": 0.5}))
-    p = sec.get("p", 2.0)
+    w = _weight_from(sec["spec"], "weight.spec")
+    p = sec["p"]
     est = ap_constant(w, p, g, ap_sweep(g, w))
     try:
         member = ap_membership(w, p)
@@ -162,17 +157,17 @@ def cmd_weight(args) -> int:
 
 def cmd_condition(args) -> int:
     cfg = _load(args)
-    sec = cfg.get("condition", {})
-    dom, _ = _domain(sec)
-    p = sec.get("p", 2.0)
-    w = _weight_from(sec.get("weight", {}))
-    phi1 = _phi_from(sec.get("phi1", {"kind": "power-law"}), p, dom.dim, w)
-    phi2 = _phi_from(sec.get("phi2", sec.get("phi1", {"kind": "power-law"})),
-                     p, dom.dim, w)
-    x = sec.get("x", list(harness._interior_center(dom)))
-    r_grid = np.geomspace(sec.get("r_min", 0.02), sec.get("r_max", 0.9), 8) * dom.diameter
+    sec = cfg["condition"]
+    dom = harness._domain_from(sec["domain"], "condition.domain")
+    p = sec["p"]
+    w = _weight_from(sec["weight"], "condition.weight")
+    phi1 = _phi_from(sec["phi1"], "condition.phi1", p, dom.dim, w)
+    phi2 = (phi1 if sec["phi2"] is None
+            else _phi_from(sec["phi2"], "condition.phi2", p, dom.dim, w))
+    x = list(harness._interior_center(dom)) if sec["x"] is None else sec["x"]
+    r_grid = np.geomspace(sec["r_min"], sec["r_max"], 8) * dom.diameter
     rep = condition_213(phi1, phi2, w, p, x, r_grid,
-                        upper_limit=sec.get("upper_mult", 10.0) * dom.diameter)
+                        upper_limit=sec["upper_mult"] * dom.diameter)
     print(f"fitted C = {rep.constant:.6g}  flags: {', '.join(rep.flags) or 'none'}")
     out = _out_dir(args, cfg)
     with open(os.path.join(out, "condition.csv"), "w", newline="") as fh:
@@ -185,14 +180,14 @@ def cmd_condition(args) -> int:
 
 def cmd_hardy(args) -> int:
     cfg = _load(args)
-    sec = cfg.get("hardy", {})
-    d = sec.get("d", 1.0)
+    sec = cfg["hardy"]
+    d = sec["d"]
     setting = HardySetting(d=d, v1=lambda t: np.ones_like(t),
                            v2=lambda t: np.ones_like(t),
                            w=lambda t: np.ones_like(t))
     bound = hardy_best_constant(setting)
     family = [(f"step{a:.4f}", (lambda a: lambda t: (t > a).astype(float))(a))
-              for a in np.geomspace(1e-6, 0.9, sec.get("family", 50)) * d]
+              for a in np.geomspace(1e-6, 0.9, sec["family"]) * d]
     rep = hardy_verify_inequality(setting, family)
     print(f"B = {bound.value:.8g}; family max ratio {rep.max_ratio:.8g}; "
           f"all hold: {rep.all_hold}")
@@ -209,17 +204,12 @@ def cmd_hardy(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _load(args)
-    sec = cfg.get("solve", {})
-    dom, m = _domain(sec)
-    n = args.grid or sec.get("grid", 128)
+    sec = cfg["solve"]
+    dom = harness._domain_from(sec["domain"], "solve.domain")
+    m = sec["m"]
+    n = args.grid or sec["grid"]
     g = Grid(dom, n)
-    corpus = dict(build_corpus(g, seed=cfg.get("seed", 7), n_random=3))
-    fname = sec.get("f", "const")
-    f = corpus.get(fname)
-    if f is None:
-        print(f"unknown corpus field {fname!r}; have {sorted(corpus)}",
-              file=sys.stderr)
-        return _EXIT_CONFIG
+    f = _corpus_field(g, cfg["seed"], sec["f"], "solve.f")
     sol = solve_dirichlet(dom, m, f)
     resid = residual_check(dom, m, sol, f)
     out = _out_dir(args, cfg)
@@ -243,11 +233,10 @@ def cmd_kernels(args) -> int:
     with open(os.path.join(out, "kernel_table.csv"), "w", newline="") as fh:
         wcsv = csv.writer(fh)
         wcsv.writerow(("case", "x", "y", "G", "dG_first_axis"))
-        for kind, m in cfg.get("kernels", {}).get(
-                "cases", [["interval", 1], ["disk", 1]]):
-            dom, _ = _domain({"domain": {"kind": kind}, "m": m})
+        for kind, m in cfg["kernels"]["cases"]:
+            dom, _ = harness._case_domain((kind, m))
             gf = green_function(dom, m)
-            x, y = sample_pairs(dom, 64, cfg.get("seed", 7),
+            x, y = sample_pairs(dom, 64, cfg["seed"],
                                 min_sep=dom.diameter / 128)
             g = gf(x, y)
             dg = gf.derivative((1,) if dom.dim == 1 else (1, 0), x, y)
@@ -260,19 +249,19 @@ def cmd_kernels(args) -> int:
 
 def cmd_operators(args) -> int:
     cfg = _load(args)
-    sec = dict(cfg.get("operators", {}))
-    sec.setdefault("domain", {"kind": "disk", "radius": 2.0})
-    dom, m = _domain(sec)
-    n = args.grid or sec.get("grid", 128)
+    sec = cfg["operators"]
+    dom = harness._domain_from(sec["domain"], "operators.domain")
+    m = sec["m"]
+    n = args.grid or sec["grid"]
     g = Grid(dom, n)
-    bump, _, _ = polynomial_bump(harness._interior_center(dom),
-                                 sec.get("bump_rho", 0.5 * dom.diameter / 2), dom.dim)
+    rho = 0.5 * dom.diameter / 2 if sec["bump_rho"] is None else sec["bump_rho"]
+    bump, _, _ = polynomial_bump(harness._interior_center(dom), rho, dom.dim)
     f = SampledField(g, bump(g.nodes))
-    radii = operator_radius_grid(g, sec.get("radius_points", 24))
+    radii = operator_radius_grid(g, sec["radius_points"])
     cols = {"f": f.values, "Mf": maximal_field(f, radii).values}
     status = _EXIT_PASS
     if dom.dim == 2:
-        alpha = tuple(sec.get("alpha", (2, 0)))
+        alpha = tuple(sec["alpha"])
         kern = CZKernel(2, m, alpha)
         cols["Kstar"] = singular_field(f, kern, radii).values
         rep = singular_identity_check(f, alpha if sum(alpha) == 2 else (2, 0), (1, 0))
@@ -355,8 +344,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return handlers[args.command](args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else _EXIT_CONFIG
+    except harness.ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return _EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -88,6 +88,8 @@ def test_verify_unknown_suite_exit_2(tmp_path, capsys):
     ("condition", {"phi1": {"kind": "bogus"}},
      ["unknown phi kind 'bogus'", "power-law", "inverse-weight-measure"]),
     ("solve", {"f": "bogus"}, ["unknown corpus field 'bogus'", "'const'"]),
+    ("norm", {"domain": {"kind": "square"}},
+     ["norm.domain.kind", "unknown domain kind 'square'", "interval", "disk"]),
 ])
 def test_config_errors_exit_2_and_say_why(tmp_path, capsys, cmd, extra, words):
     cfg = json.loads(open(write_cfg(tmp_path)).read())
@@ -98,6 +100,35 @@ def test_config_errors_exit_2_and_say_why(tmp_path, capsys, cmd, extra, words):
     err = capsys.readouterr().err
     for word in words:
         assert word in err
+
+
+@pytest.mark.parametrize("cfg,words", [
+    ({"bogus": {}}, ["bogus: unknown section", "apriori"]),
+    ({"apriori": {"grid": [64]}}, ["apriori.grid: unknown key", "grids"]),
+    ({"apriori": {"grids": 64}}, ["apriori.grids: expected list, got number"]),
+    ({"apriori": {"tolerance": True}}, ["apriori.tolerance: expected number, got bool"]),
+    ({"seed": "7"}, ["seed: expected number, got string"]),
+    ({"ap": []}, ["ap: expected object, got list"]),
+    ({"norm": {"weight": "constant"}}, ["norm.weight: expected object, got string"]),
+])
+def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, cfg, words):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", "--suite", "ap", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    for word in words:
+        assert word in err
+
+
+def test_kernel_table_lists_the_suite_cases(tmp_path, capsys):
+    # a partial kernels section: the suite and the table both take the
+    # shipped cases
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"kernels": {"pair_counts": [40, 80], "grids": [32]}}))
+    main(["kernels", "--config", str(path), "--out", str(tmp_path / "out")])
+    with open(tmp_path / "out" / "kernel_table.csv") as fh:
+        cases = {row["case"] for row in csv.DictReader(fh)}
+    assert cases == {"interval-m1", "interval-m2", "disk-m1", "disk-m2"}
 
 
 def test_verify_ap_suite_and_report(tmp_path, capsys):

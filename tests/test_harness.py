@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from morreylab import harness
 from morreylab.corpus import build_corpus
 from morreylab.geometry import Disk, Grid, Interval, nested_sweep
 from morreylab.harness import (
@@ -96,9 +97,15 @@ def test_suite_ap_passes():
     assert r.fitted_constant >= 4.0 / 3.0 - 1e-9
 
 
-def test_suite_identity_passes():
+def test_suite_identity_passes(monkeypatch):
+    calls = []
+    check = harness.singular_identity_check
+    monkeypatch.setattr(harness, "singular_identity_check",
+                        lambda *a: calls.append(a[1:]) or check(*a))
     r = run_suite("identity", tiny_config())
     assert r.verdict == "PASS"
+    # one check per (alpha, beta); the trace residual comes from the first
+    assert calls == [((2, 0), (1, 0)), ((0, 2), (0, 1)), ((1, 1), (1, 0))]
 
 
 def test_suite_kernels_small():
