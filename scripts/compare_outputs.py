@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Compare the outputs of two `morreylab verify --out` directories.
+"""Compare the outputs of two morreylab `--out` directories.
 
     python scripts/compare_outputs.py DIR_A DIR_B [--rtol 1e-12]
 
-For every suite in DIR_A's summary.json it compares the verdict, and the
-lhs, rhs and ratio columns of the suite's CSV row by row, and prints the
-largest relative difference, |a - b| / max(|a|, |b|), for each file.  NaN
-matches only NaN.  Exits 1 when a verdict, a row count or a value differs
-by more than the tolerance, 0 otherwise.
+For every suite in DIR_A's summary.json, when there is one, it compares
+the verdict, and the lhs, rhs and ratio columns of the suite's CSV row by
+row.  When DIR_A has the field output of `solve` (solution.csv) or of
+`operators` (operators.csv), it compares every column of it the same way.
+It prints the largest relative difference, |a - b| / max(|a|, |b|), for
+each file.  NaN matches only NaN.  Exits 1 when a verdict, a file, a
+column list, a row count or a value differs by more than the tolerance,
+0 otherwise.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import os
 import sys
 
 COLUMNS = ("lhs", "rhs", "ratio")
+FIELD_FILES = ("solution.csv", "operators.csv")
 
 
 def rel_diff(a: float, b: float) -> float:
@@ -29,17 +33,49 @@ def rel_diff(a: float, b: float) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
-def _rows(path: str) -> list[list[float]]:
+def _rows(path: str, columns) -> tuple[list[str], list[list[float]]]:
+    """(columns, rows) of a CSV; every column when `columns` is None."""
     with open(path, newline="") as fh:
-        return [[float(r[c]) for c in COLUMNS] for r in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        columns = list(columns or reader.fieldnames)
+        return columns, [[float(r[c]) for c in columns] for r in reader]
+
+
+def _summary(out_dir: str) -> dict:
+    path = os.path.join(out_dir, "summary.json")
+    if not os.path.exists(path):
+        return {}
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _compare_csv(dir_a: str, dir_b: str, name: str, columns, rtol: float,
+                 lines: list[str], failures: list[str], note: str = "") -> None:
+    if not os.path.exists(os.path.join(dir_b, name)):
+        failures.append(f"{name}: missing in {dir_b}")
+        return
+    cols_a, rows_a = _rows(os.path.join(dir_a, name), columns)
+    cols_b, rows_b = _rows(os.path.join(dir_b, name), columns)
+    if cols_a != cols_b:
+        failures.append(f"{name}: columns {cols_a} != {cols_b}")
+        return
+    if len(rows_a) != len(rows_b):
+        failures.append(f"{name}: {len(rows_a)} rows != {len(rows_b)}")
+        return
+    worst, where = 0.0, ""
+    for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
+        for col, a, b in zip(cols_a, ra, rb):
+            d = rel_diff(a, b)
+            if d > worst:
+                worst, where = d, f" (row {i + 1}, {col})"
+    lines.append(f"{name}: {len(rows_a)} rows{note}, max rel diff {worst:.3g}{where}")
+    if worst > rtol:
+        failures.append(f"{name}: max rel diff {worst:.3g}{where} > {rtol:g}")
 
 
 def compare(dir_a: str, dir_b: str, rtol: float) -> tuple[list[str], list[str]]:
-    """(report lines, failures) for two verify output directories."""
-    with open(os.path.join(dir_a, "summary.json")) as fh:
-        sum_a = json.load(fh)
-    with open(os.path.join(dir_b, "summary.json")) as fh:
-        sum_b = json.load(fh)
+    """(report lines, failures) for two output directories."""
+    sum_a, sum_b = _summary(dir_a), _summary(dir_b)
     lines, failures = [], []
     for suite in sorted(set(sum_a) | set(sum_b)):
         va = sum_a.get(suite, {}).get("verdict")
@@ -47,22 +83,11 @@ def compare(dir_a: str, dir_b: str, rtol: float) -> tuple[list[str], list[str]]:
         if va != vb:
             failures.append(f"{suite}: verdict {va} != {vb}")
             continue
-        name = f"{suite}.csv"
-        rows_a = _rows(os.path.join(dir_a, name))
-        rows_b = _rows(os.path.join(dir_b, name))
-        if len(rows_a) != len(rows_b):
-            failures.append(f"{name}: {len(rows_a)} rows != {len(rows_b)}")
-            continue
-        worst, where = 0.0, ""
-        for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
-            for col, a, b in zip(COLUMNS, ra, rb):
-                d = rel_diff(a, b)
-                if d > worst:
-                    worst, where = d, f" (row {i + 1}, {col})"
-        lines.append(f"{name}: {len(rows_a)} rows, verdict {va}, "
-                     f"max rel diff {worst:.3g}{where}")
-        if worst > rtol:
-            failures.append(f"{name}: max rel diff {worst:.3g}{where} > {rtol:g}")
+        _compare_csv(dir_a, dir_b, f"{suite}.csv", COLUMNS, rtol, lines, failures,
+                     f", verdict {va}")
+    for name in FIELD_FILES:
+        if os.path.exists(os.path.join(dir_a, name)):
+            _compare_csv(dir_a, dir_b, name, None, rtol, lines, failures)
     return lines, failures
 
 

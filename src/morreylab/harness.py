@@ -116,17 +116,24 @@ _JSON_TYPES = {bool: "bool", int: "number", float: "number", str: "string",
                list: "list", dict: "object", type(None): "null"}
 
 
+# the JSON type that may replace each null (derived) default in CLI_DEFAULTS
+_DERIVED_TYPES = {"condition.phi2": "object", "condition.x": "list",
+                  "operators.bump_rho": "number"}
+
+
 def _check_type(path: str, value, default) -> None:
     want, got = _JSON_TYPES[type(default)], _JSON_TYPES[type(value)]
-    if want != got and want != "null":
-        raise ConfigError(f"{path}: expected {want}, got {got}")
+    allowed = sorted({want, _DERIVED_TYPES.get(path, want)})
+    if got not in allowed:
+        raise ConfigError(f"{path}: expected {' or '.join(allowed)}, got {got}")
 
 
 def load_config(path: str | None) -> dict:
     """The config at `path` merged over default_config(), one level deep:
     sections merge key by key, and a value inside a section replaces the
-    default whole.  Raises ConfigError for an unknown section or key, or a
-    value whose JSON type differs from the default's."""
+    default whole.  Raises ConfigError for an unknown section or key, a
+    value whose JSON type differs from the default's, or a suite case that
+    names no implemented Green function."""
     cfg = default_config()
     if path is None:
         return cfg
@@ -147,6 +154,10 @@ def load_config(path: str | None) -> dict:
                                   f"{', '.join(sorted(section))}")
             _check_type(f"{name}.{key}", v, section[key])
             section[key] = v
+    for name, section in cfg.items():
+        if isinstance(section, dict) and "cases" in section:
+            for i, case in enumerate(section["cases"]):
+                _case_domain(case, f"{name}.cases[{i}]")
     return cfg
 
 
@@ -339,9 +350,17 @@ def suite_ap(config: dict) -> SuiteResult:
 # suite: kernel bounds (Green function and Poisson kernel estimates)
 
 
-def _case_domain(case) -> tuple[Domain, int]:
+def _case_domain(case, path: str = "cases") -> tuple[Domain, int]:
+    """The unit domain and order of a suite case [kind, m]; ConfigError
+    names `path` unless a Green function exists for it."""
+    if not isinstance(case, list | tuple) or len(case) != 2 or type(case[1]) is not int:
+        raise ConfigError(f"{path}: expected [kind, m] with an integer m, got {case!r}")
     kind, m = case
-    dom = Interval(0.0, 1.0) if kind == "interval" else Disk((0.0, 0.0), 1.0)
+    dom = _domain_from({"kind": kind}, path)
+    try:
+        green_function(dom, m)
+    except ValueError:
+        raise ConfigError(f"{path}: no Green function for {kind} m={m}") from None
     return dom, m
 
 
@@ -570,8 +589,9 @@ def suite_lemma24(config: dict) -> SuiteResult:
             alphas = [a for a in multi_indices(dom.dim, 2 * m) if sum(a) == 2 * m]
             wdist = default_weights(dom, p)[1][1](g.nodes)
             fits = []
-            for (fname, f), sol in zip(corpus, sols):
-                mf = maximal_field(f, radii).values
+            # M|f| per member, also the M|g| of the first four members as g
+            mfs = [maximal_field(f, radii).values for _, f in corpus]
+            for (fname, f), sol, mf in zip(corpus, sols, mfs):
                 ksf = (singular_field(f, kern, radii).values if kern is not None
                        else np.zeros(g.n_cells))
                 absf = np.abs(f.values)
@@ -579,12 +599,11 @@ def suite_lemma24(config: dict) -> SuiteResult:
                 for a in alphas[1:]:
                     if np.abs(sol.jet[a].values).max() > np.abs(dau).max():
                         dau = sol.jet[a].values
-                gs = [("dist-g", np.abs(dau) ** (p - 1.0) * np.sign(dau)),
-                      ("dist-g-weighted",
-                       np.abs(dau) ** (p - 1.0) * np.sign(dau) * wdist)]
-                gs += [(gn, fg.values) for gn, fg in corpus[:4]]
-                for gname, gv in gs:
-                    mg = maximal_field(SampledField(g, np.abs(gv)), radii).values
+                sgn = np.abs(dau) ** (p - 1.0) * np.sign(dau)
+                gs = [(gn, gv, maximal_field(SampledField(g, np.abs(gv)), radii).values)
+                      for gn, gv in (("dist-g", sgn), ("dist-g-weighted", sgn * wdist))]
+                gs += [(gn, fg.values, mg) for (gn, fg), mg in zip(corpus[:4], mfs)]
+                for gname, gv, mg in gs:
                     lhs = float((np.abs(dau * gv)).sum() * hn)
                     rhs = float(((ksf + mf) * np.abs(gv) + mg * absf
                                  + absf * np.abs(gv)).sum() * hn)

@@ -5,22 +5,22 @@ u(x) is computed at every node as sum_j G(x, y_j) f_j h^n with the singular
 part of the diagonal cell integrated analytically (the regular part uses its
 midpoint value).  Derivatives up to order 2m-1 come from quadrature against
 the differentiated kernel; order-2m fields are central differences of the
-order-(2m-1) quadrature fields, which sidesteps principal-value quadrature
-in the solver (the operators module tests that identity separately).
+order-(2m-1) quadrature fields (one table, `_top_order`), which sidesteps
+principal-value quadrature (the operators module tests that identity).
 
 Evaluation strategy per instance:
 
-* interval m = 1, 2: dense pairwise kernel matrices (cheap in 1D),
+* interval m = 1, 2 and disk m = 2: pairwise closed-form kernels in blocks,
 * disk m = 1: FFT convolution for the free-space part plus harmonic
   completion of the regular part through the Poisson kernel (the regular
   potential is harmonic, so its boundary trace determines it; this keeps
-  512-per-axis solves in seconds),
-* disk m = 2: blocked pairwise closed-form kernels.
+  512-per-axis solves in seconds).
 
 Each instance maps a (cells, k) stack of right-hand sides to one (cells, k)
-array per multi-index, and `solve_dirichlet_many` splits the columns into
-solutions.  Disk m = 1 still solves column by column (one forward transform
-each), so a field's solution does not depend on the rest of its batch.
+array per multi-index of order below 2m; `solve_dirichlet_many` adds the
+order-2m arrays and splits the columns into solutions.  Disk m = 1 solves
+column by column (one forward transform each), so a field's solution does
+not depend on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Disk, Domain, Grid, Interval, SampledField
+from .geometry import Disk, Domain, Grid, SampledField
 from .greens import PoissonKernel, green_function
 from .operators import _convolutions, _gamma_diagonal_cell, _gamma_kernel, _masked_fd
 from .spaces import multi_indices
@@ -51,38 +51,43 @@ class Solution:
 # ---------------------------------------------------------------------------
 # instance drivers
 
+_BLOCK = 256  # kernel rows the pairwise driver holds at once
+_BOUNDARY_FACTOR = 8  # Poisson-integral boundary nodes per grid cell
 
-def _interval_kernels(grid: Grid, m: int) -> dict:
-    """Quadrature matrices for every derivative order < 2m."""
+
+def _pairwise_values(grid: Grid, m: int, F: np.ndarray) -> dict:
+    """F: (cells, k) right-hand sides -> dict alpha -> (cells, k) for every
+    |alpha| < 2m: sum_j D^alpha G(x_i, y_j) F_j h^n, built from closed-form
+    kernels one block of rows at a time."""
     gf = green_function(grid.domain, m)
     nodes = grid.nodes
-    orders = [(k,) for k in range(2 * m)]
-    idx = np.arange(len(nodes))
-    diag = dict(gf.jet(orders, nodes, nodes, regular=True))
-    kernels = {}
-    for alpha, kern in gf.jet(orders, nodes[:, None, :], nodes[None, :, :]):
-        kern *= grid.cell_measure
-        # diagonal cell: analytic Gamma integral plus midpoint regular part
-        kern[idx, idx] = (_gamma_diagonal_cell(1, m, alpha, grid.h)
-                          + diag[alpha] * grid.cell_measure)
-        kernels[alpha] = kern
-    return kernels
-
-
-def _fd_columns(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
-    out = np.empty_like(values)
-    for col in range(values.shape[1]):
-        lattice = grid.embed(values[:, col])
-        out[:, col] = grid.extract(_masked_fd(grid, lattice, axis)[0])
-    return out
-
-
-def _solve_interval_values(grid: Grid, m: int, F: np.ndarray) -> dict:
-    """F: (cells, k) right-hand sides -> dict alpha -> (cells, k)."""
-    kernels = _interval_kernels(grid, m)
-    vals = {alpha: kern @ F for alpha, kern in kernels.items()}
-    vals[(2 * m,)] = _fd_columns(grid, vals[(2 * m - 1,)], 0)
+    M = len(nodes)
+    orders = multi_indices(grid.dim, 2 * m - 1)
+    vals = {a: np.empty((M, F.shape[1])) for a in orders}
+    FV = F * grid.cell_measure
+    # diagonal cells: analytic Gamma integral plus the midpoint regular part
+    diag = {a: _gamma_diagonal_cell(grid.dim, m, a, grid.h) / grid.cell_measure + h
+            for a, h in gf.jet(orders, nodes, nodes, regular=True)}
+    for start in range(0, M, _BLOCK):
+        rows = np.arange(start, min(start + _BLOCK, M))
+        for a, kern in gf.jet(orders, nodes[rows][:, None, :], nodes[None, :, :]):
+            kern[rows - start, rows] = diag[a][rows]
+            vals[a][rows] = kern @ FV
     return vals
+
+
+def _top_order(dim: int, m: int) -> dict:
+    """alpha -> (source, axis) for every |alpha| = 2m: D^alpha u is D^source u
+    differenced along `axis`, the first axis where alpha is positive (the
+    last on the disk at m = 1).  The mixed columns of the benchmark
+    references depend on that choice."""
+    table = {}
+    for alpha in multi_indices(dim, 2 * m):
+        if sum(alpha) == 2 * m:
+            positive = [i for i, a in enumerate(alpha) if a]
+            axis = positive[-1] if (dim, m) == (2, 1) else positive[0]
+            table[alpha] = (tuple(a - (i == axis) for i, a in enumerate(alpha)), axis)
+    return table
 
 
 def _harmonic_completion(grid: Grid, boundary_data: np.ndarray):
@@ -116,12 +121,12 @@ def _harmonic_completion(grid: Grid, boundary_data: np.ndarray):
     return H, dH1, dH2
 
 
-def _solve_disk_m1_values(grid: Grid, F: np.ndarray, boundary_factor: int = 8) -> dict:
-    """F: (cells, k) right-hand sides -> dict alpha -> (cells, k), one
-    column at a time: free-space potentials from one forward transform per
-    column, plus the harmonic completion of the negated boundary trace."""
+def _solve_disk_m1_values(grid: Grid, F: np.ndarray) -> dict:
+    """As `_pairwise_values` at m = 1, one column at a time: free-space
+    potentials from one forward transform per column, plus the harmonic
+    completion of the negated boundary trace."""
     kern = PoissonKernel(grid.domain, 0)
-    Pb, _ = kern.boundary_nodes(boundary_factor * grid.n)
+    Pb, _ = kern.boundary_nodes(_BOUNDARY_FACTOR * grid.n)
     kernels = [_gamma_kernel(grid, 1, a) for a in ((0, 0), (1, 0), (0, 1))]
     vals = {a: np.empty_like(F) for a in ((0, 0), (1, 0), (0, 1))}
     for i in range(F.shape[1]):
@@ -134,10 +139,6 @@ def _solve_disk_m1_values(grid: Grid, F: np.ndarray, boundary_factor: int = 8) -
         vals[(0, 0)][:, i] = u0 + H
         vals[(1, 0)][:, i] = grid.extract(next(pots)) + dH1
         vals[(0, 1)][:, i] = grid.extract(next(pots)) + dH2
-    for alpha in ((2, 0), (1, 1), (0, 2)):
-        source = (1, 0) if alpha[0] else (0, 1)
-        axis = 0 if alpha == (2, 0) else 1
-        vals[alpha] = _fd_columns(grid, vals[source], axis)
     return vals
 
 
@@ -151,30 +152,6 @@ def _bilinear(grid: Grid, lattice: np.ndarray, pts: np.ndarray) -> np.ndarray:
             + (1 - t) * u * lattice[i, j + 1] + t * u * lattice[i + 1, j + 1])
 
 
-def _solve_disk_m2_values(grid: Grid, F: np.ndarray, block: int = 256) -> dict:
-    gf = green_function(grid.domain, 2)
-    nodes = grid.nodes
-    M = len(nodes)
-    orders = [a for a in multi_indices(2, 3)]
-    vals = {a: np.empty((M, F.shape[1])) for a in orders}
-    FV = F * grid.cell_measure
-    # diagonal cells: analytic Gamma integral plus the midpoint regular part
-    diag = {a: _gamma_diagonal_cell(2, 2, a, grid.h) / grid.cell_measure + h
-            for a, h in gf.jet(orders, nodes, nodes, regular=True)}
-    for start in range(0, M, block):
-        rows = np.arange(start, min(start + block, M))
-        for a, kern in gf.jet(orders, nodes[rows][:, None, :], nodes[None, :, :]):
-            kern[rows - start, rows] = diag[a][rows]
-            vals[a][rows] = kern @ FV
-    for alpha in multi_indices(2, 4):
-        if sum(alpha) != 4:
-            continue
-        source = (alpha[0] - 1, alpha[1]) if alpha[0] else (0, 3)
-        axis = 0 if alpha[0] else 1
-        vals[alpha] = _fd_columns(grid, vals[source], axis)
-    return vals
-
-
 def solve_dirichlet(domain: Domain, m: int, f: SampledField) -> Solution:
     """Solve (-Lap)^m u = f with vanishing Dirichlet data on the model
     domain of f's grid; returns u with all derivatives up to order 2m."""
@@ -183,8 +160,8 @@ def solve_dirichlet(domain: Domain, m: int, f: SampledField) -> Solution:
 
 def solve_dirichlet_many(domain: Domain, m: int,
                          fields: list[SampledField]) -> list[Solution]:
-    """Batch solve: 1D kernel matrices and 2D pair blocks are assembled once
-    and applied to every right-hand side."""
+    """Batch solve: each block of pairwise kernels is built once and applied
+    to every right-hand side."""
     if not fields:
         return []
     grid = fields[0].grid
@@ -192,14 +169,14 @@ def solve_dirichlet_many(domain: Domain, m: int,
         raise ValueError("field lives on a different domain")
     if any(f.grid is not grid for f in fields[1:]):
         raise ValueError("batch fields must share one grid")
-    green_function(domain, m)  # raises "no Green function" for bad pairs
     F = np.column_stack([f.values for f in fields])
-    if isinstance(domain, Interval):
-        vals = _solve_interval_values(grid, m, F)
-    elif m == 1:
+    if isinstance(domain, Disk) and m == 1:
         vals = _solve_disk_m1_values(grid, F)
     else:
-        vals = _solve_disk_m2_values(grid, F)
+        vals = _pairwise_values(grid, m, F)
+    for alpha, (source, axis) in _top_order(domain.dim, m).items():
+        vals[alpha] = np.column_stack([grid.extract(_masked_fd(grid, grid.embed(v), axis)[0])
+                                       for v in vals[source].T])
     out = []
     for i in range(len(fields)):
         jet = {a: SampledField(grid, np.ascontiguousarray(v[:, i]))
@@ -213,13 +190,10 @@ def solve_dirichlet_many(domain: Domain, m: int,
 
 
 def _neg_lap_lattice(grid: Grid, lattice: np.ndarray) -> np.ndarray:
-    h2 = grid.h**2
-    if grid.dim == 1:
-        out = -(np.roll(lattice, -1) - 2 * lattice + np.roll(lattice, 1)) / h2
-        return out
-    out = -(np.roll(lattice, -1, 0) + np.roll(lattice, 1, 0)
-            + np.roll(lattice, -1, 1) + np.roll(lattice, 1, 1) - 4 * lattice) / h2
-    return out
+    out = -2 * grid.dim * lattice
+    for axis in range(grid.dim):
+        out = out + np.roll(lattice, -1, axis) + np.roll(lattice, 1, axis)
+    return -out / grid.h**2
 
 
 def residual_check(domain: Domain, m: int, sol: Solution, f: SampledField) -> float:

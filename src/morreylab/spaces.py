@@ -29,7 +29,6 @@ __all__ = [
     "InverseWeightMeasurePhi",
     "CustomPhi",
     "PhiFunction",
-    "phi_value",
     "lp_weighted_norm",
     "weak_lp_weighted_norm",
     "morrey_norm",
@@ -126,10 +125,6 @@ def _checked_phi(values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values) & (values > 0)):
         raise ValueError("invalid phi")
     return values
-
-
-def phi_value(phi: PhiFunction, x, r) -> float:
-    return float(_checked_phi(np.array([phi(x, r)]))[0])
 
 
 # ---------------------------------------------------------------------------

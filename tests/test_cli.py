@@ -110,6 +110,18 @@ def test_config_errors_exit_2_and_say_why(tmp_path, capsys, cmd, extra, words):
     ({"seed": "7"}, ["seed: expected number, got string"]),
     ({"ap": []}, ["ap: expected object, got list"]),
     ({"norm": {"weight": "constant"}}, ["norm.weight: expected object, got string"]),
+    # every suite's cases, before any suite runs
+    ({"apriori": {"cases": [["square", 1]]}},
+     ["apriori.cases[0].kind", "unknown domain kind 'square'"]),
+    ({"kernels": {"cases": [["interval", 1], ["interval", 3]]}},
+     ["kernels.cases[1]", "no Green function for interval m=3"]),
+    ({"lemma24": {"cases": [["disk"]]}}, ["lemma24.cases[0]", "[kind, m]"]),
+    ({"pointwise": {"cases": [["disk", 1.0]]}}, ["pointwise.cases[0]", "integer m"]),
+    # keys whose null default the command derives
+    ({"operators": {"bump_rho": "x"}},
+     ["operators.bump_rho: expected null or number, got string"]),
+    ({"condition": {"x": "abc"}}, ["condition.x: expected list or null, got string"]),
+    ({"condition": {"phi2": 1.0}}, ["condition.phi2: expected null or object, got number"]),
 ])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, cfg, words):
     path = tmp_path / "bad.json"

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 
+from morreylab.cli import _field_csv
+from morreylab.geometry import Grid, Interval
 from morreylab.harness import SuiteResult, write_reports
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
@@ -37,3 +39,30 @@ def test_compare_outputs(tmp_path):
     assert _run(a, c, "--rtol", "1e-5").returncode == 0
     verdict = _run(a, d)
     assert verdict.returncode == 1 and "verdict PASS != FAIL" in verdict.stdout
+
+
+def _write_fields(out, u_scale=1.0, op_scale=1.0):
+    g = Grid(Interval(0.0, 1.0), 8)
+    x = g.nodes[:, 0]
+    out.mkdir()
+    _field_csv(str(out / "solution.csv"), g, {"f": np.ones(8), "u0": x * (1 - x) / 2 * u_scale})
+    _field_csv(str(out / "operators.csv"), g, {"f": x, "Mf": (x + 1) * op_scale})
+
+
+def test_compare_field_outputs(tmp_path):
+    # solve and operators write no summary.json, only their field CSVs
+    a, b, c, d = (tmp_path / n for n in "abcd")
+    _write_fields(a)
+    _write_fields(b, u_scale=1 + 1e-14)
+    _write_fields(c, op_scale=1 + 1e-6)
+    d.mkdir()
+    same = _run(a, b)
+    assert same.returncode == 0, same.stdout
+    assert "solution.csv: 8 rows, max rel diff" in same.stdout
+    assert "operators.csv: 8 rows, max rel diff 0" in same.stdout
+    far = _run(a, c)
+    assert far.returncode == 1
+    assert "DIFFERS operators.csv" in far.stdout and ", Mf)" in far.stdout
+    assert "DIFFERS solution.csv" not in far.stdout
+    missing = _run(a, d)
+    assert missing.returncode == 1 and "solution.csv: missing" in missing.stdout

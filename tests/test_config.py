@@ -61,6 +61,15 @@ def test_partial_apriori_config_gets_the_shipped_n_random(tmp_path, monkeypatch)
     assert seen == [13]
 
 
+def test_derived_keys_take_null_or_their_type(tmp_path):
+    user = {"condition": {"phi2": {"kind": "power-law"}, "x": [0.3]},
+            "operators": {"bump_rho": 0.4}}
+    cfg = load_config(write(tmp_path, user))
+    assert cfg["condition"]["x"] == [0.3] and cfg["operators"]["bump_rho"] == 0.4
+    nulls = {"condition": {"phi2": None, "x": None}, "operators": {"bump_rho": None}}
+    assert load_config(write(tmp_path, nulls)) == default_config()
+
+
 def _benchmark_workloads():
     spec = importlib.util.spec_from_file_location(
         "workloads", os.path.join(ROOT, "benchmark", "workloads.py"))

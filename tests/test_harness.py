@@ -108,6 +108,25 @@ def test_suite_identity_passes(monkeypatch):
     assert calls == [((2, 0), (1, 0)), ((0, 2), (0, 1)), ((1, 1), (1, 0))]
 
 
+def test_suite_lemma24_one_maximal_field_per_member(monkeypatch):
+    # per level: M|f| once per corpus member, reused as M|g| when the member
+    # is one of the first four test functions, plus M|g| of the two dist-g
+    # test functions of each member
+    levels = []
+    mf = harness.maximal_field
+    monkeypatch.setattr(harness, "maximal_field",
+                        lambda f, radii: levels.append(f.grid.n) or mf(f, radii))
+    cfg = tiny_config()
+    cfg["lemma24"].update(cases=[["interval", 1], ["disk", 1]], grids_1d=[32, 64],
+                          grids_2d=[24, 48], corpus_2d=5)
+    run_suite("lemma24", cfg)
+    for n in (32, 64):
+        members = len(build_corpus(Grid(Interval(0.0, 1.0), n), seed=cfg["seed"],
+                                   n_random=4))
+        assert levels.count(n) == 3 * members
+    assert levels.count(24) == levels.count(48) == 3 * 5
+
+
 def test_suite_kernels_small():
     r = run_suite("kernels", tiny_config())
     assert r.verdict in ("PASS", "FAIL")
