@@ -3,14 +3,17 @@
 
     python scripts/compare_outputs.py DIR_A DIR_B [--rtol 1e-12]
 
-For every suite in DIR_A's summary.json, when there is one, it compares
-the verdict, and the lhs, rhs and ratio columns of the suite's CSV row by
-row.  When DIR_A has the field output of `solve` (solution.csv) or of
-`operators` (operators.csv), it compares every column of it the same way.
-It prints the largest relative difference, |a - b| / max(|a|, |b|), for
-each file.  NaN matches only NaN.  Exits 1 when a verdict, a file, a
-column list, a row count or a value differs by more than the tolerance,
-0 otherwise.
+For every suite in either summary.json, when there is one, it compares
+the verdict and the notes exactly, and the fittedConstant and every number
+of the N-trend at the tolerance.  In the suite's CSV it compares the suite,
+case, n and flags columns exactly and the lhs, rhs and ratio columns at the
+tolerance, row by row; the suite's plot CSV, when either side has one,
+every column at the tolerance.  When DIR_A has the field output of `solve`
+(solution.csv) or of `operators` (operators.csv), it compares every column
+of it at the tolerance.  It prints the largest relative difference,
+|a - b| / max(|a|, |b|), for each file.  NaN matches only NaN.  Exits 1
+when a verdict, a note, a file, a column list, a row count, an exact column
+or a value differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import os
 import sys
 
 COLUMNS = ("lhs", "rhs", "ratio")
+EXACT_COLUMNS = ("suite", "case", "n", "flags")
 FIELD_FILES = ("solution.csv", "operators.csv")
 
 
@@ -33,12 +37,15 @@ def rel_diff(a: float, b: float) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
-def _rows(path: str, columns) -> tuple[list[str], list[list[float]]]:
-    """(columns, rows) of a CSV; every column when `columns` is None."""
+def _rows(path: str, columns, exact=()) -> tuple[list[str], list[list[float]], list]:
+    """(columns, rows of floats, rows of the exact columns) of a CSV; every
+    column as a float when `columns` is None."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         columns = list(columns or reader.fieldnames)
-        return columns, [[float(r[c]) for c in columns] for r in reader]
+        rows = list(reader)
+    return (columns, [[float(r[c]) for c in columns] for r in rows],
+            [[r.get(c) for c in exact] for r in rows])
 
 
 def _summary(out_dir: str) -> dict:
@@ -49,19 +56,37 @@ def _summary(out_dir: str) -> dict:
         return json.load(fh)
 
 
+def _leaves(value, path: str) -> dict[str, float]:
+    """Every number of a nested list, keyed by its index path."""
+    if isinstance(value, list):
+        return {k: v for i, item in enumerate(value)
+                for k, v in _leaves(item, f"{path}[{i}]").items()}
+    return {path: float(value)}
+
+
 def _compare_csv(dir_a: str, dir_b: str, name: str, columns, rtol: float,
-                 lines: list[str], failures: list[str], note: str = "") -> None:
+                 lines: list[str], failures: list[str], note: str = "",
+                 exact=()) -> None:
     if not os.path.exists(os.path.join(dir_b, name)):
         failures.append(f"{name}: missing in {dir_b}")
         return
-    cols_a, rows_a = _rows(os.path.join(dir_a, name), columns)
-    cols_b, rows_b = _rows(os.path.join(dir_b, name), columns)
+    if not os.path.exists(os.path.join(dir_a, name)):
+        failures.append(f"{name}: missing in {dir_a}")
+        return
+    cols_a, rows_a, text_a = _rows(os.path.join(dir_a, name), columns, exact)
+    cols_b, rows_b, text_b = _rows(os.path.join(dir_b, name), columns, exact)
     if cols_a != cols_b:
         failures.append(f"{name}: columns {cols_a} != {cols_b}")
         return
     if len(rows_a) != len(rows_b):
         failures.append(f"{name}: {len(rows_a)} rows != {len(rows_b)}")
         return
+    differ = [(i, col, a, b) for i, (ta, tb) in enumerate(zip(text_a, text_b))
+              for col, a, b in zip(exact, ta, tb) if a != b]
+    if differ:
+        i, col, a, b = differ[0]
+        failures.append(f"{name}: {len(differ)} exact values differ, first "
+                        f"row {i + 1}, {col}: {a!r} != {b!r}")
     worst, where = 0.0, ""
     for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
         for col, a, b in zip(cols_a, ra, rb):
@@ -71,6 +96,25 @@ def _compare_csv(dir_a: str, dir_b: str, name: str, columns, rtol: float,
     lines.append(f"{name}: {len(rows_a)} rows{note}, max rel diff {worst:.3g}{where}")
     if worst > rtol:
         failures.append(f"{name}: max rel diff {worst:.3g}{where} > {rtol:g}")
+
+
+def _compare_summary(suite: str, a: dict, b: dict, rtol: float,
+                     lines: list[str], failures: list[str]) -> None:
+    """The notes exactly; fittedConstant and the N-trend at rtol."""
+    if a.get("notes") != b.get("notes"):
+        failures.append(f"{suite}: notes {a.get('notes')} != {b.get('notes')}")
+    leaves_a, leaves_b = (
+        {**_leaves(entry["fittedConstant"], "fittedConstant"),
+         **_leaves(entry["N-trend"], "N-trend")} for entry in (a, b))
+    if leaves_a.keys() != leaves_b.keys():
+        failures.append(f"{suite}: summary numbers {sorted(leaves_a)} != "
+                        f"{sorted(leaves_b)}")
+        return
+    worst, where = max(((rel_diff(leaves_a[k], leaves_b[k]), k) for k in leaves_a),
+                       default=(0.0, ""))
+    lines.append(f"{suite} summary: max rel diff {worst:.3g} ({where})")
+    if worst > rtol:
+        failures.append(f"{suite} summary: {where} rel diff {worst:.3g} > {rtol:g}")
 
 
 def compare(dir_a: str, dir_b: str, rtol: float) -> tuple[list[str], list[str]]:
@@ -83,8 +127,12 @@ def compare(dir_a: str, dir_b: str, rtol: float) -> tuple[list[str], list[str]]:
         if va != vb:
             failures.append(f"{suite}: verdict {va} != {vb}")
             continue
+        _compare_summary(suite, sum_a[suite], sum_b[suite], rtol, lines, failures)
         _compare_csv(dir_a, dir_b, f"{suite}.csv", COLUMNS, rtol, lines, failures,
-                     f", verdict {va}")
+                     f", verdict {va}", EXACT_COLUMNS)
+        plot = f"{suite}_plot.csv"
+        if any(os.path.exists(os.path.join(d, plot)) for d in (dir_a, dir_b)):
+            _compare_csv(dir_a, dir_b, plot, None, rtol, lines, failures)
     for name in FIELD_FILES:
         if os.path.exists(os.path.join(dir_a, name)):
             _compare_csv(dir_a, dir_b, name, None, rtol, lines, failures)

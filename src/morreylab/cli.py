@@ -28,14 +28,8 @@ from .operators import (
     singular_identity_check,
 )
 from .solver import residual_check, solve_dirichlet
-from .spaces import (
-    InverseWeightMeasurePhi,
-    PowerLawPhi,
-    WeightMeasurePhi,
-    condition_213,
-    morrey_norm,
-)
-from .weights import ConstantWeight, PowerWeight, ap_constant, ap_membership, ap_sweep
+from .spaces import condition_213, morrey_norm
+from .weights import ap_constant, ap_membership, ap_sweep
 
 _EXIT_PASS, _EXIT_FAIL, _EXIT_CONFIG = 0, 1, 2
 
@@ -56,28 +50,6 @@ def _load(args) -> dict:
     if args.seed is not None:
         cfg["seed"] = args.seed
     return cfg
-
-
-def _weight_from(spec: dict, path: str):
-    kind = spec.get("kind", "constant")
-    if kind == "constant":
-        return ConstantWeight(spec.get("c", 1.0))
-    if kind == "power":
-        return PowerWeight(tuple(spec["center"]), spec["gamma"])
-    raise harness.ConfigError(f"{path}.kind: unknown weight kind {kind!r}; "
-                              "valid: constant, power")
-
-
-def _phi_from(spec: dict, path: str, p: float, n: int, w):
-    kind = spec.get("kind", "inverse-weight-measure")
-    if kind == "power-law":
-        return PowerLawPhi(lam=spec.get("lam", 0.5 * n), p=p, n=n)
-    if kind == "weight-measure":
-        return WeightMeasurePhi(k=spec.get("k", 0.5), p=p, w=w)
-    if kind == "inverse-weight-measure":
-        return InverseWeightMeasurePhi(p=p, w=w)
-    raise harness.ConfigError(f"{path}.kind: unknown phi kind {kind!r}; valid: "
-                              "power-law, weight-measure, inverse-weight-measure")
 
 
 def _corpus_field(g: Grid, seed: int, name: str, path: str) -> SampledField:
@@ -114,8 +86,8 @@ def cmd_norm(args) -> int:
     fname = sec["f"]
     f = _corpus_field(g, cfg["seed"], fname, "norm.f")
     p = sec["p"]
-    w = _weight_from(sec["weight"], "norm.weight")
-    phi = _phi_from(sec["phi"], "norm.phi", p, dom.dim, w)
+    w = harness._weight_from(sec["weight"], "norm.weight")
+    phi = harness._phi_from(sec["phi"], "norm.phi", p, dom.dim, w)
     sweep = ball_sweep(g, sec["centers"], sec["radii"])
     res = morrey_norm(f, w, phi, p, sweep)
     print(format(res.value, ".12g"))
@@ -135,7 +107,7 @@ def cmd_weight(args) -> int:
     dom = harness._domain_from(sec["domain"], "weight.domain")
     n = args.grid or sec["grid"]
     g = Grid(dom, n)
-    w = _weight_from(sec["spec"], "weight.spec")
+    w = harness._weight_from(sec["spec"], "weight.spec")
     p = sec["p"]
     est = ap_constant(w, p, g, ap_sweep(g, w))
     try:
@@ -160,10 +132,10 @@ def cmd_condition(args) -> int:
     sec = cfg["condition"]
     dom = harness._domain_from(sec["domain"], "condition.domain")
     p = sec["p"]
-    w = _weight_from(sec["weight"], "condition.weight")
-    phi1 = _phi_from(sec["phi1"], "condition.phi1", p, dom.dim, w)
+    w = harness._weight_from(sec["weight"], "condition.weight")
+    phi1 = harness._phi_from(sec["phi1"], "condition.phi1", p, dom.dim, w)
     phi2 = (phi1 if sec["phi2"] is None
-            else _phi_from(sec["phi2"], "condition.phi2", p, dom.dim, w))
+            else harness._phi_from(sec["phi2"], "condition.phi2", p, dom.dim, w))
     x = list(harness._interior_center(dom)) if sec["x"] is None else sec["x"]
     r_grid = np.geomspace(sec["r_min"], sec["r_max"], 8) * dom.diameter
     rep = condition_213(phi1, phi2, w, p, x, r_grid,

@@ -91,10 +91,29 @@ CLI_DEFAULTS = {
                   "bump_rho": None, "radius_points": 24, "alpha": [2, 0]},
 }
 
+# The kind-tagged specs: per family, the kind a spec without "kind" takes
+# (a domain must name its kind), then each kind's keys and their defaults.
+# A type in place of a default marks a key the spec must give; a null lam
+# is n/2 on an n-dimensional domain.
+SPEC_KINDS = {
+    "domain": (None, {"interval": {"a": 0.0, "b": 1.0},
+                      "disk": {"center": [0.0, 0.0], "radius": 1.0}}),
+    "weight": ("constant", {"constant": {"c": 1.0},
+                            "power": {"center": list, "gamma": float}}),
+    "phi": ("inverse-weight-measure", {"power-law": {"lam": None},
+                                       "weight-measure": {"k": 0.5},
+                                       "inverse-weight-measure": {}}),
+}
+
+# the family of the spec that a key of a CLI section holds
+_SPEC_KEYS = {"domain": "domain", "weight": "weight", "spec": "weight",
+              "phi": "phi", "phi1": "phi", "phi2": "phi"}
+
 
 class ConfigError(ValueError):
-    """A config that names an unknown section, key or kind, or gives a value
-    of the wrong JSON type; the message starts with the key path."""
+    """A config that names an unknown section, key or kind, gives a value of
+    the wrong JSON type or one a constructor rejects; the message starts
+    with the key path."""
 
 
 @functools.cache
@@ -115,14 +134,15 @@ def default_config() -> dict:
 _JSON_TYPES = {bool: "bool", int: "number", float: "number", str: "string",
                list: "list", dict: "object", type(None): "null"}
 
-
 # the JSON type that may replace each null (derived) default in CLI_DEFAULTS
 _DERIVED_TYPES = {"condition.phi2": "object", "condition.x": "list",
                   "operators.bump_rho": "number"}
 
 
 def _check_type(path: str, value, default) -> None:
-    want, got = _JSON_TYPES[type(default)], _JSON_TYPES[type(value)]
+    """ConfigError unless `value` has the JSON type of `default` (a value or a type)."""
+    want = _JSON_TYPES[default if isinstance(default, type) else type(default)]
+    got = _JSON_TYPES[type(value)]
     allowed = sorted({want, _DERIVED_TYPES.get(path, want)})
     if got not in allowed:
         raise ConfigError(f"{path}: expected {' or '.join(allowed)}, got {got}")
@@ -132,8 +152,9 @@ def load_config(path: str | None) -> dict:
     """The config at `path` merged over default_config(), one level deep:
     sections merge key by key, and a value inside a section replaces the
     default whole.  Raises ConfigError for an unknown section or key, a
-    value whose JSON type differs from the default's, or a suite case that
-    names no implemented Green function."""
+    value whose JSON type differs from the default's, a domain, weight or
+    phi spec that SPEC_KINDS or the constructor rejects, or a suite case
+    that names no implemented Green function."""
     cfg = default_config()
     if path is None:
         return cfg
@@ -154,6 +175,13 @@ def load_config(path: str | None) -> dict:
                                   f"{', '.join(sorted(section))}")
             _check_type(f"{name}.{key}", v, section[key])
             section[key] = v
+    # domains and weights are built: a constructor's rejection surfaces here too
+    checks = {"domain": _domain_from, "weight": _weight_from,
+              "phi": functools.partial(_spec, "phi")}
+    for name in CLI_DEFAULTS:
+        for key, spec in cfg[name].items():
+            if key in _SPEC_KEYS and spec is not None:  # a null phi2 is phi1
+                checks[_SPEC_KEYS[key]](spec, f"{name}.{key}")
     for name, section in cfg.items():
         if isinstance(section, dict) and "cases" in section:
             for i, case in enumerate(section["cases"]):
@@ -161,19 +189,67 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _domain_from(spec, path: str) -> Domain:
+def _spec(family: str, spec: dict, path: str) -> tuple[str, dict]:
+    """(kind, keys) of a `family` spec read through SPEC_KINDS, defaults filled
+    in; ConfigError names `path`.<key> for an unknown or missing kind, or an
+    unknown, missing, mistyped or (a disk center) wrong-length key."""
+    default_kind, kinds = SPEC_KINDS[family]
+    kind = spec.get("kind", default_kind)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{path}.kind: unknown {family} kind {kind!r}; "
+                          f"valid: {', '.join(kinds)}")
+    keys = {"kind": kind, **kinds[kind]}
+    for key, value in spec.items():
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}: unknown key for kind {kind!r}; "
+                              f"valid: {', '.join(keys)}")
+        _check_type(f"{path}.{key}", value, float if keys[key] is None else keys[key])
+        for i, x in enumerate(value if isinstance(value, list) else ()):
+            _check_type(f"{path}.{key}[{i}]", x, 0.0)
+        if isinstance(keys[key], list) and len(value) != len(keys[key]):
+            raise ConfigError(f"{path}.{key}: expected {len(keys[key])} numbers, "
+                              f"got {len(value)}")
+        keys[key] = value
+    for key, value in keys.items():
+        if isinstance(value, type):
+            raise ConfigError(f"{path}.{key}: missing key for kind {kind!r}")
+    return kind, keys
+
+
+def _build(path: str, cls, *args):
+    """cls(*args); a rejection is a ConfigError naming `path`."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _domain_from(spec: dict, path: str) -> Domain:
     """The domain of a kind-tagged spec; `path` names it in errors."""
-    kind = spec.get("kind")
+    kind, k = _spec("domain", spec, path)
     if kind == "interval":
-        return Interval(spec.get("a", 0.0), spec.get("b", 1.0))
-    if kind == "disk":
-        return Disk(tuple(spec.get("center", (0.0, 0.0))), spec.get("radius", 1.0))
-    raise ConfigError(f"{path}.kind: unknown domain kind {kind!r}; valid: interval, disk")
+        return _build(f"{path}.b", Interval, k["a"], k["b"])
+    return _build(f"{path}.radius", Disk, tuple(k["center"]), k["radius"])
+
+
+def _weight_from(spec: dict, path: str):
+    kind, k = _spec("weight", spec, path)
+    if kind == "constant":
+        return _build(f"{path}.c", ConstantWeight, k["c"])
+    return _build(f"{path}.gamma", PowerWeight, tuple(k["center"]), k["gamma"])
+
+
+def _phi_from(spec: dict, path: str, p: float, n: int, w):
+    kind, k = _spec("phi", spec, path)
+    if kind == "power-law":
+        return PowerLawPhi(lam=0.5 * n if k["lam"] is None else k["lam"], p=p, n=n)
+    if kind == "weight-measure":
+        return WeightMeasurePhi(k=k["k"], p=p, w=w)
+    return InverseWeightMeasurePhi(p=p, w=w)
 
 
 def _interior_center(dom: Domain):
-    box = dom.bounding_box
-    return tuple(0.5 * (lo + hi) for lo, hi in box)
+    return tuple(0.5 * (lo + hi) for lo, hi in dom.bounding_box)
 
 
 def _boundary_point(dom: Domain):
@@ -183,24 +259,20 @@ def _boundary_point(dom: Domain):
 
 
 def default_weights(dom: Domain, p: float, gammas=(-0.4, 0.5)):
-    """The standard family: constant, centered/boundary powers (those inside
-    the class at this p), and the out-of-class control gamma = n(p-1) + 0.5."""
-    n = dom.dim
-
-    def in_class(g):
-        return (-n < g < n * (p - 1.0)) if p > 1 else (-n < g <= 0.0)
-
-    out = [("const", ConstantWeight(1.0), "in-class")]
-    usable = [g for g in gammas if in_class(g)]
-    for g in usable:
-        out.append((f"pow{g:+g}-center", PowerWeight(_interior_center(dom), g), "in-class"))
+    """The standard family as (name, w, tag): constant, centered/boundary
+    powers (those inside the class at this p), and the control gamma =
+    n(p-1) + 0.5; ap_membership tags each in-class or out-of-class."""
+    mid = _interior_center(dom)
+    usable = [g for g in gammas if ap_membership(PowerWeight(mid, g), p).in_class]
+    out = [("const", ConstantWeight(1.0))]
+    out += [(f"pow{g:+g}-center", PowerWeight(mid, g)) for g in usable]
     if usable:
         out.append((f"pow{usable[-1]:+g}-boundary",
-                    PowerWeight(_boundary_point(dom), usable[-1]), "in-class"))
-    ctrl = n * (p - 1.0) + 0.5
-    out.append((f"pow{ctrl:+g}-control", PowerWeight(_interior_center(dom), ctrl),
-                "out-of-class (negative control)"))
-    return out
+                    PowerWeight(_boundary_point(dom), usable[-1])))
+    ctrl = dom.dim * (p - 1.0) + 0.5
+    out.append((f"pow{ctrl:+g}-control", PowerWeight(mid, ctrl)))
+    return [(name, w, "in-class" if ap_membership(w, p).in_class
+             else "out-of-class (negative control)") for name, w in out]
 
 
 def default_phis(dom: Domain, p: float, w, lams=(0.25, 0.5, 0.75), ks=(0.3, 0.7)):
@@ -209,20 +281,6 @@ def default_phis(dom: Domain, p: float, w, lams=(0.25, 0.5, 0.75), ks=(0.3, 0.7)
     out += [(f"wmeas{k:g}", WeightMeasurePhi(k=k, p=p, w=w)) for k in ks]
     out.append(("invwmeas", InverseWeightMeasurePhi(p=p, w=w)))
     return out
-
-
-def validate_weight_classes(dom: Domain, ps, gammas=(-0.4, 0.5)):
-    """Config invariant: every default (w, p) pair is in class or is the
-    tagged negative control."""
-    for p in ps:
-        for name, w, tag in default_weights(dom, p, gammas):
-            if isinstance(w, ConstantWeight):
-                continue
-            rep = ap_membership(w, p)
-            if tag == "in-class" and not rep.in_class:
-                raise ValueError(f"untagged out-of-class weight {name} at p={p}")
-            if tag.startswith("out-of-class") and rep.in_class:
-                raise ValueError(f"negative control {name} is actually in class")
 
 
 def _nested_operator_grid(grid: Grid, per_octave: int = 4) -> np.ndarray:
@@ -263,37 +321,53 @@ def trend_verdict(values, tolerance: float) -> str:
     return "UNSTABLE"
 
 
+def _refinement_result(suite: str, series, tol: float, rows, notes,
+                       trend_len=None, plot=()) -> SuiteResult:
+    """A study over (values, verdict) series: PASS iff every series passes,
+    else UNSTABLE; the fitted constant is the largest value of any series,
+    and the trend the values of the first `trend_len` series."""
+    verdict = "PASS" if all(v == "PASS" for _, v in series) else "UNSTABLE"
+    return SuiteResult(suite=suite, verdict=verdict,
+                       fitted_constant=max(max(vals) for vals, _ in series),
+                       tolerance=tol, trend=[vals for vals, _ in series[:trend_len]],
+                       rows=rows, notes=notes, plot_data=list(plot))
+
+
+def _sup_ratio(names, f_norms, t_norms) -> tuple[float, str]:
+    """The largest ||Tf|| / ||f|| over the members with ||f|| > 0 and the
+    name of the first member attaining it; (0.0, "") when there is none."""
+    best, at = 0.0, ""
+    for name, fn, tn in zip(names, f_norms, t_norms):
+        if fn > 0 and tn / fn > best:
+            best, at = tn / fn, name
+    return best, at
+
+
 def _fmt(v) -> str:
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)
 
 
+def _write_csv(path: str, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        wcsv = csv.writer(fh)
+        wcsv.writerow(header)
+        wcsv.writerows([_fmt(v) for v in row] for row in rows)
+
+
 def write_reports(results: list[SuiteResult], out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     summary = {}
     for res in results:
-        path = os.path.join(out_dir, f"{res.suite}.csv")
-        with open(path, "w", newline="") as fh:
-            wcsv = csv.writer(fh)
-            wcsv.writerow(res.header)
-            for row in res.rows:
-                wcsv.writerow([_fmt(v) for v in row])
+        _write_csv(os.path.join(out_dir, f"{res.suite}.csv"), res.header, res.rows)
         if res.plot_data:
-            ppath = os.path.join(out_dir, f"{res.suite}_plot.csv")
-            with open(ppath, "w", newline="") as fh:
-                wcsv = csv.writer(fh)
-                wcsv.writerow(("r", "ratio"))
-                for r, ratio in res.plot_data:
-                    wcsv.writerow([_fmt(r), _fmt(ratio)])
-        summary[res.suite] = {
-            "suite": res.suite,
-            "verdict": res.verdict,
-            "fittedConstant": res.fitted_constant,
-            "tolerance": res.tolerance,
-            "N-trend": res.trend,
-            "notes": res.notes,
-        }
+            _write_csv(os.path.join(out_dir, f"{res.suite}_plot.csv"), ("r", "ratio"),
+                       res.plot_data)
+        summary[res.suite] = {"suite": res.suite, "verdict": res.verdict,
+                              "fittedConstant": res.fitted_constant,
+                              "tolerance": res.tolerance, "N-trend": res.trend,
+                              "notes": res.notes}
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     return summary
@@ -327,8 +401,7 @@ def suite_ap(config: dict) -> SuiteResult:
     rows.append(("ap", "pow+0.5-full-sweep", full.value, 4.0 / 3.0,
                  full.value / (4.0 / 3.0), grids[-1], ""))
     ok &= full.value >= 4.0 / 3.0 - 1e-9
-    membership = ap_membership(w_in, p)
-    ok &= membership.in_class
+    ok &= ap_membership(w_in, p).in_class
 
     ctrl = PowerWeight(_interior_center(dom), dom.dim * (p - 1.0) + 0.5)
     control_vals = []
@@ -364,6 +437,13 @@ def _case_domain(case, path: str = "cases") -> tuple[Domain, int]:
     return dom, m
 
 
+def _cases(cases):
+    """(kind, row label, unit domain, m) of every suite case [kind, m]."""
+    for case in cases:
+        dom, m = _case_domain(case)
+        yield case[0], f"{case[0]}-m{m}", dom, m
+
+
 def suite_kernels(config: dict) -> SuiteResult:
     cfg = config["kernels"]
     pair_counts = cfg["pair_counts"]
@@ -373,21 +453,17 @@ def suite_kernels(config: dict) -> SuiteResult:
     rows, notes = [], []
     worst = 0.0
     all_pass = True
-    cases = cfg["cases"]
-    for case in cases:
-        kind = case[0]
-        dom, m = _case_domain(case)
+    for _, label, dom, m in _cases(cfg["cases"]):
         fits = {}
         for n in grids:
             for count in pair_counts:
                 x, y = sample_pairs(dom, count, seed, min_sep=dom.diameter / n)
-                out = verify_kernel_bounds(dom, m, x, y, multi_indices(dom.dim, 2 * m))
-                for f in out:
+                for f in verify_kernel_bounds(dom, m, x, y, multi_indices(dom.dim, 2 * m)):
                     # pool per (regime, |alpha|): the bounds are per class
                     key = (f.regime, sum(f.alpha))
                     cur = fits.setdefault(key, {})
                     cur[(n, count)] = max(cur.get((n, count), 0.0), f.constant)
-                    rows.append((f"{kind}-m{m}", f"{f.regime}-a{f.alpha}",
+                    rows.append((label, f"{f.regime}-a{f.alpha}",
                                  f.constant, np.nan, np.nan, n,
                                  f"pairs={count}"))
         for (regime, order), vals in fits.items():
@@ -399,7 +475,7 @@ def suite_kernels(config: dict) -> SuiteResult:
             all_pass &= stable
             worst = max(worst, max(vs))
             if not stable:
-                notes.append(f"{kind}-m{m} {regime} |a|={order}: spread {spread:.2%}")
+                notes.append(f"{label} {regime} |a|={order}: spread {spread:.2%}")
     pb = verify_poisson_bounds(Disk((0.0, 0.0), 1.0), max(pair_counts), seed)
     rows.append(("disk-m1", "poisson-bound", pb["fitted"], 1.0 / np.pi,
                  pb["fitted"] * np.pi, grids[-1], ""))
@@ -425,9 +501,8 @@ def suite_identity(config: dict) -> SuiteResult:
     g = Grid(dom, n)
     bump, _, _ = polynomial_bump([0.0, 0.0], rho, 2)
     f = SampledField(g, bump(g.nodes))
-    rows = []
+    rows, reports = [], []
     ok = True
-    reports = []
     for alpha, beta in (((2, 0), (1, 0)), ((0, 2), (0, 1)), ((1, 1), (1, 0))):
         rep = singular_identity_check(f, alpha, beta)
         reports.append(rep)
@@ -452,40 +527,34 @@ def suite_pointwise(config: dict) -> SuiteResult:
     cfg = config["pointwise"]
     tol = cfg["tolerance"]
     seed = config["seed"]
-    rows, notes = [], []
-    verdicts = []
+    rows, verdicts = [], []
     worst = 0.0
-    for case in cfg["cases"]:
-        dom, m = _case_domain(case)
+    for _, label, dom, m in _cases(cfg["cases"]):
         grids = cfg["grids_1d"] if dom.dim == 1 else cfg["grids_2d"]
         narrow = max(0, 2 * m - dom.dim)       # the stated range |a| <= 2m-n
         wide = 2 * m - 1                       # the range the main proof uses
-        per_level = {a: [] for a in multi_indices(dom.dim, wide)}
+        per_level = {a: {} for a in multi_indices(dom.dim, wide)}  # n -> sup
         for n in grids:
             g = Grid(dom, n)
-            corpus = build_corpus(g, seed=seed,
-                                  n_random=cfg["n_random"])
+            corpus = build_corpus(g, seed=seed, n_random=cfg["n_random"])
             sols = solve_dirichlet_many(dom, m, [f for _, f in corpus])
             radii = _nested_operator_grid(g, 4 if dom.dim == 2 else 6)
-            for (name, f), sol in zip(corpus, sols):
+            for (_, f), sol in zip(corpus, sols):
                 mf = np.maximum(maximal_field(f, radii).values, 1e-300)
                 for a in per_level:
                     ratio = (np.abs(sol.jet[a].values) / mf).max()
-                    per_level[a].append((n, name, ratio))
-        for a in per_level:
-            fitted = {}
-            for n, name, ratio in per_level[a]:
-                fitted[n] = max(fitted.get(n, 0.0), ratio)
+                    per_level[a][n] = max(per_level[a].get(n, 0.0), ratio)
+        for a, fitted in per_level.items():
             vals = [fitted[n] for n in grids]
             rng_tag = "narrow" if sum(a) <= narrow else "wide"
             verdict = trend_verdict(vals, tol)
             verdicts.append(verdict)
             worst = max(worst, vals[-1])
-            rows.append((f"{case[0]}-m{m}", f"alpha{a}-{rng_tag}", vals[0],
+            rows.append((label, f"alpha{a}-{rng_tag}", vals[0],
                          vals[-1], vals[-1] / vals[0], grids[-1], verdict))
     verdict = "PASS" if all(v == "PASS" for v in verdicts) else "UNSTABLE"
     return SuiteResult(suite="pointwise", verdict=verdict, fitted_constant=worst,
-                       tolerance=tol, trend=[], rows=rows, notes=notes)
+                       tolerance=tol, trend=[], rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -519,46 +588,35 @@ def suite_lemma22(config: dict) -> SuiteResult:
     tol = cfg["tolerance"]
     seed = config["seed"]
     n_funcs = cfg["pairs"]
-    rows, notes = [], []
-    fitted_levels = []
-    for case in cfg["cases"]:
-        dom, m = _case_domain(case)
+    rows, notes, series = [], [], []
+    for kind, label, dom, m in _cases(cfg["cases"]):
         grids = cfg["grids_1d"] if dom.dim == 1 else cfg["grids_2d"]
+        gf = green_function(dom, m)
+        alphas = [a for a in multi_indices(dom.dim, 2 * m) if sum(a) == 2 * m]
         level_fits = []
         for n in grids:
             g = Grid(dom, n)
             corpus = build_corpus(g, seed=seed, n_random=2)[:n_funcs]
             radii = _nested_operator_grid(g, 3 if dom.dim == 2 else 5)
-            names = [nm for nm, _ in corpus]
             F = np.column_stack([np.abs(f.values) for _, f in corpus])
             MF = np.column_stack([maximal_field(f, radii).values for _, f in corpus])
-            gf = green_function(dom, m)
-            alphas = [a for a in multi_indices(dom.dim, 2 * m) if sum(a) == 2 * m]
             hn = g.cell_measure
             kf, sf, smf = _offdiagonal_region_sums(g, gf, alphas, F, MF)
             fits = []
             for i, (fname, _) in enumerate(corpus):
-                for jg, (gname, _) in enumerate(corpus):
-                    gv = F[:, jg]
-                    mgv = MF[:, jg]
+                for (gname, _), gv, mgv in zip(corpus, F.T, MF.T):
                     lhs = max(float((kf[a][:, i] * gv).sum() * hn * hn) for a in alphas)
                     rhs = float((gv * smf[:, i]).sum() * hn * hn
                                 + (mgv * sf[:, i]).sum() * hn * hn)
                     ratio = lhs / rhs if rhs > 0 else 0.0
                     fits.append(ratio)
-                    rows.append((f"{case[0]}-m{m}", f"{fname}|{gname}", lhs, rhs,
-                                 ratio, n, ""))
+                    rows.append((label, f"{fname}|{gname}", lhs, rhs, ratio, n, ""))
             level_fits.append(max(fits))
-        verdicts = trend_verdict(level_fits, tol)
-        fitted_levels.append((case, level_fits, verdicts))
+        series.append((level_fits, trend_verdict(level_fits, tol)))
         if dom.dim == 1:
-            notes.append(f"{case}: off-diagonal order-2m kernel vanishes in 1D; "
+            notes.append(f"{[kind, m]}: off-diagonal order-2m kernel vanishes in 1D; "
                          "rows are vacuous (lhs = 0)")
-    verdict = "PASS" if all(v == "PASS" for _, _, v in fitted_levels) else "UNSTABLE"
-    worst = max(max(f) for _, f, _ in fitted_levels)
-    return SuiteResult(suite="lemma22", verdict=verdict, fitted_constant=worst,
-                       tolerance=tol, trend=[f for _, f, _ in fitted_levels],
-                       rows=rows, notes=notes)
+    return _refinement_result("lemma22", series, tol, rows, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +628,8 @@ def suite_lemma24(config: dict) -> SuiteResult:
     tol = cfg["tolerance"]
     seed = config["seed"]
     p = cfg["p"]
-    rows, notes = [], []
-    results = []
-    for case in cfg["cases"]:
-        dom, m = _case_domain(case)
+    rows, series = [], []
+    for _, label, dom, m in _cases(cfg["cases"]):
         grids = cfg["grids_1d"] if dom.dim == 1 else cfg["grids_2d"]
         level_fits = []
         for n in grids:
@@ -595,10 +651,9 @@ def suite_lemma24(config: dict) -> SuiteResult:
                 ksf = (singular_field(f, kern, radii).values if kern is not None
                        else np.zeros(g.n_cells))
                 absf = np.abs(f.values)
-                dau = sol.jet[alphas[0]].values
-                for a in alphas[1:]:
-                    if np.abs(sol.jet[a].values).max() > np.abs(dau).max():
-                        dau = sol.jet[a].values
+                # the order-2m derivative of largest sup, the first on a tie
+                dau = max((sol.jet[a].values for a in alphas),
+                          key=lambda v: np.abs(v).max())
                 sgn = np.abs(dau) ** (p - 1.0) * np.sign(dau)
                 gs = [(gn, gv, maximal_field(SampledField(g, np.abs(gv)), radii).values)
                       for gn, gv in (("dist-g", sgn), ("dist-g-weighted", sgn * wdist))]
@@ -609,16 +664,10 @@ def suite_lemma24(config: dict) -> SuiteResult:
                                  + absf * np.abs(gv)).sum() * hn)
                     ratio = lhs / rhs if rhs > 0 else 0.0
                     fits.append(ratio)
-                    rows.append((f"{case[0]}-m{m}", f"{fname}|{gname}", lhs, rhs,
-                                 ratio, n, ""))
+                    rows.append((label, f"{fname}|{gname}", lhs, rhs, ratio, n, ""))
             level_fits.append(max(fits))
-        v = trend_verdict(level_fits, tol)
-        results.append((case, level_fits, v))
-    verdict = "PASS" if all(v == "PASS" for _, _, v in results) else "UNSTABLE"
-    worst = max(max(f) for _, f, _ in results)
-    return SuiteResult(suite="lemma24", verdict=verdict, fitted_constant=worst,
-                       tolerance=tol, trend=[f for _, f, _ in results],
-                       rows=rows, notes=notes)
+        series.append((level_fits, trend_verdict(level_fits, tol)))
+    return _refinement_result("lemma24", series, tol, rows, [])
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +678,9 @@ def suite_lemma24(config: dict) -> SuiteResult:
 # every grid level
 @functools.cache
 def _condition_ok(phi1, phi2, w, p, dom: Domain, upper_mult=10.0):
-    x = _interior_center(dom)
     r_grid = np.geomspace(0.02 * dom.diameter, 0.9 * dom.diameter, 6)
     try:
-        rep = condition_213(phi1, phi2, w, p, x, r_grid,
+        rep = condition_213(phi1, phi2, w, p, _interior_center(dom), r_grid,
                             upper_limit=upper_mult * dom.diameter,
                             points=96, sensitivity_checks=False)
     except ValueError:
@@ -640,26 +688,37 @@ def _condition_ok(phi1, phi2, w, p, dom: Domain, upper_mult=10.0):
     return rep.constant if np.isfinite(rep.constant) else None
 
 
+def _morrey_combos(rows, label, n, dom: Domain, p, lams, ks, controls: bool):
+    """The default (w, phi) pairs at p that pass the condition (2.13) gate,
+    as (row case, weight name, w, tag, phi name, phi): the lams and ks in
+    1D, lam 0.5 and k 0.7 on the disk, the out-of-class weights only with
+    `controls`.  A pair that fails the gate gets a skip row instead."""
+    lams, ks = (lams, ks) if dom.dim == 1 else ([0.5], [0.7])
+    for wname, w, tag in default_weights(dom, p):
+        if tag != "in-class" and not controls:
+            continue
+        for phname, phi in default_phis(dom, p, w, lams=lams, ks=ks):
+            case = f"p{p}-{wname}-{phname}"
+            if _condition_ok(phi, phi, w, p, dom) is None:
+                rows.append((label, case, np.nan, np.nan, np.nan, n,
+                             "condition-divergent-skip"))
+                continue
+            yield case, wname, w, tag, phname, phi
+
+
 def suite_boundedness(config: dict) -> SuiteResult:
     cfg = config["boundedness"]
     tol = cfg["tolerance"]
     seed = config["seed"]
-    rows, notes, plot = [], [], []
-    case_trends = []
-    control_growths = []
     grids = cfg["grids"]
-    for case in cfg["cases"]:
-        dom, m = _case_domain(case)
+    rows, notes, plot, case_trends, control_growths = [], [], [], [], []
+    for kind, label, dom, m in _cases(cfg["cases"]):
         ps = cfg["ps_1d"] if dom.dim == 1 else cfg["ps_2d"]
-        validate_weight_classes(dom, ps)
-        lams = cfg["lams"] if dom.dim == 1 else [0.5]
-        ks = cfg["ks"] if dom.dim == 1 else [0.7]
         per_combo: dict = {}
         for n in grids:
             g = Grid(dom, n)
             radii = _nested_operator_grid(g, 6 if dom.dim == 1 else 3)
-            sweep = nested_sweep(g, 5 if dom.dim == 2 else 9, 3)
-            ev = MorreyEvaluator(g, sweep)
+            ev = MorreyEvaluator(g, nested_sweep(g, 5 if dom.dim == 2 else 9, 3))
             kern = CZKernel(2, m, (2 * m, 0)) if dom.dim == 2 else None
             for p in ps:
                 gamma_ctrl = dom.dim * (p - 1.0) + 0.5
@@ -686,39 +745,24 @@ def suite_boundedness(config: dict) -> SuiteResult:
                 if dom.dim == 1 and p == ps[0]:
                     # radius-grid doubling probe (flag if the maximal field
                     # is still grid-sensitive at this density)
-                    probe = corpus[0][1]
-                    fine = maximal_field(probe, _nested_operator_grid(g, 12)).values
-                    coarse = T[0]
-                    sens = np.abs(fine - coarse).max() / max(np.abs(fine).max(), 1e-300)
+                    fine = maximal_field(corpus[0][1], _nested_operator_grid(g, 12)).values
+                    sens = np.abs(fine - T[0]).max() / max(np.abs(fine).max(), 1e-300)
                     if sens > 0.01:
-                        rows.append((f"{case[0]}-m{m}", f"radius-grid-probe-N{n}",
+                        rows.append((label, f"radius-grid-probe-N{n}",
                                      sens, 0.01, sens / 0.01, n,
                                      "radius-grid-sensitive"))
-                for wname, w, tag in default_weights(dom, p):
-                    in_class = tag == "in-class"
-                    for phname, phi in default_phis(dom, p, w, lams=lams, ks=ks):
-                        c213 = _condition_ok(phi, phi, w, p, dom)
-                        if c213 is None:
-                            rows.append((f"{case[0]}-m{m}",
-                                         f"p{p}-{wname}-{phname}", np.nan, np.nan,
-                                         np.nan, n, "condition-divergent-skip"))
-                            continue
-                        fns = ev.norm(F, w, phi, p)
-                        tns = ev.norm(T, w, phi, p, weak=p == 1.0).reshape(len(corpus), -1)
-                        sup_ratio, sup_case = 0.0, ""
-                        for (name, _), fn, tn_row in zip(corpus, fns, tns):
-                            if in_class and name == "singular":
-                                continue  # grid-adapted member is control-only
-                            if fn <= 0:
-                                continue
-                            for tname, tn in zip(tnames, tn_row):
-                                if tn / fn > sup_ratio:
-                                    sup_ratio, sup_case = tn / fn, f"{tname}:{name}"
-                        key = (case[0], m, p, wname, phname, tag)
-                        per_combo.setdefault(key, []).append(sup_ratio)
-                        rows.append((f"{case[0]}-m{m}", f"p{p}-{wname}-{phname}",
-                                     sup_ratio, 1.0, sup_ratio, n,
-                                     f"{tag};sup at {sup_case}"))
+                for case, wname, w, tag, phname, phi in _morrey_combos(
+                        rows, label, n, dom, p, cfg["lams"], cfg["ks"], controls=True):
+                    # the grid-adapted singular member is control-only
+                    fns = np.where([tag == "in-class" and name == "singular"
+                                    for name, _ in corpus], 0.0, ev.norm(F, w, phi, p))
+                    sup_ratio, sup_case = _sup_ratio(
+                        [f"{tname}:{name}" for name, _ in corpus for tname in tnames],
+                        np.repeat(fns, len(tnames)), ev.norm(T, w, phi, p, weak=p == 1.0))
+                    key = (kind, m, p, wname, phname, tag)
+                    per_combo.setdefault(key, []).append(sup_ratio)
+                    rows.append((label, case, sup_ratio, 1.0, sup_ratio, n,
+                                 f"{tag};sup at {sup_case}"))
         for key, vals in per_combo.items():
             tag = key[-1]
             if tag == "in-class":
@@ -737,8 +781,9 @@ def suite_boundedness(config: dict) -> SuiteResult:
                  f"{best_span:.3f}")
     for key, vals, gr, sp in control_growths:
         if sp == best_span:
-            notes.append(f"attained by {key[:5]}: levels {[round(v, 3) for v in vals]}"
-                         f", per-step {[round(x, 3) for x in gr]}")
+            notes.append(f"attained by {key[:5]}: levels "
+                         f"{[round(float(v), 3) for v in vals]}, "
+                         f"per-step {[round(float(x), 3) for x in gr]}")
             break
     verdict = "PASS" if (in_ok and control_ok) else ("UNSTABLE" if control_ok else "FAIL")
     worst = max((max(v) for _, v, _ in case_trends), default=np.nan)
@@ -769,8 +814,7 @@ def suite_marok1(config: dict) -> SuiteResult:
         # level-independent balls: fixed centers, fixed radii; each ball's
         # tail integral runs over 24 balls of the same center
         sweep = centered_sweep(g, 3, np.geomspace(0.02, 0.2, 6) * dom.diameter)
-        d = dom.diameter
-        ts = [np.geomspace(2 * b.radius, d, 24) for b in sweep]
+        ts = [np.geomspace(2 * b.radius, dom.diameter, 24) for b in sweep]
         tails = [Ball(b.center, float(t)) for b, tb in zip(sweep, ts) for t in tb]
         cache = SweepCache(g, sweep + tails)
         nb = len(sweep)
@@ -782,16 +826,13 @@ def suite_marok1(config: dict) -> SuiteResult:
         ks = np.stack([singular_field(f, kern, radii).values for _, f in corpus]
                       + [f.values for _, f in corpus])
         sums = cache.ball_sums(np.abs(ks) ** p * wc)
-        for i, (name, f) in enumerate(corpus):
-            ks_sums = sums[i]
+        for i, (name, _) in enumerate(corpus):
             f_sums = sums[len(corpus) + i, nb:].reshape(nb, -1)
             for j, b in enumerate(sweep):
-                lhs = ks_sums[j] ** (1.0 / p)
-                fnorm_t = f_sums[j] ** (1.0 / p)
-                wt = wt_all[j]
-                good = wt > 0
-                integ = np.trapezoid(
-                    (fnorm_t[good] * wt[good] ** (-1.0 / p)), np.log(ts[j][good]))
+                lhs = sums[i, j] ** (1.0 / p)
+                good = wt_all[j] > 0
+                integ = np.trapezoid(f_sums[j][good] ** (1.0 / p)
+                                     * wt_all[j][good] ** (-1.0 / p), np.log(ts[j][good]))
                 rhs = wsums[j] ** (1.0 / p) * integ
                 if rhs > 0 and lhs > 0:
                     fits.append(lhs / rhs)
@@ -821,98 +862,60 @@ def _apriori_norms(ev, stack, n_fields, w, phi, p):
     """(||f||, sum over the jet of ||D^a u||) for every corpus member, from
     one evaluator call on the level's stack."""
     norms = ev.norm(stack, w, phi, p)
-    jet_norms = norms[n_fields:].reshape(n_fields, -1)
-    unorms = np.zeros(n_fields)
-    for col in jet_norms.T:  # summed in jet order, as sum() over the jet
-        unorms = unorms + col
-    return norms[:n_fields], unorms
+    # summed in jet order, as sum() over the jet
+    return norms[:n_fields], sum(norms[n_fields:].reshape(n_fields, -1).T,
+                                 np.zeros(n_fields))
 
 
 def suite_apriori(config: dict) -> SuiteResult:
     cfg = config["apriori"]
     tol = cfg["tolerance"]
     seed = config["seed"]
-    rows, notes = [], []
-    results = []
-    plot = []
-    for case in cfg["cases"]:
-        dom, m = _case_domain(case)
+    n_random = cfg["n_random"]
+    rows, notes, plot, series = [], [], [], []
+    for kind, label, dom, m in _cases(cfg["cases"]):
         grids = cfg["grids"]
         ps = cfg["ps_1d"] if dom.dim == 1 else cfg["ps_2d"]
-        validate_weight_classes(dom, ps)
-        lams = [0.5] if dom.dim == 2 else cfg["lams"]
-        ks = [0.7] if dom.dim == 2 else cfg["ks"]
-        n_random = cfg["n_random"]
+        jets = multi_indices(dom.dim, 2 * m)
         per_combo: dict = {}
-        doubling_note = None
         for li, n in enumerate(grids):
             g = Grid(dom, n)
             corpus = build_corpus(g, seed=seed, n_random=n_random)
             sols = solve_dirichlet_many(dom, m, [f for _, f in corpus])
-            sweep = nested_sweep(g, 5 if dom.dim == 2 else 9, 3)
-            ev = MorreyEvaluator(g, sweep)
-            jets = multi_indices(dom.dim, 2 * m)
+            ev = MorreyEvaluator(g, nested_sweep(g, 5 if dom.dim == 2 else 9, 3))
             stack = _apriori_stack(corpus, sols, jets)
+            names = [name for name, _ in corpus]
             for p in ps:
-                for wname, w, tag in default_weights(dom, p):
-                    if tag != "in-class":
-                        continue
-                    for phname, phi in default_phis(dom, p, w, lams=lams, ks=ks):
-                        c213 = _condition_ok(phi, phi, w, p, dom)
-                        if c213 is None:
-                            rows.append((f"{case[0]}-m{m}",
-                                         f"p{p}-{wname}-{phname}", np.nan, np.nan,
-                                         np.nan, n, "condition-divergent-skip"))
-                            continue
-                        sup_ratio, sup_name = 0.0, ""
-                        fnorms, unorms = _apriori_norms(ev, stack, len(corpus), w, phi, p)
-                        for (name, _), fnorm, unorm in zip(corpus, fnorms, unorms):
-                            if fnorm <= 0:
-                                rows.append((f"{case[0]}-m{m}",
-                                             f"p{p}-{wname}-{phname}-{name}",
-                                             0.0, 0.0, np.nan, n, "vacuous"))
-                                continue
-                            if unorm / fnorm > sup_ratio:
-                                sup_ratio, sup_name = unorm / fnorm, name
-                        key = (case[0], m, p, wname, phname)
-                        per_combo.setdefault(key, []).append(sup_ratio)
-                        rows.append((f"{case[0]}-m{m}", f"p{p}-{wname}-{phname}",
-                                     sup_ratio, 1.0, sup_ratio, n,
-                                     f"sup at {sup_name}"))
-                        plot.append((float(n), sup_ratio))
+                for case, wname, w, _, phname, phi in _morrey_combos(
+                        rows, label, n, dom, p, cfg["lams"], cfg["ks"], controls=False):
+                    fnorms, unorms = _apriori_norms(ev, stack, len(corpus), w, phi, p)
+                    rows.extend((label, f"{case}-{name}", 0.0, 0.0, np.nan, n, "vacuous")
+                                for name, fnorm in zip(names, fnorms) if fnorm <= 0)
+                    sup_ratio, sup_name = _sup_ratio(names, fnorms, unorms)
+                    per_combo.setdefault((p, wname, phname), []).append(sup_ratio)
+                    rows.append((label, case, sup_ratio, 1.0, sup_ratio, n,
+                                 f"sup at {sup_name}"))
+                    plot.append((float(n), sup_ratio))
             # corpus-doubling stability probe at the middle level: the sup
             # may only grow; it must not grow past the tolerance
             if li == min(1, len(grids) - 1) and dom.dim == 1:
                 corpus2 = build_corpus(g, seed=seed, n_random=2 * n_random)
                 sols2 = solve_dirichlet_many(dom, m, [f for _, f in corpus2])
                 p = ps[-1]
-                wname, w, _ = default_weights(dom, p)[0]
+                _, w, _ = default_weights(dom, p)[0]
                 phi = default_phis(dom, p, w)[0][1]
-
-                def sup_over(corp, stk):
-                    best = 0.0
-                    for fn, un in zip(*_apriori_norms(ev, stk, len(corp), w, phi, p)):
-                        if fn > 0:
-                            best = max(best, un / fn)
-                    return best
-
-                base = sup_over(corpus, stack)
-                doubled = sup_over(corpus2, _apriori_stack(corpus2, sols2, jets))
+                base, _ = _sup_ratio(names, *_apriori_norms(ev, stack, len(corpus),
+                                                            w, phi, p))
+                doubled, _ = _sup_ratio(
+                    [name for name, _ in corpus2],
+                    *_apriori_norms(ev, _apriori_stack(corpus2, sols2, jets),
+                                    len(corpus2), w, phi, p))
                 flag = "" if doubled <= (1 + tol) * base else " EXCEEDS TOLERANCE"
-                doubling_note = (f"{case}: corpus doubling sup "
-                                 f"{base:.4g} -> {doubled:.4g}{flag}")
-                results.append(((case[0], m, "corpus-doubling"),
-                                [base, doubled],
-                                "PASS" if not flag else "UNSTABLE"))
-        for key, vals in per_combo.items():
-            results.append((key, vals, trend_verdict(vals, tol)))
-        if doubling_note:
-            notes.append(doubling_note)
-    verdict = "PASS" if all(v == "PASS" for _, _, v in results) else "UNSTABLE"
-    worst = max(max(v) for _, v, _ in results)
-    return SuiteResult(suite="apriori", verdict=verdict, fitted_constant=worst,
-                       tolerance=tol, trend=[v for _, v, _ in results[:6]],
-                       rows=rows, notes=notes, plot_data=plot)
+                notes.append(f"{[kind, m]}: corpus doubling sup "
+                             f"{base:.4g} -> {doubled:.4g}{flag}")
+                series.append(([base, doubled], "UNSTABLE" if flag else "PASS"))
+        series += [(vals, trend_verdict(vals, tol)) for vals in per_combo.values()]
+    return _refinement_result("apriori", series, tol, rows, notes, trend_len=6, plot=plot)
 
 
 # ---------------------------------------------------------------------------
@@ -938,11 +941,6 @@ def run_suite(name: str, config: dict) -> SuiteResult:
     return SUITES[name](config)
 
 
-def _run_one(args):
-    name, config = args
-    return run_suite(name, config)
-
-
 def run_suites(names, config: dict, jobs: int = 1) -> list[SuiteResult]:
     names = list(names)
     for name in names:
@@ -950,5 +948,5 @@ def run_suites(names, config: dict, jobs: int = 1) -> list[SuiteResult]:
             raise KeyError(f"unknown suite {name!r}; valid: {sorted(SUITES)}")
     if jobs > 1 and len(names) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
-            return list(pool.map(_run_one, [(n, config) for n in names]))
+            return list(pool.map(run_suite, names, [config] * len(names)))
     return [run_suite(n, config) for n in names]

@@ -122,6 +122,29 @@ def test_config_errors_exit_2_and_say_why(tmp_path, capsys, cmd, extra, words):
      ["operators.bump_rho: expected null or number, got string"]),
     ({"condition": {"x": "abc"}}, ["condition.x: expected list or null, got string"]),
     ({"condition": {"phi2": 1.0}}, ["condition.phi2: expected null or object, got number"]),
+    # keys inside the kind-tagged specs, in sections the command does not read
+    ({"norm": {"weight": {"kind": "constant", "cc": 2.0}}},
+     ["norm.weight.cc: unknown key for kind 'constant'", "kind, c"]),
+    ({"norm": {"phi": {"kind": "power-law", "lamda": 0.3}}},
+     ["norm.phi.lamda: unknown key for kind 'power-law'", "lam"]),
+    ({"weight": {"spec": {"kind": "power", "gama": 0.5}}},
+     ["weight.spec.gama: unknown key for kind 'power'", "center, gamma"]),
+    ({"weight": {"spec": {"kind": "power", "gamma": 0.5}}},
+     ["weight.spec.center: missing key for kind 'power'"]),
+    ({"weight": {"spec": {"kind": "power", "center": ["0"], "gamma": 0.5}}},
+     ["weight.spec.center[0]: expected number, got string"]),
+    ({"norm": {"domain": {"kind": "disk", "center": [0.0]}}},
+     ["norm.domain.center: expected 2 numbers, got 1"]),
+    ({"operators": {"domain": {"kind": "disk", "radius": "2"}}},
+     ["operators.domain.radius: expected number, got string"]),
+    ({"solve": {"domain": {"kind": "interval", "a": 1.0, "b": 1.0}}},
+     ["solve.domain.b: interval needs b > a"]),
+    ({"condition": {"weight": {"kind": "constant", "c": 0.0}}},
+     ["condition.weight.c: constant weight must be positive"]),
+    ({"condition": {"phi2": {"kind": "weight-measure", "k": "0.5"}}},
+     ["condition.phi2.k: expected number, got string"]),
+    ({"norm": {"domain": {"radius": 1.0}}},
+     ["norm.domain.kind: unknown domain kind None", "interval, disk"]),
 ])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, cfg, words):
     path = tmp_path / "bad.json"

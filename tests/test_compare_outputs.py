@@ -11,12 +11,15 @@ from morreylab.harness import SuiteResult, write_reports
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
 
 
-def _write(out, ratio, verdict="PASS"):
+def _write(out, ratio, verdict="PASS", flags="sup at f1", trend=(1.0, 2.0),
+           notes=("n1",), plot_ratio=0.5):
     rows = [("s", "a", 1.0, 2.0, 0.5, 8, ""),
             ("s", "b", np.nan, np.nan, np.nan, 8, "skip"),
-            ("s", "c", 3.0, 1.0, ratio, 8, "")]
+            ("s", "c", 3.0, 1.0, ratio, 8, flags)]
     write_reports([SuiteResult(suite="demo", verdict=verdict, fitted_constant=3.0,
-                               tolerance=0.1, trend=[], rows=rows)], str(out))
+                               tolerance=0.1, trend=[list(trend), [4.0]], rows=rows,
+                               notes=list(notes),
+                               plot_data=[(8.0, 0.25), (16.0, plot_ratio)])], str(out))
 
 
 def _run(a, b, *extra):
@@ -39,6 +42,36 @@ def test_compare_outputs(tmp_path):
     assert _run(a, c, "--rtol", "1e-5").returncode == 0
     verdict = _run(a, d)
     assert verdict.returncode == 1 and "verdict PASS != FAIL" in verdict.stdout
+
+
+def test_compare_outputs_labels_summary_and_plot(tmp_path):
+    base, same, label, trend, notes, plot = (tmp_path / n for n in
+                                             ("base", "same", "label", "trend",
+                                              "notes", "plot"))
+    _write(base, 3.0)
+    _write(same, 3.0, trend=(1.0, 2.0 * (1 + 1e-14)), plot_ratio=0.5 * (1 + 1e-14))
+    _write(label, 3.0, flags="sup at f2")
+    _write(trend, 3.0, trend=(1.0, 2.0 * (1 + 1e-6)))
+    _write(notes, 3.0, notes=("n2",))
+    _write(plot, 3.0, plot_ratio=0.5 * (1 + 1e-6))
+    ok = _run(base, same)
+    assert ok.returncode == 0, ok.stdout
+    assert "demo summary: max rel diff" in ok.stdout
+    assert "demo_plot.csv: 2 rows, max rel diff" in ok.stdout
+    # a row labelled differently: the exact columns, whatever the rtol
+    got = _run(base, label, "--rtol", "1")
+    assert got.returncode == 1
+    assert "row 3, flags: 'sup at f1' != 'sup at f2'" in got.stdout
+    got = _run(base, trend)
+    assert got.returncode == 1 and "N-trend[0][1]" in got.stdout
+    assert _run(base, trend, "--rtol", "1e-5").returncode == 0
+    got = _run(base, notes, "--rtol", "1")
+    assert got.returncode == 1 and "DIFFERS demo: notes" in got.stdout
+    got = _run(base, plot)
+    assert got.returncode == 1 and "DIFFERS demo_plot.csv" in got.stdout
+    (plot / "demo_plot.csv").unlink()
+    got = _run(base, plot)
+    assert got.returncode == 1 and "demo_plot.csv: missing" in got.stdout
 
 
 def _write_fields(out, u_scale=1.0, op_scale=1.0):

@@ -16,12 +16,11 @@ from morreylab.harness import (
     run_suite,
     run_suites,
     trend_verdict,
-    validate_weight_classes,
     write_reports,
 )
 from morreylab.operators import maximal_field
-from morreylab.spaces import PowerLawPhi
-from morreylab.weights import ConstantWeight, PowerWeight
+from morreylab.spaces import PowerLawPhi, WeightMeasurePhi
+from morreylab.weights import ConstantWeight, PowerWeight, ap_membership
 
 
 def tiny_config():
@@ -45,12 +44,14 @@ def test_default_config_loads():
     assert set(cfg) >= {"seed", "ap", "kernels", "boundedness", "apriori"}
 
 
-def test_validate_weight_classes():
-    validate_weight_classes(Interval(0.0, 1.0), [1.0, 1.5, 2.0])
-    # at p = 1 the positive-gamma powers fall outside A_1 and are filtered
-    names = [n for n, _, t in default_weights(Interval(0.0, 1.0), 1.0)
-             if t == "in-class"]
-    assert all("+0.5" not in n for n in names)
+@pytest.mark.parametrize("dom", [Interval(0.0, 1.0), Disk((0.0, 0.0), 1.0)])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_default_weights_tags_follow_ap_membership(dom, p):
+    ws = default_weights(dom, p)
+    for name, w, tag in ws:
+        assert (tag == "in-class") == ap_membership(w, p).in_class, name
+    if p == 1.0:  # the positive-gamma powers fall outside A_1 and are filtered
+        assert all("+0.5" not in n for n, _, t in ws if t == "in-class")
 
 
 def test_default_weights_tags():
@@ -205,6 +206,40 @@ def test_suite_boundedness_small():
     r = run_suite("boundedness", cfg)
     assert r.verdict == "PASS"
     assert any("negative-control" in note for note in r.notes)
+    # the notes print plain floats, not numpy reprs
+    assert not any("np.float64" in note for note in r.notes)
+    assert any("attained by" in note for note in r.notes)
+
+
+def test_apriori_and_boundedness_skip_the_same_condition_failures(monkeypatch):
+    # one gate, _morrey_combos, serves both suites: a (w, phi) pair that
+    # fails condition (2.13) gets the same skip row in each and no sup row
+    check = harness._condition_ok
+
+    def reject_wmeas07(phi1, phi2, w, p, dom):
+        if isinstance(phi1, WeightMeasurePhi) and phi1.k == 0.7:
+            return None
+        return check(phi1, phi2, w, p, dom)
+
+    monkeypatch.setattr(harness, "_condition_ok", reject_wmeas07)
+    cfg = tiny_config()
+    study = dict(cases=[["interval", 1]], grids=[32, 64], ps_1d=[2.0],
+                 lams=[0.5], ks=[0.3, 0.7])
+    cfg["apriori"].update(study, n_random=2)
+    cfg["boundedness"].update(study)
+    skips = {}
+    for suite in ("apriori", "boundedness"):
+        rows = run_suite(suite, cfg).rows
+        skip = "condition-divergent-skip"
+        skips[suite] = [r[:2] + r[5:] for r in rows if r[6] == skip]
+        assert not [r for r in rows if "wmeas0.7" in r[1] and r[6] != skip]
+        assert any("wmeas0.3" in r[1] and "sup at" in r[6] for r in rows)
+    in_class = [r for r in skips["boundedness"] if "control" not in r[1]]
+    assert skips["apriori"] == in_class
+    assert {r[1] for r in in_class} == {
+        f"p2.0-{w}-wmeas0.7" for w in ("const", "pow-0.4-center", "pow+0.5-center",
+                                       "pow+0.5-boundary")}
+    assert len(skips["boundedness"]) == len(in_class) + 2  # the control, per level
 
 
 def test_suite_apriori_small():
