@@ -86,7 +86,7 @@ def cmd_norm(args) -> int:
     fname = sec["f"]
     f = _corpus_field(g, cfg["seed"], fname, "norm.f")
     p = sec["p"]
-    w = harness._weight_from(sec["weight"], "norm.weight")
+    w = harness._weight_from(sec["weight"], "norm.weight", dom.dim)
     phi = harness._phi_from(sec["phi"], "norm.phi", p, dom.dim, w)
     sweep = ball_sweep(g, sec["centers"], sec["radii"])
     res = morrey_norm(f, w, phi, p, sweep)
@@ -107,7 +107,7 @@ def cmd_weight(args) -> int:
     dom = harness._domain_from(sec["domain"], "weight.domain")
     n = args.grid or sec["grid"]
     g = Grid(dom, n)
-    w = harness._weight_from(sec["spec"], "weight.spec")
+    w = harness._weight_from(sec["spec"], "weight.spec", dom.dim)
     p = sec["p"]
     est = ap_constant(w, p, g, ap_sweep(g, w))
     try:
@@ -132,7 +132,7 @@ def cmd_condition(args) -> int:
     sec = cfg["condition"]
     dom = harness._domain_from(sec["domain"], "condition.domain")
     p = sec["p"]
-    w = harness._weight_from(sec["weight"], "condition.weight")
+    w = harness._weight_from(sec["weight"], "condition.weight", dom.dim)
     phi1 = harness._phi_from(sec["phi1"], "condition.phi1", p, dom.dim, w)
     phi2 = (phi1 if sec["phi2"] is None
             else harness._phi_from(sec["phi2"], "condition.phi2", p, dom.dim, w))

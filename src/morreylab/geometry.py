@@ -206,13 +206,18 @@ class Grid:
         return d < radius
 
     def embed(self, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
-        """Scatter masked-cell values onto the full lattice (zero outside)."""
-        flat = np.full(self.lattice_mask.shape, fill, dtype=float)
-        flat[self.lattice_mask] = values
-        return flat if self.dim == 1 else flat.reshape(self.n, self.n)
+        """Scatter masked-cell values, (cells,) or a stack (k, cells), onto
+        the full lattice (zero outside), (n,) * dim or (k,) + (n,) * dim."""
+        values = np.asarray(values)
+        flat = np.full(values.shape[:-1] + self.lattice_mask.shape, fill, dtype=float)
+        flat[..., self.lattice_mask] = values
+        return flat.reshape(values.shape[:-1] + (self.n,) * self.dim)
 
     def extract(self, lattice: np.ndarray) -> np.ndarray:
-        return np.asarray(lattice).ravel()[self.lattice_mask]
+        """The masked cells of a lattice, or of each lattice of a stack."""
+        lattice = np.asarray(lattice)
+        stack = lattice.shape[:lattice.ndim - self.dim]
+        return lattice.reshape(stack + (-1,))[..., self.lattice_mask]
 
 
 @dataclass(frozen=True, eq=False)

@@ -175,13 +175,18 @@ def load_config(path: str | None) -> dict:
                                   f"{', '.join(sorted(section))}")
             _check_type(f"{name}.{key}", v, section[key])
             section[key] = v
-    # domains and weights are built: a constructor's rejection surfaces here too
-    checks = {"domain": _domain_from, "weight": _weight_from,
-              "phi": functools.partial(_spec, "phi")}
+    # domains and weights are built: a constructor's rejection surfaces here
+    # too, and a weight is checked against its section's domain
     for name in CLI_DEFAULTS:
+        dim = None
         for key, spec in cfg[name].items():
-            if key in _SPEC_KEYS and spec is not None:  # a null phi2 is phi1
-                checks[_SPEC_KEYS[key]](spec, f"{name}.{key}")
+            family = _SPEC_KEYS.get(key)
+            if family == "domain":
+                dim = _domain_from(spec, f"{name}.{key}").dim
+            elif family == "weight":
+                _weight_from(spec, f"{name}.{key}", dim)
+            elif family == "phi" and spec is not None:  # a null phi2 is phi1
+                _spec("phi", spec, f"{name}.{key}")
     for name, section in cfg.items():
         if isinstance(section, dict) and "cases" in section:
             for i, case in enumerate(section["cases"]):
@@ -232,10 +237,15 @@ def _domain_from(spec: dict, path: str) -> Domain:
     return _build(f"{path}.radius", Disk, tuple(k["center"]), k["radius"])
 
 
-def _weight_from(spec: dict, path: str):
+def _weight_from(spec: dict, path: str, dim: int):
+    """The weight of a kind-tagged spec on a `dim`-dimensional domain; a
+    power weight's center must have `dim` coordinates."""
     kind, k = _spec("weight", spec, path)
     if kind == "constant":
         return _build(f"{path}.c", ConstantWeight, k["c"])
+    if len(k["center"]) != dim:
+        raise ConfigError(f"{path}.center: expected {dim} numbers for a "
+                          f"{dim}D domain, got {len(k['center'])}")
     return _build(f"{path}.gamma", PowerWeight, tuple(k["center"]), k["gamma"])
 
 

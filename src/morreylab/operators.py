@@ -8,6 +8,14 @@ cached-spectrum FFT convolutions (the discrete sums are translation-invariant
 on the lattice, so the two routes agree to rounding).  `_convolutions` is the
 one path: one forward transform per field, then one product per kernel; the
 solver's free-space potentials take it too.
+
+`_Convolver.apply` is irfft2 by hand: the product spectrum and its inverse
+column transform go into one reused buffer, and the inverse row transform
+runs only on the n rows of the central block, into a second.  Both
+buffers belong to the convolver, live while `_convolutions` runs over one
+field's kernels and are overwritten by each apply, so apply returns a copy
+of the central block: callers hold several results at once.  The bits are
+irfft2's, which runs the same two stages line by line.
 """
 
 from __future__ import annotations
@@ -135,6 +143,10 @@ class _Convolver:
         offs = np.arange(-(n - 1), n) * grid.h
         self.oz1, self.oz2 = np.meshgrid(offs, offs, indexing="ij")
         self._spectra: dict = {}
+        # apply's buffers: the product spectrum, then its column transform,
+        # and the kept rows of the inverse; allocated at the first apply of
+        # a field, dropped by _convolutions after its last
+        self._work = self._rows = None
 
     def spectrum(self, key, build):
         if key not in self._spectra:
@@ -146,10 +158,16 @@ class _Convolver:
         return np.fft.rfft2(lattice, s=(self.size, self.size))
 
     def apply(self, fwd: np.ndarray, key, build) -> np.ndarray:
-        n = self.grid.n
-        full = np.fft.irfft2(fwd * self.spectrum(key, build),
-                             s=(self.size, self.size))
-        return full[n - 1: 2 * n - 1, n - 1: 2 * n - 1]
+        """The central n x n block of irfft2(fwd * spectrum), as a fresh
+        array with irfft2's bits (see the module docstring)."""
+        n, size = self.grid.n, self.size
+        if self._work is None:
+            self._work = np.empty_like(fwd)
+            self._rows = np.empty((n, size))
+        work = np.multiply(fwd, self.spectrum(key, build), out=self._work)
+        np.fft.ifft(work, size, axis=0, out=work)
+        np.fft.irfft(work[n - 1: 2 * n - 1], size, axis=1, out=self._rows)
+        return self._rows[:, n - 1: 2 * n - 1].copy()
 
 
 # one live convolver: a finished level's spectra are freed, not held
@@ -163,8 +181,12 @@ def _convolutions(grid: Grid, values: np.ndarray, kernels):
     each (key, build) kernel in turn, all from one forward transform."""
     conv = _convolver(grid)
     fwd = conv.forward(grid.embed(values))
-    for key, build in kernels:
-        yield conv.apply(fwd, key, build)
+    try:
+        for key, build in kernels:
+            yield conv.apply(fwd, key, build)
+    finally:
+        # the cached convolver does not hold apply's buffers between fields
+        conv._work = conv._rows = None
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +282,12 @@ def _gamma_kernel(grid: Grid, m: int, alpha: tuple[int, int]):
 # whole-field variants (1D: sliding windows; 2D: lattice convolutions)
 
 
-def _window_sums_1d(lattice: np.ndarray, k: int) -> np.ndarray:
-    """sum over |j - i| <= k of lattice[j] at every i (zero padded)."""
+def _window_sums_1d(lattice: np.ndarray, k) -> np.ndarray:
+    """sum over |j - i| <= k of lattice[j] at every i (zero padded); an
+    array of R half-widths k gives an (R, n) stack from one cumsum."""
     cs = np.concatenate([[0.0], np.cumsum(lattice)])
     n = len(lattice)
+    k = np.asarray(k)[..., None]
     lo = np.clip(np.arange(n) - k, 0, n)
     hi = np.clip(np.arange(n) + k + 1, 0, n)
     return cs[hi] - cs[lo]
@@ -274,12 +298,9 @@ def maximal_field(f: SampledField, radius_grid) -> SampledField:
     g = f.grid
     radii = np.asarray(radius_grid, dtype=float)
     if g.dim == 1:
-        lattice = g.embed(np.abs(f.values))
-        best = np.zeros_like(lattice)
-        for t in radii:
-            k = int(np.ceil(t / g.h)) - 1  # |j-i| h < t
-            s = _window_sums_1d(lattice, k) * g.cell_measure
-            np.maximum(best, s / (2.0 * t), out=best)
+        k = np.ceil(radii / g.h).astype(int) - 1  # |j-i| h < t
+        s = _window_sums_1d(g.embed(np.abs(f.values)), k) * g.cell_measure
+        best = (s / (2.0 * radii[:, None])).max(axis=0, initial=0.0)
         return SampledField(g, g.extract(best))
     sums = _convolutions(g, np.abs(f.values), [_ball_kernel(g, t) for t in radii])
     best = None
@@ -312,8 +333,11 @@ def singular_field(f: SampledField, kernel: CZKernel, eps_grid) -> SampledField:
 def _masked_fd(grid: Grid, lattice: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """d/dx_axis by central differences where both neighbours are masked,
     one-sided at mask edges, zero on isolated cells; the second output marks
-    the central cells."""
-    mask = np.moveaxis(grid.lattice_mask.reshape(lattice.shape), axis, 0)
+    the central cells.  `lattice` is one lattice or a stack (k, lattice),
+    and `axis` counts the lattice axes only."""
+    axis += lattice.ndim - grid.dim
+    mask = grid.lattice_mask.reshape((grid.n,) * grid.dim)
+    mask = np.moveaxis(np.broadcast_to(mask, lattice.shape), axis, 0)
     v = np.moveaxis(lattice, axis, 0)
     vp, vm = np.roll(v, -1, axis=0), np.roll(v, 1, axis=0)
     mp, mm = np.roll(mask, -1, axis=0), np.roll(mask, 1, axis=0)

@@ -112,9 +112,11 @@ def _harmonic_completion(grid: Grid, boundary_data: np.ndarray):
     zeta = ((grid.nodes[:, 0] - c[0]) + 1j * (grid.nodes[:, 1] - c[1])) / dom.radius
     F = np.zeros_like(zeta)
     Fp = np.zeros_like(zeta)
-    for k in range(K - 1, -1, -1):  # Horner for F and F' together
-        Fp = Fp * zeta + F
-        F = F * zeta + coeff[k]
+    for k in range(K - 1, -1, -1):  # Horner for F and F' together, in place
+        np.multiply(Fp, zeta, out=Fp)
+        np.add(Fp, F, out=Fp)
+        np.multiply(F, zeta, out=F)
+        np.add(F, coeff[k], out=F)
     H = F.real
     dH1 = Fp.real / dom.radius
     dH2 = -Fp.imag / dom.radius
@@ -133,10 +135,8 @@ def _solve_disk_m1_values(grid: Grid, F: np.ndarray) -> dict:
         pots = _convolutions(grid, F[:, i], kernels)
         pot0 = next(pots)
         trace = _bilinear(grid, pot0, Pb)  # by bilinear interpolation
-        u0 = grid.extract(pot0)
-        del pot0  # free the padded lattice before the next transform
         H, dH1, dH2 = _harmonic_completion(grid, -trace)
-        vals[(0, 0)][:, i] = u0 + H
+        vals[(0, 0)][:, i] = grid.extract(pot0) + H
         vals[(1, 0)][:, i] = grid.extract(next(pots)) + dH1
         vals[(0, 1)][:, i] = grid.extract(next(pots)) + dH2
     return vals
@@ -175,8 +175,7 @@ def solve_dirichlet_many(domain: Domain, m: int,
     else:
         vals = _pairwise_values(grid, m, F)
     for alpha, (source, axis) in _top_order(domain.dim, m).items():
-        vals[alpha] = np.column_stack([grid.extract(_masked_fd(grid, grid.embed(v), axis)[0])
-                                       for v in vals[source].T])
+        vals[alpha] = grid.extract(_masked_fd(grid, grid.embed(vals[source].T), axis)[0]).T
     out = []
     for i in range(len(fields)):
         jet = {a: SampledField(grid, np.ascontiguousarray(v[:, i]))

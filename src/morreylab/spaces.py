@@ -173,6 +173,9 @@ def weak_lp_weighted_norm(f: SampledField, w: Weight, p: float,
     return float(_weak_from_arrays(np.abs(f.values[sel]), wc[sel], p))
 
 
+_CHUNK_CELLS = 1 << 16  # stack cells per bincount pass of SweepCache.ball_sums
+
+
 # ---------------------------------------------------------------------------
 # the ball-sum engine: the balls of one center are nested, so every cell
 # falls in one shell between consecutive radii, and a ball sum is a cumulative
@@ -222,15 +225,22 @@ class SweepCache:
         """Sum of each row of a, (cells,) or (k, cells), over every ball,
         in sweep order; the result has shape a.shape[:-1] + (balls,)."""
         rows = np.atleast_2d(a)
-        k = len(rows)
-        out = np.empty((k, len(self.balls)))
-        bins = np.empty(rows.shape, dtype=np.intp)
-        for c, idx, ball_shell, cell_shell, s in self._groups:
-            # one bincount gives every (row, shell) sum; the outer shell s
-            # holds the cells outside every ball
-            np.add(np.arange(k)[:, None] * (s + 1), cell_shell[None, :], out=bins)
-            shell = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=k * (s + 1))
-            out[:, idx] = np.cumsum(shell.reshape(k, s + 1)[:, :s], axis=1)[:, ball_shell]
+        out = np.empty((len(rows), len(self.balls)))
+        # rows go through in chunks of about _CHUNK_CELLS stack cells, so
+        # that the bin and weight arrays of a pass stay in cache
+        step = max(1, _CHUNK_CELLS // rows.shape[1])
+        bins = np.empty((min(step, len(rows)), rows.shape[1]), dtype=np.intp)
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo: lo + step]
+            k = len(chunk)
+            for c, idx, ball_shell, cell_shell, s in self._groups:
+                # one bincount gives every (row, shell) sum; the outer shell
+                # s holds the cells outside every ball
+                np.add(np.arange(k)[:, None] * (s + 1), cell_shell[None, :], out=bins[:k])
+                shell = np.bincount(bins[:k].ravel(), weights=chunk.ravel(),
+                                    minlength=k * (s + 1))
+                out[lo: lo + k, idx] = np.cumsum(shell.reshape(k, s + 1)[:, :s],
+                                                 axis=1)[:, ball_shell]
         return out.reshape(np.shape(a)[:-1] + (len(self.balls),))
 
     def ball_cells(self):

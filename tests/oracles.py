@@ -217,3 +217,25 @@ def pair_lattice(domain, positions, fans, seps, floor, budget):
                     xs.append(b)
                     ys.append(y)
     return xs[:budget], ys[:budget]
+
+
+def harmonic_completion(center, radius, nodes, boundary_data):
+    """H = Re F on the disk and its first derivatives, F(zeta) = c0 + sum
+    2 g_k zeta^k from the boundary values at the midpoint angles; Horner
+    for F and F' out of place, each step a fresh array."""
+    import numpy as np
+
+    M = len(boundary_data)
+    ghat = np.fft.rfft(boundary_data) / M
+    ghat *= np.exp(-1j * np.arange(len(ghat)) * np.pi / M)
+    coeff = 2.0 * ghat
+    coeff[0] = ghat[0].real
+    keep = np.nonzero(np.abs(coeff) > 1e-15 * np.abs(coeff).max())[0]
+    coeff = coeff[: int(keep[-1]) + 1 if len(keep) else 1]
+    zeta = ((nodes[:, 0] - center[0]) + 1j * (nodes[:, 1] - center[1])) / radius
+    F = np.zeros_like(zeta)
+    Fp = np.zeros_like(zeta)
+    for c in coeff[::-1]:
+        Fp = Fp * zeta + F
+        F = F * zeta + c
+    return F.real, Fp.real / radius, -Fp.imag / radius

@@ -145,6 +145,14 @@ def test_config_errors_exit_2_and_say_why(tmp_path, capsys, cmd, extra, words):
      ["condition.phi2.k: expected number, got string"]),
     ({"norm": {"domain": {"radius": 1.0}}},
      ["norm.domain.kind: unknown domain kind None", "interval, disk"]),
+    # a power weight's center against its section's domain
+    ({"weight": {"spec": {"kind": "power", "center": [0.0, 0.0], "gamma": 0.5}}},
+     ["weight.spec.center: expected 1 numbers for a 1D domain, got 2"]),
+    ({"norm": {"domain": {"kind": "disk"},
+               "weight": {"kind": "power", "center": [0.0], "gamma": 0.5}}},
+     ["norm.weight.center: expected 2 numbers for a 2D domain, got 1"]),
+    ({"condition": {"weight": {"kind": "power", "center": [0.5, 0.5], "gamma": 1.0}}},
+     ["condition.weight.center: expected 1 numbers for a 1D domain, got 2"]),
 ])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, cfg, words):
     path = tmp_path / "bad.json"

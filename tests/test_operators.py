@@ -5,6 +5,11 @@ from morreylab.corpus import polynomial_bump, smoothstep_indicator
 from morreylab.geometry import Disk, Grid, Interval, SampledField
 from morreylab.operators import (
     CZKernel,
+    _ball_kernel,
+    _Convolver,
+    _gamma_kernel,
+    _truncated_kernel,
+    _window_sums_1d,
     maximal,
     maximal_field,
     maximal_singular,
@@ -290,7 +295,7 @@ def test_masked_fd_zero_on_isolated_cell():
     mask = np.zeros((5, 5), dtype=bool)
     mask[2, 2] = True          # isolated along both axes
     mask[0, 1:4] = True        # a row: isolated along axis 0 only
-    grid = SimpleNamespace(lattice_mask=mask.ravel(), h=0.5)
+    grid = SimpleNamespace(lattice_mask=mask.ravel(), h=0.5, n=5, dim=2)
     lattice = np.arange(25.0).reshape(5, 5) ** 2
     out0, central0 = _masked_fd(grid, lattice, 0)
     out1, central1 = _masked_fd(grid, lattice, 1)
@@ -299,3 +304,64 @@ def test_masked_fd_zero_on_isolated_cell():
     assert out1[0, 2] == (lattice[0, 3] - lattice[0, 1]) / (2 * grid.h)
     assert not central0.any()
     assert central1.sum() == 1 and central1[0, 2]
+
+
+@pytest.mark.parametrize("grid", [Grid(Interval(0.0, 1.0), 16), disk_grid(24)])
+def test_masked_fd_stack_equals_each_lattice(grid):
+    from morreylab.operators import _masked_fd
+
+    rng = np.random.default_rng(5)
+    for k in (1, 3):
+        stack = grid.embed(rng.normal(size=(k, grid.n_cells)))
+        for axis in range(grid.dim):
+            out, central = _masked_fd(grid, stack, axis)
+            assert out.shape == central.shape == stack.shape
+            for row, got, got_central in zip(stack, out, central):
+                want, want_central = _masked_fd(grid, row, axis)
+                assert np.array_equal(got, want)
+                assert np.array_equal(got_central, want_central)
+
+
+# --- the convolver's inverse transform ----------------------------------------
+
+def _lattice_kernels(g):
+    return [_ball_kernel(g, 3.5 * g.h),
+            _truncated_kernel(g, CZKernel(2, 1, (1, 1)), 2.0 * g.h),
+            _gamma_kernel(g, 1, (1, 0))]
+
+
+@pytest.mark.parametrize("n", [12, 33, 64])
+def test_convolver_apply_is_irfft2_central_block(n):
+    g = disk_grid(n)
+    conv = _Convolver(g)
+    fwd = conv.forward(g.embed(np.random.default_rng(n).normal(size=g.n_cells)))
+    size = conv.size
+    for key, build in _lattice_kernels(g):
+        want = np.fft.irfft2(fwd * conv.spectrum(key, build), s=(size, size))
+        assert np.array_equal(conv.apply(fwd, key, build),
+                              want[n - 1: 2 * n - 1, n - 1: 2 * n - 1])
+
+
+def test_convolver_apply_results_do_not_share_its_buffers():
+    g = disk_grid(20)
+    conv = _Convolver(g)
+    fwd = conv.forward(g.embed(np.random.default_rng(2).normal(size=g.n_cells)))
+    (k1, b1), (k2, b2), (k3, b3) = _lattice_kernels(g)
+    first = conv.apply(fwd, k1, b1)
+    kept = first.copy()
+    second = conv.apply(fwd, k2, b2)
+    conv.apply(fwd, k3, b3)
+    assert np.array_equal(first, kept)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(conv.apply(fwd, k1, b1), kept)
+
+
+def test_window_sums_stack_equals_each_half_width():
+    lattice = np.random.default_rng(4).uniform(size=40)
+    ks = np.array([0, 1, 5, 39, 60])
+    got = _window_sums_1d(lattice, ks)
+    assert got.shape == (len(ks), len(lattice))
+    for k, row in zip(ks, got):
+        assert np.array_equal(row, _window_sums_1d(lattice, int(k)))
+        want = [lattice[max(i - k, 0): i + k + 1].sum() for i in range(len(lattice))]
+        np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-15)

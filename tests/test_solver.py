@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracles
+
 from morreylab.corpus import build_corpus, smoothstep_indicator
 from morreylab.geometry import Disk, Grid, Interval, SampledField
 from morreylab.operators import maximal_field, operator_radius_grid
@@ -167,3 +169,16 @@ def test_batch_equals_single(dom, m, n):
             else:
                 scale = max(np.abs(want).max(), 1e-300)
                 assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dom,n", [(DISK, 32), (Disk((0.5, -0.25), 2.0), 41)])
+def test_harmonic_completion_matches_out_of_place_horner(dom, n):
+    from morreylab.solver import _harmonic_completion
+
+    g = Grid(dom, n)
+    th = np.arange(8 * n) * (2 * np.pi / (8 * n))
+    data = np.cos(3 * th) + 0.5 * np.sin(7 * th) + np.random.default_rng(n).normal(size=8 * n)
+    got = _harmonic_completion(g, data)
+    want = oracles.harmonic_completion(dom.center, dom.radius, g.nodes, data)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)

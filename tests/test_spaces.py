@@ -346,6 +346,18 @@ def test_stacked_ball_sums_match_prefix_sums(dim):
 
 # --- Sobolev-Morrey --------------------------------------------------------
 
+def test_ball_sums_in_chunks_equal_each_row(monkeypatch):
+    import morreylab.spaces as spaces
+
+    g, sweep, _, stack = _stack_case(2)
+    wide = np.concatenate([stack, stack[::-1] * 3.0, stack[:1]])  # 9 rows
+    want = [SweepCache(g, sweep).ball_sums(row) for row in wide]
+    # chunks of 2 rows: four full chunks and a last one of one row
+    monkeypatch.setattr(spaces, "_CHUNK_CELLS", 2 * g.n_cells + 1)
+    got = SweepCache(g, sweep).ball_sums(wide)
+    assert np.array_equal(got, np.array(want))
+
+
 def test_sobolev_morrey_zero():
     g = grid(32)
     jet = {(0,): const_field(g, 0.0), (1,): const_field(g, 0.0)}
