@@ -236,7 +236,9 @@ def cmd_operators(args) -> int:
         alpha = tuple(sec["alpha"])
         kern = CZKernel(2, m, alpha)
         cols["Kstar"] = singular_field(f, kern, radii).values
-        rep = singular_identity_check(f, alpha if sum(alpha) == 2 else (2, 0), (1, 0))
+        # the identity is implemented for m = 1; beta is alpha less one unit
+        ident = alpha if sum(alpha) == 2 else (2, 0)
+        rep = singular_identity_check(f, ident, (1, 0) if ident[0] else (0, 1))
         print(f"identity: fitted a={rep.fitted_a:.4f} (expected {rep.expected_a}), "
               f"max discrepancy {rep.max_discrepancy:.3e}")
         if rep.max_discrepancy > 0.02:

@@ -9,6 +9,8 @@ witness the failure of the A_p hypothesis, their norm ratios simply converge.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .geometry import Domain, Grid, SampledField
@@ -105,16 +107,10 @@ def build_corpus(grid: Grid, seed: int = 0, n_random: int = 12,
     out: list[tuple[str, SampledField]] = []
 
     out.append(("const", SampledField(grid, np.ones(grid.n_cells))))
-    if grid.dim == 1:
-        a, b = box[0]
-        out.append(("mono-x", SampledField.from_function(
-            grid, lambda x: (x - a) / (b - a))))
-    else:
-        (ax, bx), (ay, by) = box
-        out.append(("mono-x1", SampledField.from_function(
-            grid, lambda x, y: (x - ax) / (bx - ax))))
-        out.append(("mono-x2", SampledField.from_function(
-            grid, lambda x, y: (y - ay) / (by - ay))))
+    for i, (lo, hi) in enumerate(box):
+        name = "mono-x" if grid.dim == 1 else f"mono-x{i + 1}"
+        out.append((name, SampledField.from_function(
+            grid, lambda *x, i=i, lo=lo, hi=hi: (x[i] - lo) / (hi - lo))))
 
     anchors, rho = _domain_anchor_points(dom)
     for i, c in enumerate(anchors):
@@ -122,15 +118,8 @@ def build_corpus(grid: Grid, seed: int = 0, n_random: int = 12,
         out.append((f"bump{i}", SampledField.from_function(grid, f)))
 
     for k in (1, 3, 7):
-        if grid.dim == 1:
-            a, b = box[0]
-            out.append((f"sin{k}", SampledField.from_function(
-                grid, lambda x, k=k: np.sin(k * np.pi * (x - a) / (b - a)))))
-        else:
-            (ax, bx), (ay, by) = box
-            out.append((f"sin{k}", SampledField.from_function(
-                grid, lambda x, y, k=k: np.sin(k * np.pi * (x - ax) / (bx - ax))
-                * np.sin(k * np.pi * (y - ay) / (by - ay)))))
+        out.append((f"sin{k}", SampledField.from_function(grid, lambda *coords, k=k: math.prod(
+            np.sin(k * np.pi * (x - lo) / (hi - lo)) for x, (lo, hi) in zip(coords, box)))))
 
     for j in range(n_random):
         amps = rng.uniform(-1.0, 1.0, size=5)

@@ -7,7 +7,9 @@ cell-center grids defined here.  Conventions used throughout the package:
   ``|node - center| < r``),
 * quadrature is the midpoint rule ``sum f(node) * cell_measure``,
 * grid nodes are strictly interior to their cells, so no node falls exactly
-  on a domain boundary.
+  on a domain boundary,
+* a point is an array whose last axis holds its coordinates, 1D included:
+  a point (dim,) gives a scalar, a stack (..., dim) gives one value per point.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class Interval:
         return ((self.a, self.b),)
 
     def boundary_distance(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)[..., 0]
         return np.minimum(x - self.a, self.b - x)
 
     def contains(self, x: np.ndarray) -> np.ndarray:
@@ -95,10 +97,7 @@ class Disk:
 
     def boundary_distance(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        d = self.radius - np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1])
-        return d[0] if single else d
+        return self.radius - np.hypot(x[..., 0] - self.center[0], x[..., 1] - self.center[1])
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         return self.boundary_distance(x) > 0.0
@@ -124,6 +123,13 @@ def _as_point(x, dim: int) -> np.ndarray:
     if p.shape != (dim,):
         raise ValueError(f"point of dimension {p.shape} on a {dim}D domain")
     return p
+
+
+def cell_lattice(box, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Centers of the n cells per axis of a box: their coordinates along each
+    axis, and all of them as an (n**dim, dim) array, last axis fastest."""
+    axes = tuple(lo + (np.arange(n) + 0.5) * (hi - lo) / n for lo, hi in box)
+    return axes, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,25 +170,22 @@ class Grid:
         return self.h**self.dim
 
     @cached_property
+    def _lattice(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        return cell_lattice(self._box, self.n)
+
+    @property
     def axes(self) -> tuple[np.ndarray, ...]:
         """Cell-center coordinates along each axis."""
-        out = []
-        for lo, hi in self._box:
-            out.append(lo + (np.arange(self.n) + 0.5) * (hi - lo) / self.n)
-        return tuple(out)
+        return self._lattice[0]
 
-    @cached_property
+    @property
     def lattice_nodes(self) -> np.ndarray:
         """All cell centers of the embedding box, shape (n**dim, dim)."""
-        if self.dim == 1:
-            return self.axes[0][:, None]
-        xx, yy = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        return self._lattice[1]
 
     @cached_property
     def lattice_mask(self) -> np.ndarray:
-        return np.asarray(self.domain.contains(
-            self.lattice_nodes[:, 0] if self.dim == 1 else self.lattice_nodes))
+        return self.domain.contains(self.lattice_nodes)
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -196,8 +199,7 @@ class Grid:
     @cached_property
     def boundary_dist(self) -> np.ndarray:
         """dist(node, boundary) for every masked node."""
-        x = self.nodes[:, 0] if self.dim == 1 else self.nodes
-        return np.asarray(self.domain.boundary_distance(x))
+        return self.domain.boundary_distance(self.nodes)
 
     def in_ball(self, center, radius: float) -> np.ndarray:
         """Boolean mask over masked nodes: |node - center| < radius."""
@@ -237,9 +239,8 @@ class SampledField:
 
     @classmethod
     def from_function(cls, grid: Grid, func) -> "SampledField":
-        if grid.dim == 1:
-            return cls(grid, np.asarray(func(grid.nodes[:, 0]), dtype=float))
-        return cls(grid, np.asarray(func(grid.nodes[:, 0], grid.nodes[:, 1]), dtype=float))
+        """Sample func(x1, ..., x_dim), one coordinate array per axis."""
+        return cls(grid, np.asarray(func(*grid.nodes.T), dtype=float))
 
     def __add__(self, other: "SampledField") -> "SampledField":
         return SampledField(self.grid, self.values + other.values)
@@ -274,18 +275,11 @@ def integrate(f: SampledField, region: Ball | None = None) -> float:
     return float(f.values[sel].sum() * f.grid.cell_measure)
 
 
-def sweep_centers(grid: Grid, centers_per_axis: int) -> np.ndarray:
-    """Cell-center-style uniform lattice of sweep centers inside the domain."""
-    box = grid.domain.bounding_box
-    axes = [lo + (np.arange(centers_per_axis) + 0.5) * (hi - lo) / centers_per_axis
-            for lo, hi in box]
-    if grid.dim == 1:
-        pts = axes[0][:, None]
-    else:
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-    inside = grid.domain.contains(pts[:, 0] if grid.dim == 1 else pts)
-    return pts[np.asarray(inside)]
+def sweep_centers(domain: Domain, centers_per_axis: int) -> np.ndarray:
+    """The centers of a cell lattice over the domain's bounding box that lie
+    inside the domain, (k, dim)."""
+    pts = cell_lattice(domain.bounding_box, centers_per_axis)[1]
+    return pts[domain.contains(pts)]
 
 
 def log_radii(r_min: float, r_max: float, count: int) -> np.ndarray:
@@ -310,7 +304,7 @@ def centered_sweep(grid: Grid, centers_per_axis: int, radii) -> list[Ball]:
     """Every radius at every center of the uniform sub-grid of sweep
     centers, center by center."""
     return [Ball(tuple(float(v) for v in c), float(r))
-            for c in sweep_centers(grid, centers_per_axis) for r in radii]
+            for c in sweep_centers(grid.domain, centers_per_axis) for r in radii]
 
 
 def ball_sweep(grid: Grid, centers_per_axis: int, radii_count: int) -> list[Ball]:

@@ -471,12 +471,10 @@ def _pair_positions(domain: Domain) -> list[np.ndarray]:
     property: grids floor the pair separation, while a grid-tied depth floor
     would make fitted constants incomparable across refinement levels.
     """
-    from .geometry import Grid, nested_log_radii, sweep_centers
+    from .geometry import nested_log_radii, sweep_centers
 
-    interior = sweep_centers(Grid(domain, 64), 7)
-    depth = np.atleast_1d(domain.boundary_distance(
-        interior if domain.dim > 1 else interior[:, 0]))
-    interior = [np.asarray(p, dtype=float) for p in interior[np.argsort(-depth, kind="stable")]]
+    interior = sweep_centers(domain, 7)
+    interior = list(interior[np.argsort(-domain.boundary_distance(interior), kind="stable")])
     layers = []
     for i, delta in enumerate(nested_log_radii(domain.diameter / 4.0,
                                                domain.diameter / 2048.0, 1)):
@@ -536,7 +534,7 @@ def sample_pairs(domain: Domain, count: int, seed: int, min_sep: float) -> tuple
     ys = positions[None, :, None, :] + seps[:, None, None, None] * fans[None]
     xs = np.broadcast_to(positions[None, :, None, :], ys.shape)
     ys, xs = ys.reshape(-1, domain.dim), xs.reshape(-1, domain.dim)
-    keep = _bdist(domain, ys) >= floor
+    keep = domain.boundary_distance(ys) >= floor
     xs, ys = [xs[keep][:budget]], [ys[keep][:budget]]
     have = len(xs[0])
 
@@ -570,11 +568,10 @@ def sample_pairs(domain: Domain, count: int, seed: int, min_sep: float) -> tuple
         if isinstance(domain, Interval):
             sign = rng.choice([-1.0, 1.0], size=k)
             y = x + (sign * r)[:, None]
-            ok = np.asarray(domain.boundary_distance(y[:, 0]) >= floor)
         else:
             th = rng.uniform(0, 2 * np.pi, size=k)
             y = x + np.column_stack([r * np.cos(th), r * np.sin(th)])
-            ok = np.asarray(domain.boundary_distance(y) >= floor)
+        ok = domain.boundary_distance(y) >= floor
         xs.append(x[ok])
         ys.append(y[ok])
         have += len(xs[-1])
@@ -587,10 +584,6 @@ class RegimeFit:
     alpha: tuple[int, ...]
     constant: float
     pairs_used: int
-
-
-def _bdist(domain: Domain, pts: np.ndarray) -> np.ndarray:
-    return np.asarray(domain.boundary_distance(pts[:, 0] if domain.dim == 1 else pts))
 
 
 def verify_kernel_bounds(domain: Domain, m: int, x: np.ndarray, y: np.ndarray,
@@ -609,8 +602,8 @@ def verify_kernel_bounds(domain: Domain, m: int, x: np.ndarray, y: np.ndarray,
     d = domain.diameter
     x, y = _pairs(x, y, n)
     sep = np.linalg.norm(x - y, axis=-1)
-    dx = _bdist(domain, x)
-    dy = _bdist(domain, y)
+    dx = domain.boundary_distance(x)
+    dy = domain.boundary_distance(y)
     near = sep <= dx
     high = [a for a in alphas if sum(a) > 2 * m - n + 1] if near.any() else []
     regular = dict(gf.jet(high, x[near], y[near], regular=True))
@@ -657,7 +650,7 @@ def verify_poisson_bounds(domain: Disk, count: int, seed: int) -> dict:
     phb = rng.uniform(0, 2 * np.pi, count)
     P = c[None, :] + R * np.column_stack([np.cos(phb), np.sin(phb)])
     vals = np.abs(kern(x, P))
-    dxs = _bdist(domain, x)
+    dxs = domain.boundary_distance(x)
     sep = np.linalg.norm(x - P, axis=-1)
     fitted = float((vals * sep**2 / dxs).max())
     nodes, wgt = kern.boundary_nodes(4096)

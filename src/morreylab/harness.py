@@ -32,12 +32,19 @@ from .geometry import (
     Grid,
     Interval,
     SampledField,
+    _as_point,
     ball_sweep,
     centered_sweep,
     nested_log_radii,
     nested_sweep,
 )
-from .greens import green_function, sample_pairs, verify_kernel_bounds, verify_poisson_bounds
+from .greens import (
+    FundamentalSolution,
+    green_function,
+    sample_pairs,
+    verify_kernel_bounds,
+    verify_poisson_bounds,
+)
 from .operators import (
     CZKernel,
     maximal_field,
@@ -153,8 +160,10 @@ def load_config(path: str | None) -> dict:
     sections merge key by key, and a value inside a section replaces the
     default whole.  Raises ConfigError for an unknown section or key, a
     value whose JSON type differs from the default's, a domain, weight or
-    phi spec that SPEC_KINDS or the constructor rejects, or a suite case
-    that names no implemented Green function."""
+    phi spec that SPEC_KINDS or the constructor rejects, a condition.x
+    that is no point of its domain, an operators order without a
+    fundamental solution or a disk operators.alpha that is no CZ kernel's
+    multi-index, or a suite case that names no implemented Green function."""
     cfg = default_config()
     if path is None:
         return cfg
@@ -187,11 +196,29 @@ def load_config(path: str | None) -> dict:
                 _weight_from(spec, f"{name}.{key}", dim)
             elif family == "phi" and spec is not None:  # a null phi2 is phi1
                 _spec("phi", spec, f"{name}.{key}")
+            elif key == "x" and spec is not None:  # a null condition.x is the center
+                for i, v in enumerate(spec):
+                    _check_type(f"{name}.x[{i}]", v, 0.0)
+                _build(f"{name}.x", _as_point, spec, dim)
+    _check_operators(cfg["operators"])
     for name, section in cfg.items():
         if isinstance(section, dict) and "cases" in section:
             for i, case in enumerate(section["cases"]):
                 _case_domain(case, f"{name}.cases[{i}]")
     return cfg
+
+
+def _check_operators(sec: dict) -> None:
+    """ConfigError unless operators.m has a fundamental solution on the
+    section's domain and, on a disk, operators.alpha is 2 non-negative
+    integers with |alpha| = 2m (the CZ kernel D^alpha Gamma)."""
+    dim = _domain_from(sec["domain"], "operators.domain").dim
+    m, alpha = sec["m"], sec["alpha"]
+    _build("operators.m", FundamentalSolution, dim, m)
+    if dim == 2 and (len(alpha) != 2 or any(type(a) is not int or a < 0 for a in alpha)
+                     or sum(alpha) != 2 * m):
+        raise ConfigError(f"operators.alpha: expected 2 non-negative integers "
+                          f"with sum 2m = {2 * m}, got {alpha}")
 
 
 def _spec(family: str, spec: dict, path: str) -> tuple[str, dict]:

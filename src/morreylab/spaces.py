@@ -51,9 +51,8 @@ __all__ = [
 class _Phi:
     def __call__(self, x, r) -> float:
         """phi(x, r); the measure families take the full-space w(B(x, r))."""
-        dim = len(np.atleast_1d(x))
         return float(self.over([x], np.array([float(r)]),
-                               lambda w: np.array([ball_measure(w, x, r, dim)]))[0])
+                               lambda w: np.array([ball_measure(w, x, r)]))[0])
 
 
 @dataclass(frozen=True)
@@ -393,10 +392,10 @@ class ConditionReport:
 
 
 @lru_cache(maxsize=64)
-def _ball_measures(w, x: tuple, t_grid: tuple, dim: int) -> np.ndarray:
+def _ball_measures(w, x: tuple, t_grid: tuple) -> np.ndarray:
     """Full-space w(B(x, t)) for every t, shared (read-only) by the
     condition checks of every phi that goes with w."""
-    out = np.array([ball_measure(w, x, t, dim) for t in t_grid])
+    out = np.array([ball_measure(w, x, t) for t in t_grid])
     out.setflags(write=False)
     return out
 
@@ -405,14 +404,13 @@ class _MeasureTable:
     """Full-space ball measures of the weights appearing in a condition
     check, on the shared t grid."""
 
-    def __init__(self, x, t_grid, dim):
+    def __init__(self, x, t_grid):
         self.x = x
         self.t_grid = t_grid
-        self.dim = dim
         self._key = tuple(t_grid.tolist())
 
     def raw(self, w) -> np.ndarray:
-        return _ball_measures(w, self.x, self._key, self.dim)
+        return _ball_measures(w, self.x, self._key)
 
     def phi(self, phi) -> np.ndarray:
         return _checked_phi(phi.over([self.x] * len(self.t_grid), self.t_grid, self.raw))
@@ -440,11 +438,11 @@ def _suffix_log_trapz(t_grid, integrand):
     return out
 
 
-def _fitted_constant(phi1, phi2, w, p, x, r_grid, upper_limit, points, dim):
+def _fitted_constant(phi1, phi2, w, p, x, r_grid, upper_limit, points):
     r_grid = np.asarray(r_grid, dtype=float)
     fill = np.geomspace(r_grid.min(), upper_limit, points)
     t_grid = np.unique(np.concatenate([r_grid, fill]))
-    table = _MeasureTable(x, t_grid, dim)
+    table = _MeasureTable(x, t_grid)
     integrand = _condition_lhs(phi1, w, p, table)
     lhs = _suffix_log_trapz(t_grid, integrand)
     phi2_vals = table.phi(phi2)
@@ -467,20 +465,18 @@ def condition_213(phi1: PhiFunction, phi2: PhiFunction, w: Weight, p: float,
     sensitivity (T vs 10 T) is always reported.
     """
     x = tuple(float(v) for v in np.atleast_1d(x))
-    dim = len(x)
     if min(r_grid) <= 0 or max(r_grid) >= upper_limit:
         raise ValueError("r_grid must lie inside (0, upper_limit)")
-    c0, rows = _fitted_constant(phi1, phi2, w, p, x, r_grid, upper_limit, points, dim)
+    c0, rows = _fitted_constant(phi1, phi2, w, p, x, r_grid, upper_limit, points)
     flags = []
     trunc = grid_sens = 0.0
     if sensitivity_checks:
         c_far, _ = _fitted_constant(phi1, phi2, w, p, x, r_grid,
-                                    10.0 * upper_limit, points, dim)
+                                    10.0 * upper_limit, points)
         trunc = abs(c_far - c0) / c0 if c0 > 0 else np.inf
         if trunc > 0.05:
             flags.append("truncation-sensitive")
-        c_fine, _ = _fitted_constant(phi1, phi2, w, p, x, r_grid, upper_limit,
-                                     2 * points, dim)
+        c_fine, _ = _fitted_constant(phi1, phi2, w, p, x, r_grid, upper_limit, 2 * points)
         grid_sens = abs(c_fine - c0) / c0 if c0 > 0 else np.inf
         if grid_sens > 0.01:
             flags.append("grid-sensitive")

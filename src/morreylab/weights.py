@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Ball, Grid, nested_log_radii, region_mask, sweep_centers
+from .geometry import Ball, Grid, cell_lattice, nested_log_radii, region_mask, sweep_centers
 
 __all__ = [
     "ConstantWeight",
@@ -37,6 +37,11 @@ __all__ = [
 ]
 
 _OVERSAMPLE = 8
+# sub-cell points per pass of _subcell_values: bounds its temporaries
+_SUBCELL_CHUNK = 2**14
+# ball_measure's midpoint quadrature: _BALL_QUAD radii by 2 * _BALL_QUAD
+# angles in 2D, 4 * _BALL_QUAD points along the diameter in 1D
+_BALL_QUAD = 96
 
 
 @dataclass(frozen=True)
@@ -142,19 +147,21 @@ def _power_cells_1d(lo: np.ndarray, hi: np.ndarray, x0: float, gamma: float) -> 
     return np.where(straddle, fallback, exact)
 
 
+def _subcell_values(w: Weight, grid: Grid, nodes: np.ndarray):
+    """w at the _OVERSAMPLE**dim sub-cell midpoints of the cell of each node:
+    (cells, _OVERSAMPLE**dim) blocks of about _SUBCELL_CHUNK points, in
+    node order."""
+    dim = grid.dim
+    shift = cell_lattice(((-0.5, 0.5),) * dim, _OVERSAMPLE)[1] * grid.h
+    step = max(1, _SUBCELL_CHUNK // len(shift))
+    for start in range(0, len(nodes), step):
+        pts = nodes[start:start + step, None, :] + shift
+        yield w(pts.reshape(-1, dim)).reshape(-1, len(shift))
+
+
 def _oversampled_cells(w: Weight, grid: Grid) -> np.ndarray:
-    k = _OVERSAMPLE
-    h = grid.h
-    offs = (np.arange(k) + 0.5) / k - 0.5
-    if grid.dim == 1:
-        x = grid.nodes[:, 0][:, None] + offs[None, :] * h
-        vals = w(x.reshape(-1, 1)).reshape(-1, k)
-        return vals.sum(axis=1) * (h / k)
-    ox, oy = np.meshgrid(offs, offs, indexing="ij")
-    sub = np.column_stack([ox.ravel(), oy.ravel()]) * h
-    pts = grid.nodes[:, None, :] + sub[None, :, :]
-    vals = w(pts.reshape(-1, 2)).reshape(-1, k * k)
-    return vals.sum(axis=1) * (h / k) ** 2
+    blocks = [vals.sum(axis=1) for vals in _subcell_values(w, grid, grid.nodes)]
+    return np.concatenate(blocks) * (grid.h / _OVERSAMPLE) ** grid.dim
 
 
 @lru_cache(maxsize=256)
@@ -187,13 +194,15 @@ def weight_measure(w: Weight, region: Ball | None, grid: Grid) -> float:
     return float(weight_cell_integrals(w, grid)[sel].sum())
 
 
-def ball_measure(w: Weight, x, r: float, dim: int, quad: int = 96) -> float:
+def ball_measure(w: Weight, x, r: float) -> float:
     """Full-space w(B(x, r)) for the analytic family (used by the phi
-    condition checkers, where balls are not clipped to the domain).
+    condition checkers, where balls are not clipped to the domain); the
+    dimension is that of the point x.
 
     1D: exact antiderivatives.  2D: midpoint polar quadrature around x.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    dim, quad = len(x), _BALL_QUAD
     if isinstance(w, ConstantWeight):
         vol = 2.0 * r if dim == 1 else np.pi * r**2
         return w.c * vol
@@ -231,23 +240,15 @@ def _cell_extrema(w: Weight, grid: Grid, sel: np.ndarray) -> tuple[float, float]
     if isinstance(w, PowerWeight):
         c = np.asarray(w.center)
         d = np.linalg.norm(nodes - c[None, :], axis=1)
-        half = grid.h / 2 if grid.dim == 1 else grid.h / np.sqrt(2.0)
+        half = grid.h / np.sqrt(4.0 / grid.dim)  # half the cell diagonal
         dmin = np.maximum(d - half, 0.0)
         dmax = d + half
         if w.gamma >= 0:
             return float(dmin.min() ** w.gamma), float(dmax.max() ** w.gamma)
         with np.errstate(divide="ignore"):
             return float(dmax.max() ** w.gamma), float(dmin.min() ** w.gamma)
-    k = _OVERSAMPLE
-    offs = (np.arange(k) + 0.5) / k - 0.5
-    if grid.dim == 1:
-        sub = nodes[:, 0][:, None] + offs[None, :] * grid.h
-        vals = w(sub.reshape(-1, 1))
-    else:
-        ox, oy = np.meshgrid(offs, offs, indexing="ij")
-        shift = np.column_stack([ox.ravel(), oy.ravel()]) * grid.h
-        vals = w((nodes[:, None, :] + shift[None, :, :]).reshape(-1, 2))
-    return float(vals.min()), float(vals.max())
+    ext = np.array([(v.min(), v.max()) for v in _subcell_values(w, grid, nodes)])
+    return float(ext[:, 0].min()), float(ext[:, 1].max())
 
 
 @dataclass(frozen=True)
@@ -263,15 +264,10 @@ class ApEstimate:
 
 
 def _admissible(grid: Grid, balls: list[Ball]) -> list[Ball]:
-    dom = grid.domain
-    out = []
-    for b in balls:
-        c = np.asarray(b.center)
-        dist = dom.boundary_distance(c if dom.dim > 1 else c[0:1])
-        dist = float(np.atleast_1d(dist)[0])
-        if b.radius <= dist:
-            out.append(b)
-    return out
+    """The balls contained in the domain."""
+    centers = np.array([b.center for b in balls], dtype=float).reshape(-1, grid.dim)
+    dist = grid.domain.boundary_distance(centers)
+    return [b for b, d in zip(balls, dist) if b.radius <= d]
 
 
 def ap_constant(w: Weight, p: float, grid: Grid, sweep: list[Ball]) -> ApEstimate:
@@ -316,7 +312,7 @@ def ap_sweep(grid: Grid, w: Weight, centers_per_axis: int = 9,
     """Sweep for A_p estimation: coarse sub-grid centers plus balls centered
     at the weight's singular center, nested radii from the largest inscribed
     radius down to one cell width."""
-    centers = [tuple(float(v) for v in c) for c in sweep_centers(grid, centers_per_axis)]
+    centers = [tuple(float(v) for v in c) for c in sweep_centers(grid.domain, centers_per_axis)]
     if isinstance(w, PowerWeight):
         centers.append(tuple(float(v) for v in w.center))
     elif isinstance(w, ProductWeight):
@@ -324,13 +320,10 @@ def ap_sweep(grid: Grid, w: Weight, centers_per_axis: int = 9,
             if isinstance(part, PowerWeight):
                 centers.append(tuple(float(v) for v in part.center))
     balls = []
-    for c in centers:
-        arr = np.asarray(c, dtype=float)
-        dist = float(np.atleast_1d(
-            grid.domain.boundary_distance(arr if grid.dim > 1 else arr[0:1]))[0])
+    for c, dist in zip(centers, grid.domain.boundary_distance(np.array(centers))):
         if dist <= grid.h:
             continue
-        for r in nested_log_radii(dist, grid.h, per_octave):
+        for r in nested_log_radii(float(dist), grid.h, per_octave):
             balls.append(Ball(c, float(r)))
     return balls
 

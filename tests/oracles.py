@@ -213,7 +213,7 @@ def pair_lattice(domain, positions, fans, seps, floor, budget):
         for b, fan in zip(positions, fans):
             for v in fan:
                 y = b + sep * v
-                if domain.boundary_distance(y if domain.dim > 1 else y[0]) >= floor:
+                if domain.boundary_distance(y) >= floor:
                     xs.append(b)
                     ys.append(y)
     return xs[:budget], ys[:budget]

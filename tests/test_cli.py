@@ -153,6 +153,15 @@ def test_config_errors_exit_2_and_say_why(tmp_path, capsys, cmd, extra, words):
      ["norm.weight.center: expected 2 numbers for a 2D domain, got 1"]),
     ({"condition": {"weight": {"kind": "power", "center": [0.5, 0.5], "gamma": 1.0}}},
      ["condition.weight.center: expected 1 numbers for a 1D domain, got 2"]),
+    # a condition point against its section's domain
+    ({"condition": {"x": [0.5, 0.5]}}, ["condition.x: point of dimension (2,) on a 1D domain"]),
+    ({"condition": {"x": [None]}}, ["condition.x[0]: expected number, got null"]),
+    # the operators' order and, on the default disk, its CZ multi-index
+    ({"operators": {"m": 2}}, ["operators.alpha", "sum 2m = 4"]),
+    ({"operators": {"alpha": [2, 0, 1]}}, ["operators.alpha", "2 non-negative integers"]),
+    ({"operators": {"alpha": [-1, 3]}}, ["operators.alpha", "2 non-negative integers"]),
+    ({"operators": {"m": 3, "alpha": [6, 0]}},
+     ["operators.m: no fundamental solution implemented"]),
 ])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, cfg, words):
     path = tmp_path / "bad.json"
@@ -221,3 +230,13 @@ def test_field_csv_matches_csv_writer(tmp_path, grid):
             wcsv.writerow([format(v, ".17g") for v in grid.nodes[i]]
                           + [format(c[i], ".17g") for c in cols.values()])
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("alpha", [[2, 0], [1, 1], [0, 2]])
+def test_operators_runs_every_m1_kernel(tmp_path, capsys, alpha):
+    # the identity check's beta is alpha less one unit coordinate
+    path = tmp_path / "ops.json"
+    path.write_text(json.dumps({"operators": {"alpha": alpha}}))
+    assert main(["operators", "--grid", "48", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert "identity: fitted a=" in capsys.readouterr().out

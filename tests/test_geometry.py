@@ -12,6 +12,7 @@ from morreylab.geometry import (
     SampledField,
     ball_sweep,
     integrate,
+    sweep_centers,
 )
 
 
@@ -23,7 +24,7 @@ def test_interval_basic():
     dom = Interval(0.0, 1.0)
     assert dom.diameter == 1.0
     assert dom.boundary_distance(np.array([0.25])) == pytest.approx(0.25)
-    assert dom.boundary_distance(np.array([0.9]))[0] == pytest.approx(0.1)
+    assert dom.boundary_distance(np.array([[0.9]]))[0] == pytest.approx(0.1)
 
 
 def test_disk_basic():
@@ -31,6 +32,32 @@ def test_disk_basic():
     assert dom.dim == 2
     assert dom.diameter == 2.0
     assert dom.boundary_distance(np.array([0.5, 0.0])) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("dom", [Interval(-1.0, 2.0), Disk((0.5, -0.25), 1.5)])
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+def test_point_convention(dom, shape):
+    # a point is (dim,); a stack (..., dim) gives one value per point
+    rng = np.random.default_rng(1)
+    x = rng.uniform(-2.0, 2.5, size=shape + (dom.dim,))
+    dist = dom.boundary_distance(x)
+    inside = dom.contains(x)
+    assert np.shape(dist) == shape and np.shape(inside) == shape
+    for p, d, c in zip(x.reshape(-1, dom.dim), np.ravel(dist), np.ravel(inside)):
+        assert dom.boundary_distance(p) == d
+        assert dom.contains(p) == c == (d > 0)
+
+
+def test_sweep_centers_literal_lattice():
+    pts = sweep_centers(Interval(0.0, 1.0), 4)
+    assert np.array_equal(pts, [[0.125], [0.375], [0.625], [0.875]])
+    # the four corners of the 4 x 4 lattice over [-1, 1]^2 lie outside the disk
+    pts = sweep_centers(Disk((0.0, 0.0), 1.0), 4)
+    want = [(-0.75, -0.25), (-0.75, 0.25),
+            (-0.25, -0.75), (-0.25, -0.25), (-0.25, 0.25), (-0.25, 0.75),
+            (0.25, -0.75), (0.25, -0.25), (0.25, 0.25), (0.25, 0.75),
+            (0.75, -0.25), (0.75, 0.25)]
+    assert np.array_equal(pts, want)
 
 
 def test_grid_nodes_interior():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from morreylab import weights
 from morreylab.geometry import Ball, Disk, Grid, Interval, ball_sweep
 from morreylab.weights import (
     ApEstimate,
@@ -69,15 +70,32 @@ def test_weight_cells_match_oracle_2d():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+@pytest.mark.parametrize("dom", [SYM, Disk()])
+@pytest.mark.parametrize("kind", ["power", "product"])
+@pytest.mark.parametrize("chunk", [1, 200])
+def test_subcell_chunks_equal_one_pass(monkeypatch, dom, kind, chunk):
+    # per-cell sums and extrema do not depend on how the cells are chunked
+    g = Grid(dom, 40)
+    w = PowerWeight((0.3,) + (-0.2,) * (dom.dim - 1), -0.4)
+    if kind == "product":
+        w = ProductWeight(w, PowerWeight((0.0,) * dom.dim, 0.7))
+    cells = np.flatnonzero(np.arange(g.n_cells) % 3 == 0)
+    monkeypatch.setattr(weights, "_SUBCELL_CHUNK", 10**9)
+    whole = weights._oversampled_cells(w, g), weights._cell_extrema(w, g, cells)
+    monkeypatch.setattr(weights, "_SUBCELL_CHUNK", chunk)
+    assert np.array_equal(weights._oversampled_cells(w, g), whole[0])
+    assert weights._cell_extrema(w, g, cells) == whole[1]
+
+
 def test_ball_measure_full_space():
     w = PowerWeight((0.0,), 0.5)
-    assert ball_measure(w, [0.0], 2.0, 1) == pytest.approx((4.0 / 3.0) * 2.0**1.5, rel=1e-12)
+    assert ball_measure(w, [0.0], 2.0) == pytest.approx((4.0 / 3.0) * 2.0**1.5, rel=1e-12)
     w2 = ConstantWeight(3.0)
-    assert ball_measure(w2, [0.0, 0.0], 2.0, 2) == pytest.approx(12.0 * np.pi, rel=1e-12)
+    assert ball_measure(w2, [0.0, 0.0], 2.0) == pytest.approx(12.0 * np.pi, rel=1e-12)
     # 2D power measure vs closed form for a ball centered at the singularity:
     # integral of |y|^g over B(0,r) = 2 pi r^{2+g}/(2+g)
     w3 = PowerWeight((0.0, 0.0), 1.0)
-    assert ball_measure(w3, [0.0, 0.0], 1.0, 2) == pytest.approx(2 * np.pi / 3.0, rel=1e-3)
+    assert ball_measure(w3, [0.0, 0.0], 1.0) == pytest.approx(2 * np.pi / 3.0, rel=1e-3)
 
 
 def test_ap_constant_lebesgue_exact():
