@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .geometry import Domain, Grid, SampledField
+from .geometry import Domain, Grid, SampledField, distance
 
 __all__ = ["build_corpus", "polynomial_bump", "smoothstep_indicator",
     "singular_profile"]
@@ -26,7 +26,7 @@ def smoothstep_indicator(center, rho: float, taper: float = 0.5):
 
     def f(*coords):
         pts = np.stack(np.broadcast_arrays(*coords), axis=-1)
-        d = np.linalg.norm(pts - c, axis=-1)
+        d = distance(pts, c)
         t = np.clip((rho - d) / (taper * rho), 0.0, 1.0)
         return t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
 
@@ -73,7 +73,7 @@ def singular_profile(center, exponent: float, rho: float):
 
     def f(*coords):
         pts = np.stack(np.broadcast_arrays(*coords), axis=-1)
-        d = np.linalg.norm(pts - c, axis=-1)
+        d = distance(pts, c)
         with np.errstate(divide="ignore"):
             vals = np.where(d < rho, d**exponent, 0.0)
         return vals

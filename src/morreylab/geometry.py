@@ -25,6 +25,7 @@ __all__ = [
     "Ball",
     "Grid",
     "SampledField",
+    "distance",
     "integrate",
     "ball_sweep",
     "nested_sweep",
@@ -118,6 +119,27 @@ class Ball:
             raise ValueError("ball needs radius > 0")
 
 
+def distance(x, y) -> np.ndarray:
+    """|x - y| over the last axis, the leading axes broadcast: the squared
+    coordinate differences summed in axis order, then the square root.  In
+    1D and 2D these are the bits of numpy's vector 2-norm of x - y along
+    that axis, without its reduction over a short axis or its temporaries
+    of shape (..., dim).  A single point gives a 0-d array, not a numpy
+    scalar, so that ufuncs applied to the result round a point as they
+    round a stack (scalar arithmetic such as ``**`` may not)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    # a view of a (..., 1) difference: an array even for a point, so the
+    # in-place updates below and the root keep it one
+    s = np.subtract(x[..., :1], y[..., :1])[..., 0]
+    s *= s
+    for i in range(1, x.shape[-1]):
+        d = x[..., i] - y[..., i]
+        d *= d
+        s += d
+    return np.sqrt(s, out=s)
+
+
 def _as_point(x, dim: int) -> np.ndarray:
     p = np.atleast_1d(np.asarray(x, dtype=float))
     if p.shape != (dim,):
@@ -203,9 +225,7 @@ class Grid:
 
     def in_ball(self, center, radius: float) -> np.ndarray:
         """Boolean mask over masked nodes: |node - center| < radius."""
-        c = _as_point(center, self.dim)
-        d = np.linalg.norm(self.nodes - c[None, :], axis=1)
-        return d < radius
+        return distance(self.nodes, _as_point(center, self.dim)) < radius
 
     def embed(self, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
         """Scatter masked-cell values, (cells,) or a stack (k, cells), onto

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Disk, Domain, Interval
+from .geometry import Disk, Domain, Interval, distance
 
 __all__ = [
     "FundamentalSolution",
@@ -601,7 +601,7 @@ def verify_kernel_bounds(domain: Domain, m: int, x: np.ndarray, y: np.ndarray,
     n = domain.dim
     d = domain.diameter
     x, y = _pairs(x, y, n)
-    sep = np.linalg.norm(x - y, axis=-1)
+    sep = distance(x, y)
     dx = domain.boundary_distance(x)
     dy = domain.boundary_distance(y)
     near = sep <= dx
@@ -651,7 +651,7 @@ def verify_poisson_bounds(domain: Disk, count: int, seed: int) -> dict:
     P = c[None, :] + R * np.column_stack([np.cos(phb), np.sin(phb)])
     vals = np.abs(kern(x, P))
     dxs = domain.boundary_distance(x)
-    sep = np.linalg.norm(x - P, axis=-1)
+    sep = distance(x, P)
     fitted = float((vals * sep**2 / dxs).max())
     nodes, wgt = kern.boundary_nodes(4096)
     probe = c + np.array([0.5 * R, 0.0])

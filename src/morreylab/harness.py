@@ -35,6 +35,7 @@ from .geometry import (
     _as_point,
     ball_sweep,
     centered_sweep,
+    distance,
     nested_log_radii,
     nested_sweep,
 )
@@ -609,7 +610,7 @@ def _offdiagonal_region_sums(g: Grid, gf, alphas, F: np.ndarray, MF: np.ndarray)
         sl = slice(start, min(start + block, g.n_cells))
         X = g.nodes[sl][:, None, :]
         Y = g.nodes[None, :, :]
-        mask = np.linalg.norm(X - Y, axis=-1) > g.boundary_dist[sl][:, None]
+        mask = distance(X, Y) > g.boundary_dist[sl][:, None]
         for a, kv in gf.jet(alphas, X, Y):
             np.abs(kv, out=kv)
             kv[~mask] = 0.0

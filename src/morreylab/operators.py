@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Grid, SampledField
+from .geometry import Grid, SampledField, distance
 from .greens import FundamentalSolution
 
 __all__ = [
@@ -95,16 +95,11 @@ class CZKernel:
 # pointwise operators
 
 
-def _dists(grid: Grid, x) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.linalg.norm(grid.nodes - x[None, :], axis=1)
-
-
 def maximal(f: SampledField, x, radius_grid) -> float:
     """sup over the radius grid of the |f| average over B(x, t); the
     denominator is the full ball volume (zero extension)."""
     g = f.grid
-    d = _dists(g, x)
+    d = distance(g.nodes, x)
     absf = np.abs(f.values)
     best = 0.0
     for t in np.asarray(radius_grid, dtype=float):
@@ -119,8 +114,7 @@ def truncated_singular(f: SampledField, kernel: CZKernel, x, eps: float) -> floa
     if eps < g.h:
         raise ValueError("truncation below resolution")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = _dists(g, x)
-    keep = d >= eps
+    keep = distance(g.nodes, x) >= eps
     z = x[None, :] - g.nodes[keep]
     return float((kernel(z) * f.values[keep]).sum() * g.cell_measure)
 

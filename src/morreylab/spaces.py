@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Ball, Grid, SampledField
+from .geometry import Ball, Grid, SampledField, distance
 from .weights import Weight, ball_measure, weight_cell_integrals
 
 __all__ = [
@@ -199,7 +199,7 @@ class SweepCache:
         self._groups = []
         self.sizes = np.zeros(len(self.balls), dtype=int)
         for c, idx in by_center.items():
-            d = np.linalg.norm(grid.nodes - np.asarray(c)[None, :], axis=1)
+            d = distance(grid.nodes, c)
             o = np.argsort(d, kind="stable")
             self._order[c] = o
             self._dist[c] = d[o]

@@ -18,7 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Ball, Grid, cell_lattice, nested_log_radii, region_mask, sweep_centers
+from .geometry import (Ball, Grid, cell_lattice, distance, nested_log_radii, region_mask,
+                       sweep_centers)
 
 __all__ = [
     "ConstantWeight",
@@ -53,7 +54,7 @@ class ConstantWeight:
             raise ValueError("constant weight must be positive")
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return np.full(np.atleast_2d(pts).shape[0], self.c)
+        return np.full(np.shape(pts)[:-1], self.c)
 
     def pow(self, s: float) -> "ConstantWeight":
         return ConstantWeight(self.c**s)
@@ -79,10 +80,10 @@ class PowerWeight:
         return len(self.center)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d = np.linalg.norm(pts - np.asarray(self.center)[None, :], axis=1)
+        d = distance(pts, self.center)
         with np.errstate(divide="ignore"):
-            return d**self.gamma
+            d **= self.gamma
+        return d
 
     def pow(self, s: float):
         g = self.gamma * s
@@ -151,12 +152,11 @@ def _subcell_values(w: Weight, grid: Grid, nodes: np.ndarray):
     """w at the _OVERSAMPLE**dim sub-cell midpoints of the cell of each node:
     (cells, _OVERSAMPLE**dim) blocks of about _SUBCELL_CHUNK points, in
     node order."""
-    dim = grid.dim
-    shift = cell_lattice(((-0.5, 0.5),) * dim, _OVERSAMPLE)[1] * grid.h
+    shift = cell_lattice(((-0.5, 0.5),) * grid.dim, _OVERSAMPLE)[1] * grid.h
     step = max(1, _SUBCELL_CHUNK // len(shift))
     for start in range(0, len(nodes), step):
         pts = nodes[start:start + step, None, :] + shift
-        yield w(pts.reshape(-1, dim)).reshape(-1, len(shift))
+        yield w(pts)
 
 
 def _oversampled_cells(w: Weight, grid: Grid) -> np.ndarray:
@@ -194,6 +194,17 @@ def weight_measure(w: Weight, region: Ball | None, grid: Grid) -> float:
     return float(weight_cell_integrals(w, grid)[sel].sum())
 
 
+@lru_cache(maxsize=1)
+def _polar_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ball_measure's 2D midpoint nodes: the radial midpoints in units of
+    r / _BALL_QUAD, and cos and sin of the angular midpoints."""
+    th = (np.arange(2 * _BALL_QUAD) + 0.5) * (2 * np.pi / (2 * _BALL_QUAD))
+    nodes = (np.arange(_BALL_QUAD) + 0.5, np.cos(th), np.sin(th))
+    for a in nodes:
+        a.setflags(write=False)
+    return nodes
+
+
 def ball_measure(w: Weight, x, r: float) -> float:
     """Full-space w(B(x, r)) for the analytic family (used by the phi
     condition checkers, where balls are not clipped to the domain); the
@@ -212,15 +223,15 @@ def ball_measure(w: Weight, x, r: float) -> float:
     # generic numeric path
     if dim == 1:
         t = x[0] - r + (np.arange(4 * quad) + 0.5) * (2 * r / (4 * quad))
-        return float(w(t.reshape(-1, 1)).sum() * (2 * r / (4 * quad)))
-    rho = (np.arange(quad) + 0.5) * (r / quad)
-    th = (np.arange(2 * quad) + 0.5) * (2 * np.pi / (2 * quad))
-    rr, tt = np.meshgrid(rho, th, indexing="ij")
-    pts = np.column_stack([
-        (x[0] + rr * np.cos(tt)).ravel(),
-        (x[1] + rr * np.sin(tt)).ravel(),
-    ])
-    vals = w(pts).reshape(quad, 2 * quad)
+        return float(w(t[:, None]).sum() * (2 * r / (4 * quad)))
+    mid, cos, sin = _polar_nodes()
+    rho = mid * (r / quad)
+    # x + rho (cos th, sin th) at every (radius, angle)
+    pts = np.empty((quad, 2 * quad, 2))
+    np.multiply(rho[:, None], cos, out=pts[..., 0])
+    np.multiply(rho[:, None], sin, out=pts[..., 1])
+    pts += x
+    vals = w(pts)
     return float((vals * rho[:, None]).sum() * (r / quad) * (2 * np.pi / (2 * quad)))
 
 
@@ -238,8 +249,7 @@ def _cell_extrema(w: Weight, grid: Grid, sel: np.ndarray) -> tuple[float, float]
         return w.w2.c * lo, w.w2.c * hi
     nodes = grid.nodes[sel]
     if isinstance(w, PowerWeight):
-        c = np.asarray(w.center)
-        d = np.linalg.norm(nodes - c[None, :], axis=1)
+        d = distance(nodes, w.center)
         half = grid.h / np.sqrt(4.0 / grid.dim)  # half the cell diagonal
         dmin = np.maximum(d - half, 0.0)
         dmax = d + half

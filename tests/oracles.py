@@ -239,3 +239,24 @@ def harmonic_completion(center, radius, nodes, boundary_data):
         Fp = Fp * zeta + F
         F = F * zeta + c
     return F.real, Fp.real / radius, -Fp.imag / radius
+
+
+def ball_measure_polar(w, x, r, quad=96):
+    """Full-space w(B(x, r)) by midpoint quadrature: 4 * quad points along
+    the diameter in 1D; in 2D quad radii by 2 * quad angles, the nodes
+    built by meshgrid and stacked as an (quad * 2 * quad, 2) array."""
+    import numpy as np
+
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if len(x) == 1:
+        t = x[0] - r + (np.arange(4 * quad) + 0.5) * (2 * r / (4 * quad))
+        return float(w(t.reshape(-1, 1)).sum() * (2 * r / (4 * quad)))
+    rho = (np.arange(quad) + 0.5) * (r / quad)
+    th = (np.arange(2 * quad) + 0.5) * (2 * np.pi / (2 * quad))
+    rr, tt = np.meshgrid(rho, th, indexing="ij")
+    pts = np.column_stack([
+        (x[0] + rr * np.cos(tt)).ravel(),
+        (x[1] + rr * np.sin(tt)).ravel(),
+    ])
+    vals = w(pts).reshape(quad, 2 * quad)
+    return float((vals * rho[:, None]).sum() * (r / quad) * (2 * np.pi / (2 * quad)))

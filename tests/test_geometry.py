@@ -11,6 +11,7 @@ from morreylab.geometry import (
     Interval,
     SampledField,
     ball_sweep,
+    distance,
     integrate,
     sweep_centers,
 )
@@ -46,6 +47,27 @@ def test_point_convention(dom, shape):
     for p, d, c in zip(x.reshape(-1, dom.dim), np.ravel(dist), np.ravel(inside)):
         assert dom.boundary_distance(p) == d
         assert dom.contains(p) == c == (d > 0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_distance_is_linalg_norm(dim):
+    rng = np.random.default_rng(3)
+
+    def pts(shape, spread=False):
+        # magnitudes 1e-150 to 1e150, one per point or one per coordinate
+        scale = 10.0 ** rng.integers(-150, 151, size=shape if spread else shape[:-1] + (1,))
+        return rng.standard_normal(shape) * scale
+
+    x = pts((500, dim))
+    cases = [(pts((dim,)), pts((dim,))), (x, x + pts((500, dim)) * 1e-3),
+             (pts((500, dim), spread=True), pts((dim,))),
+             (pts((4, 1, dim)), pts((1, 6, dim))), (x, x), (x, np.zeros(dim))]
+    for a, b in cases:
+        want = np.linalg.norm(a - b, axis=-1)
+        got = distance(a, b)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+    assert not distance(x, x).any()
 
 
 def test_sweep_centers_literal_lattice():

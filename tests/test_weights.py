@@ -87,6 +87,38 @@ def test_subcell_chunks_equal_one_pass(monkeypatch, dom, kind, chunk):
     assert weights._cell_extrema(w, g, cells) == whole[1]
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+def test_weight_point_convention(dim, shape):
+    # a point (dim,) gives a scalar, a stack (..., dim) one value per point
+    x = np.random.default_rng(2).uniform(-1.0, 1.0, size=shape + (dim,))
+    c = (0.3,) + (-0.2,) * (dim - 1)
+    ws = [ConstantWeight(2.5), PowerWeight(c, -0.4), PowerWeight(c, 2.5),
+          weights._RawPower(c, -dim - 0.5),
+          ProductWeight(PowerWeight(c, 0.5), PowerWeight((0.0,) * dim, 0.7)),
+          ProductWeight(ConstantWeight(3.0), PowerWeight(c, -0.4))]
+    for w in ws:
+        vals = w(x)
+        assert np.shape(vals) == shape, w.label
+        for p, v in zip(x.reshape(-1, dim), np.ravel(vals)):
+            assert np.shape(w(p)) == ()
+            assert w(p) == v, w.label
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ball_measure_matches_polar_oracle(dim):
+    # the generic quadrature path, node for node the oracle's meshgrid sum
+    c = (0.3,) + (-0.2,) * (dim - 1)
+    ws = [ProductWeight(ConstantWeight(2.0), ConstantWeight(1.5)),
+          ProductWeight(PowerWeight(c, 0.5), PowerWeight((0.0,) * dim, 0.7)),
+          ProductWeight(ConstantWeight(3.0), PowerWeight(c, -0.4))]
+    if dim == 2:
+        ws += [PowerWeight(c, g) for g in (-0.4, 0.5, 2.5)]
+    for w in ws:
+        for x, r in [((0.0,) * dim, 1.0), (c, 0.05), ((-0.7,) + (0.4,) * (dim - 1), 2.3)]:
+            assert ball_measure(w, x, r) == oracles.ball_measure_polar(w, x, r), w.label
+
+
 def test_ball_measure_full_space():
     w = PowerWeight((0.0,), 0.5)
     assert ball_measure(w, [0.0], 2.0) == pytest.approx((4.0 / 3.0) * 2.0**1.5, rel=1e-12)
