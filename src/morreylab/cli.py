@@ -92,12 +92,10 @@ def cmd_norm(args) -> int:
     res = morrey_norm(f, w, phi, p, sweep)
     print(format(res.value, ".12g"))
     out = _out_dir(args, cfg)
-    with open(os.path.join(out, "norm.csv"), "w", newline="") as fh:
-        wcsv = csv.writer(fh)
-        wcsv.writerow(("f", "w", "phi", "p", "value", "center", "radius", "n"))
-        wcsv.writerow((fname, w.label, getattr(phi, "label", "phi"), p,
-                       format(res.value, ".17g"),
-                       res.attaining_ball.center, res.attaining_ball.radius, n))
+    harness._write_csv(os.path.join(out, "norm.csv"),
+                       ("f", "w", "phi", "p", "value", "center", "radius", "n"),
+                       [(fname, w.label, getattr(phi, "label", "phi"), p, res.value,
+                         res.attaining_ball.center, res.attaining_ball.radius, n)])
     return _EXIT_PASS
 
 
@@ -116,13 +114,11 @@ def cmd_weight(args) -> int:
     except ValueError:
         verdict = "unclassified"
     out = _out_dir(args, cfg)
-    gamma = getattr(w, "gamma", 0.0)
-    with open(os.path.join(out, "ap.csv"), "w", newline="") as fh:
-        wcsv = csv.writer(fh)
-        wcsv.writerow(("p", "gamma", "estimate", "attaining_center",
-                       "attaining_radius", "n"))
-        wcsv.writerow((p, gamma, format(est.value, ".17g"),
-                       est.attaining_ball.center, est.attaining_ball.radius, n))
+    harness._write_csv(os.path.join(out, "weight.csv"),
+                       ("p", "gamma", "estimate", "attaining_center",
+                        "attaining_radius", "n"),
+                       [(p, getattr(w, "gamma", 0.0), est.value,
+                         est.attaining_ball.center, est.attaining_ball.radius, n)])
     print(f"A_p estimate {est.value:.6g} ({verdict})")
     return _EXIT_PASS
 
@@ -142,11 +138,7 @@ def cmd_condition(args) -> int:
                         upper_limit=sec["upper_mult"] * dom.diameter)
     print(f"fitted C = {rep.constant:.6g}  flags: {', '.join(rep.flags) or 'none'}")
     out = _out_dir(args, cfg)
-    with open(os.path.join(out, "condition.csv"), "w", newline="") as fh:
-        wcsv = csv.writer(fh)
-        wcsv.writerow(("r", "lhs_over_phi2"))
-        for r, v in rep.per_r:
-            wcsv.writerow((format(r, ".17g"), format(v, ".17g")))
+    harness._write_csv(os.path.join(out, "condition.csv"), ("r", "lhs_over_phi2"), rep.per_r)
     return _EXIT_PASS
 
 
@@ -158,19 +150,14 @@ def cmd_hardy(args) -> int:
                            v2=lambda t: np.ones_like(t),
                            w=lambda t: np.ones_like(t))
     bound = hardy_best_constant(setting)
-    family = [(f"step{a:.4f}", (lambda a: lambda t: (t > a).astype(float))(a))
+    family = [(f"step{a:.6g}", (lambda a: lambda t: (t > a).astype(float))(a))
               for a in np.geomspace(1e-6, 0.9, sec["family"]) * d]
     rep = hardy_verify_inequality(setting, family)
     print(f"B = {bound.value:.8g}; family max ratio {rep.max_ratio:.8g}; "
           f"all hold: {rep.all_hold}")
     out = _out_dir(args, cfg)
-    with open(os.path.join(out, "hardy.csv"), "w", newline="") as fh:
-        wcsv = csv.writer(fh)
-        wcsv.writerow(("g", "lhs", "rhs", "ratio", "holds"))
-        for row in rep.rows:
-            wcsv.writerow((row.label, format(row.lhs, ".17g"),
-                           format(row.rhs, ".17g"), format(row.ratio, ".17g"),
-                           row.holds))
+    harness._write_csv(os.path.join(out, "hardy.csv"), ("g", "lhs", "rhs", "ratio", "holds"),
+                       [(r.label, r.lhs, r.rhs, r.ratio, r.holds) for r in rep.rows])
     return _EXIT_PASS if rep.all_hold else _EXIT_FAIL
 
 
@@ -202,19 +189,17 @@ def cmd_kernels(args) -> int:
     harness.write_reports([res], out)
     # kernel table for external plotting: G and its first derivatives on a
     # small pair sample of each implemented case
-    with open(os.path.join(out, "kernel_table.csv"), "w", newline="") as fh:
-        wcsv = csv.writer(fh)
-        wcsv.writerow(("case", "x", "y", "G", "dG_first_axis"))
-        for kind, m in cfg["kernels"]["cases"]:
-            dom, _ = harness._case_domain((kind, m))
-            gf = green_function(dom, m)
-            x, y = sample_pairs(dom, 64, cfg["seed"],
-                                min_sep=dom.diameter / 128)
-            g = gf(x, y)
-            dg = gf.derivative((1,) if dom.dim == 1 else (1, 0), x, y)
-            for i in range(len(x)):
-                wcsv.writerow((f"{kind}-m{m}", tuple(x[i]), tuple(y[i]),
-                               format(g[i], ".17g"), format(dg[i], ".17g")))
+    rows = []
+    for kind, m in cfg["kernels"]["cases"]:
+        dom, _ = harness._case_domain((kind, m))
+        gf = green_function(dom, m)
+        x, y = sample_pairs(dom, 64, cfg["seed"], min_sep=dom.diameter / 128)
+        g = gf(x, y)
+        dg = gf.derivative((1,) if dom.dim == 1 else (1, 0), x, y)
+        rows += [(f"{kind}-m{m}", tuple(a), tuple(b), gi, dgi)
+                 for a, b, gi, dgi in zip(x.tolist(), y.tolist(), g, dg)]
+    harness._write_csv(os.path.join(out, "kernel_table.csv"),
+                       ("case", "x", "y", "G", "dG_first_axis"), rows)
     print(f"kernels: {res.verdict}")
     return _EXIT_PASS if res.passed else _EXIT_FAIL
 
@@ -267,11 +252,11 @@ def cmd_report(args) -> int:
     cfg = _load(args)
     out = _out_dir(args, cfg)
     merged = {}
-    for fname in sorted(os.listdir(out)):
-        if not fname.endswith(".csv") or fname.endswith("_plot.csv"):
+    for suite in sorted(harness.SUITES):
+        path = os.path.join(out, f"{suite}.csv")
+        if not os.path.exists(path):
             continue
-        suite = fname[:-4]
-        with open(os.path.join(out, fname)) as fh:
+        with open(path) as fh:
             rows = list(csv.reader(fh))
         merged[suite] = {"rows": len(rows) - 1, "columns": rows[0] if rows else []}
     spath = os.path.join(out, "summary.json")

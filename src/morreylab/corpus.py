@@ -19,15 +19,15 @@ __all__ = ["build_corpus", "polynomial_bump", "smoothstep_indicator",
     "singular_profile"]
 
 
-def smoothstep_indicator(center, rho: float, taper: float = 0.5):
+def smoothstep_indicator(center, rho: float):
     """Mollified indicator of B(center, rho): 1 inside the core, C^2
-    smoothstep over the outer `taper` fraction of the radius."""
+    smoothstep over the outer half of the radius."""
     c = np.asarray(center, dtype=float)
 
     def f(*coords):
         pts = np.stack(np.broadcast_arrays(*coords), axis=-1)
         d = distance(pts, c)
-        t = np.clip((rho - d) / (taper * rho), 0.0, 1.0)
+        t = np.clip((rho - d) / (0.5 * rho), 0.0, 1.0)
         return t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
 
     return f
@@ -95,11 +95,11 @@ def _domain_anchor_points(domain: Domain):
 
 
 def build_corpus(grid: Grid, seed: int = 0, n_random: int = 12,
-                 include_singular: bool = False,
                  singular_spec: tuple | None = None) -> list[tuple[str, SampledField]]:
     """Named corpus fields on a grid.
 
-    singular_spec: (center, exponent, rho) for the negative-control member.
+    singular_spec: (center, exponent, rho) of the negative-control member,
+    which is added last when given.
     """
     dom = grid.domain
     box = dom.bounding_box
@@ -140,7 +140,7 @@ def build_corpus(grid: Grid, seed: int = 0, n_random: int = 12,
 
         out.append((f"trig{j}", SampledField.from_function(grid, trig)))
 
-    if include_singular:
+    if singular_spec is not None:
         center, exponent, srho = singular_spec
         f = singular_profile(np.atleast_1d(center), exponent, srho)
         out.append(("singular", SampledField.from_function(grid, f)))

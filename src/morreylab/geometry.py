@@ -278,20 +278,21 @@ class SampledField:
 
 
 def region_mask(grid: Grid, region: Ball | None) -> np.ndarray:
-    """Cells whose centers lie in the region (whole domain when None)."""
-    if region is None:
-        return np.ones(grid.n_cells, dtype=bool)
-    return grid.in_ball(region.center, region.radius)
-
-
-def integrate(f: SampledField, region: Ball | None = None) -> float:
-    """Midpoint quadrature of f over region ∩ domain.
+    """Cells whose centers lie in the region (whole domain when None).
 
     Raises ValueError("empty region") when no cell center falls inside.
     """
-    sel = region_mask(f.grid, region)
+    if region is None:
+        return np.ones(grid.n_cells, dtype=bool)
+    sel = grid.in_ball(region.center, region.radius)
     if not sel.any():
         raise ValueError("empty region")
+    return sel
+
+
+def integrate(f: SampledField, region: Ball | None = None) -> float:
+    """Midpoint quadrature of f over region ∩ domain."""
+    sel = region_mask(f.grid, region)
     return float(f.values[sel].sum() * f.grid.cell_measure)
 
 
@@ -336,9 +337,10 @@ def ball_sweep(grid: Grid, centers_per_axis: int, radii_count: int) -> list[Ball
                           log_radii(grid.h, grid.domain.diameter, radii_count))
 
 
-def nested_sweep(grid: Grid, centers_per_axis: int, per_octave: int = 3) -> list[Ball]:
+def nested_sweep(grid: Grid, centers_per_axis: int) -> list[Ball]:
     """Morrey sweep whose ball set at a finer grid contains the coarser
-    one: fixed centers, radii anchored at the diameter (sups become
-    monotone across refinement levels, so trends measure convergence)."""
+    one: fixed centers, three radii per octave anchored at the diameter
+    (sups become monotone across refinement levels, so trends measure
+    convergence)."""
     return centered_sweep(grid, centers_per_axis,
-                          nested_log_radii(grid.domain.diameter, grid.h, per_octave))
+                          nested_log_radii(grid.domain.diameter, grid.h, 3))

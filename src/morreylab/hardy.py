@@ -148,10 +148,10 @@ class HardyReport:
         return all(r.holds for r in self.rows)
 
 
-def hardy_verify_inequality(setting: HardySetting, g_family,
-                            rel_tol: float = 1e-6) -> HardyReport:
-    """Check sup v2 H_w g <= B sup v1 g for each nondecreasing g and report
-    the family max of LHS/RHS as an empirical lower bound on B."""
+def hardy_verify_inequality(setting: HardySetting, g_family) -> HardyReport:
+    """Check sup v2 H_w g <= B sup v1 g, to 1e-6 relative, for each
+    nondecreasing g and report the family max of LHS/RHS as an empirical
+    lower bound on B."""
     bound = hardy_best_constant(setting)
     if bound.unbounded:
         raise ValueError("unbounded")
@@ -166,7 +166,7 @@ def hardy_verify_inequality(setting: HardySetting, g_family,
             lhs = float(np.where(hw > 0, v2 * hw, 0.0).max())
         rhs = float((v1 * gv).max())
         # 0 * inf = 0 convention: zero g gives 0 <= 0
-        holds = lhs <= bound.value * rhs * (1.0 + rel_tol) + 1e-300
+        holds = lhs <= bound.value * rhs * (1.0 + 1e-6) + 1e-300
         ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)
         max_ratio = max(max_ratio, ratio)
         rows.append(HardyRow(label=label, lhs=lhs, rhs=rhs, ratio=ratio,

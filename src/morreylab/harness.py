@@ -715,12 +715,11 @@ def suite_lemma24(config: dict) -> SuiteResult:
 # the check depends on no grid, and both suites repeat each (phi, w, p) at
 # every grid level
 @functools.cache
-def _condition_ok(phi1, phi2, w, p, dom: Domain, upper_mult=10.0):
+def _condition_ok(phi1, phi2, w, p, dom: Domain):
     r_grid = np.geomspace(0.02 * dom.diameter, 0.9 * dom.diameter, 6)
     try:
         rep = condition_213(phi1, phi2, w, p, _interior_center(dom), r_grid,
-                            upper_limit=upper_mult * dom.diameter,
-                            points=96, sensitivity_checks=False)
+                            upper_limit=10.0 * dom.diameter, sensitivity_checks=False)
     except ValueError:
         return None
     return rep.constant if np.isfinite(rep.constant) else None
@@ -756,7 +755,7 @@ def suite_boundedness(config: dict) -> SuiteResult:
         for n in grids:
             g = Grid(dom, n)
             radii = _nested_operator_grid(g, 6 if dom.dim == 1 else 3)
-            ev = MorreyEvaluator(g, nested_sweep(g, 5 if dom.dim == 2 else 9, 3))
+            ev = MorreyEvaluator(g, nested_sweep(g, 5 if dom.dim == 2 else 9))
             kern = CZKernel(2, m, (2 * m, 0)) if dom.dim == 2 else None
             for p in ps:
                 gamma_ctrl = dom.dim * (p - 1.0) + 0.5
@@ -766,7 +765,6 @@ def suite_boundedness(config: dict) -> SuiteResult:
                 spike_exp = -gamma_ctrl / (p - 1.0) if p > 1 else -(dom.dim + 1.0)
                 corpus = build_corpus(
                     g, seed=seed, n_random=3 if dom.dim == 2 else 6,
-                    include_singular=True,
                     singular_spec=(_interior_center(dom), spike_exp,
                                    0.25 * dom.diameter))
                 if dom.dim == 2:
@@ -920,7 +918,7 @@ def suite_apriori(config: dict) -> SuiteResult:
             g = Grid(dom, n)
             corpus = build_corpus(g, seed=seed, n_random=n_random)
             sols = solve_dirichlet_many(dom, m, [f for _, f in corpus])
-            ev = MorreyEvaluator(g, nested_sweep(g, 5 if dom.dim == 2 else 9, 3))
+            ev = MorreyEvaluator(g, nested_sweep(g, 5 if dom.dim == 2 else 9))
             stack = _apriori_stack(corpus, sols, jets)
             names = [name for name, _ in corpus]
             for p in ps:

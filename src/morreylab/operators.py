@@ -363,10 +363,9 @@ class IdentityReport:
 
 
 def singular_identity_check(f: SampledField, alpha: tuple[int, int],
-                            beta: tuple[int, int],
-                            eps_factor: float = 2.0) -> IdentityReport:
+                            beta: tuple[int, int]) -> IdentityReport:
     """One more derivative of the (2m-1)-order potential against the
-    truncated singular integral plus a multiple of f.
+    singular integral truncated at 2h plus a multiple of f.
 
     Implemented instance: n = 2, m = 1.  alpha must exceed beta by one unit
     coordinate; the expected multiplier for alpha = e_i + e_j is
@@ -383,7 +382,7 @@ def singular_identity_check(f: SampledField, alpha: tuple[int, int],
     # d_i Gamma * f for i = 1, 2 (beta is one of them), then K_eps f
     firsts = ((1, 0), (0, 1))
     kernels = [_gamma_kernel(g, 1, b) for b in firsts]
-    kernels.append(_truncated_kernel(g, CZKernel(2, 1, alpha), eps_factor * g.h))
+    kernels.append(_truncated_kernel(g, CZKernel(2, 1, alpha), 2.0 * g.h))
     *pots, kf = _convolutions(g, f.values, kernels)
     lhs, ok = _masked_fd(g, pots[firsts.index(tuple(beta))], axis)
     expected_a = -(1.0 / 2.0) if alpha[0] != 1 else 0.0  # -delta_ij / n

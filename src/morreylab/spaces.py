@@ -20,7 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Ball, Grid, SampledField, distance
+from .geometry import Ball, Grid, SampledField, distance, region_mask
+from .hardy import _suffix_trapz
 from .weights import Weight, ball_measure, weight_cell_integrals
 
 __all__ = [
@@ -130,21 +131,12 @@ def _checked_phi(values: np.ndarray) -> np.ndarray:
 # inner norms
 
 
-def _region_sel(f: SampledField, region: Ball | None) -> np.ndarray:
-    from .geometry import region_mask
-
-    sel = region_mask(f.grid, region)
-    if not sel.any():
-        raise ValueError("empty region")
-    return sel
-
-
 def lp_weighted_norm(f: SampledField, w: Weight, p: float,
                      region: Ball | None = None) -> float:
     """(integral over region n domain of |f|^p w)^{1/p}, p >= 1."""
     if p < 1:
         raise ValueError("invalid exponent")
-    sel = _region_sel(f, region)
+    sel = region_mask(f.grid, region)
     wc = weight_cell_integrals(w, f.grid)
     return float((np.abs(f.values[sel]) ** p * wc[sel]).sum() ** (1.0 / p))
 
@@ -167,7 +159,7 @@ def weak_lp_weighted_norm(f: SampledField, w: Weight, p: float,
     with closed level sets {|f| >= t}."""
     if p < 1:
         raise ValueError("invalid exponent")
-    sel = _region_sel(f, region)
+    sel = region_mask(f.grid, region)
     wc = weight_cell_integrals(w, f.grid)
     return float(_weak_from_arrays(np.abs(f.values[sel]), wc[sel], p))
 
@@ -400,52 +392,25 @@ def _ball_measures(w, x: tuple, t_grid: tuple) -> np.ndarray:
     return out
 
 
-class _MeasureTable:
-    """Full-space ball measures of the weights appearing in a condition
-    check, on the shared t grid."""
-
-    def __init__(self, x, t_grid):
-        self.x = x
-        self.t_grid = t_grid
-        self._key = tuple(t_grid.tolist())
-
-    def raw(self, w) -> np.ndarray:
-        return _ball_measures(w, self.x, self._key)
-
-    def phi(self, phi) -> np.ndarray:
-        return _checked_phi(phi.over([self.x] * len(self.t_grid), self.t_grid, self.raw))
-
-
-def _condition_lhs(phi1, w, p, table: "_MeasureTable"):
-    """LHS integrand assembled on a shared log grid: suffix-min of
-    phi1(x,s) w(B(x,s))^{1/p} over s >= t, divided by w(B(x,t))^{1/p}."""
-    meas = table.raw(w) ** (1.0 / p)
-    prod = table.phi(phi1) * meas
-    suffix_min = np.minimum.accumulate(prod[::-1])[::-1]
-    integrand = suffix_min / meas
-    if not np.all(np.isfinite(integrand)):
-        raise ValueError("divergent condition")
-    return integrand
-
-
-def _suffix_log_trapz(t_grid, integrand):
-    """cumulative integral of integrand(t) dt/t from each grid point to the
-    end, by trapezoid in log t."""
-    lt = np.log(t_grid)
-    seg = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(lt)
-    out = np.zeros_like(t_grid)
-    out[:-1] = np.cumsum(seg[::-1])[::-1]
-    return out
-
-
 def _fitted_constant(phi1, phi2, w, p, x, r_grid, upper_limit, points):
     r_grid = np.asarray(r_grid, dtype=float)
     fill = np.geomspace(r_grid.min(), upper_limit, points)
     t_grid = np.unique(np.concatenate([r_grid, fill]))
-    table = _MeasureTable(x, t_grid)
-    integrand = _condition_lhs(phi1, w, p, table)
-    lhs = _suffix_log_trapz(t_grid, integrand)
-    phi2_vals = table.phi(phi2)
+    key = tuple(t_grid.tolist())
+    centers = [x] * len(t_grid)
+
+    def measure(v):
+        return _ball_measures(v, x, key)
+
+    # suffix-min of phi1(x,s) w(B(x,s))^{1/p} over s >= t, divided by
+    # w(B(x,t))^{1/p}, then integrated dt/t from each t to the end
+    meas = measure(w) ** (1.0 / p)
+    prod = _checked_phi(phi1.over(centers, t_grid, measure)) * meas
+    integrand = np.minimum.accumulate(prod[::-1])[::-1] / meas
+    if not np.all(np.isfinite(integrand)):
+        raise ValueError("divergent condition")
+    lhs = _suffix_trapz(np.log(t_grid), integrand)
+    phi2_vals = _checked_phi(phi2.over(centers, t_grid, measure))
     idx = np.searchsorted(t_grid, r_grid)
     rows = [(float(r), float(lhs[i] / phi2_vals[i])) for r, i in zip(r_grid, idx)]
     return max(v for _, v in rows), rows

@@ -260,3 +260,34 @@ def ball_measure_polar(w, x, r, quad=96):
     ])
     vals = w(pts).reshape(quad, 2 * quad)
     return float((vals * rho[:, None]).sum() * (r / quad) * (2 * np.pi / (2 * quad)))
+
+
+def condition_rows(phi1, phi2, measure, p, r_grid, upper_limit, points):
+    """(r, LHS(r) / phi2(r)) of condition (2.13) at a point x, by plain loops.
+
+    The t grid is the r grid and `points` log-spaced nodes from the least r
+    to upper_limit, sorted without repeats.  measure(t) gives w(B(x, t)),
+    and phi1, phi2 are callables (t, w(B(x, t))).  LHS(r) is the trapezoid
+    in log t, from r to upper_limit, of the min over s >= t of
+    phi1(s) w(B(x, s))^{1/p}, divided by w(B(x, t))^{1/p}."""
+    import numpy as np
+
+    fill = np.geomspace(min(r_grid), upper_limit, points).tolist()
+    ts = sorted({float(r) for r in r_grid} | set(fill))
+    meas = [measure(t) for t in ts]
+    K = len(ts)
+    integrand = []
+    for i in range(K):
+        low = math.inf
+        for j in range(i, K):
+            low = min(low, phi1(ts[j], meas[j]) * meas[j] ** (1.0 / p))
+        integrand.append(low / meas[i] ** (1.0 / p))
+    rows = []
+    for r in r_grid:
+        i = ts.index(float(r))
+        acc = 0.0
+        for j in range(i, K - 1):
+            acc += (0.5 * (integrand[j] + integrand[j + 1])
+                    * (math.log(ts[j + 1]) - math.log(ts[j])))
+        rows.append((float(r), acc / phi2(ts[i], meas[i])))
+    return rows

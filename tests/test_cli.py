@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -51,8 +52,21 @@ def test_weight_subcommand(tmp_path, capsys):
     code = main(["weight", "--config", write_cfg(tmp_path)])
     assert code == 0
     assert "in-class" in capsys.readouterr().out
-    rows = (tmp_path / "out" / "ap.csv").read_text().splitlines()
+    rows = (tmp_path / "out" / "weight.csv").read_text().splitlines()
     assert rows[0].startswith("p,gamma,estimate")
+
+
+def test_weight_leaves_the_ap_suite_table_to_report(tmp_path, capsys):
+    # weight writes its own table; report merges the suite tables only
+    cfgp = write_cfg(tmp_path)
+    assert main(["verify", "--suite", "ap", "--jobs", "1", "--config", cfgp]) == 0
+    suite_table = (tmp_path / "out" / "ap.csv").read_bytes()
+    assert main(["weight", "--config", cfgp]) == 0
+    assert (tmp_path / "out" / "ap.csv").read_bytes() == suite_table
+    assert main(["report", "--config", cfgp]) == 0
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert set(rep) == {"ap", "verdicts"}
+    assert rep["ap"]["rows"] == len(suite_table.splitlines()) - 1 > 1
 
 
 def test_condition_subcommand(tmp_path, capsys):
@@ -66,6 +80,14 @@ def test_hardy_subcommand(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "B = " in out
+
+
+def test_hardy_table_labels_every_step_apart(tmp_path, capsys):
+    cfgp = write_cfg(tmp_path, {"hardy": {"d": 1.0, "family": 50}})
+    assert main(["hardy", "--config", cfgp]) == 0
+    with open(tmp_path / "out" / "hardy.csv") as fh:
+        labels = [row["g"] for row in csv.DictReader(fh)]
+    assert len(labels) == len(set(labels)) == 50
 
 
 def test_solve_subcommand(tmp_path, capsys):
@@ -181,6 +203,20 @@ def test_kernel_table_lists_the_suite_cases(tmp_path, capsys):
     with open(tmp_path / "out" / "kernel_table.csv") as fh:
         cases = {row["case"] for row in csv.DictReader(fh)}
     assert cases == {"interval-m1", "interval-m2", "disk-m1", "disk-m2"}
+
+
+def test_kernel_table_points_are_plain_floats(tmp_path, capsys):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"kernels": {"pair_counts": [40, 80], "grids": [32]}}))
+    main(["kernels", "--config", str(path), "--out", str(tmp_path / "out")])
+    with open(tmp_path / "out" / "kernel_table.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        for cell in (row["x"], row["y"]):
+            point = ast.literal_eval(cell)
+            assert isinstance(point, tuple) and len(point) in (1, 2), cell
+            assert all(type(v) is float for v in point), cell
+            assert cell == str(point)
 
 
 def test_verify_ap_suite_and_report(tmp_path, capsys):

@@ -15,6 +15,8 @@ from morreylab.geometry import (
     integrate,
     sweep_centers,
 )
+from morreylab.spaces import lp_weighted_norm, weak_lp_weighted_norm
+from morreylab.weights import ConstantWeight, weight_measure
 
 
 def unit_grid(n=64):
@@ -129,8 +131,14 @@ def test_integrate_matches_oracle():
 def test_integrate_empty_region():
     g = unit_grid(16)
     f = SampledField(g, np.ones(g.n_cells))
-    with pytest.raises(ValueError, match="empty region"):
-        integrate(f, Ball((5.0,), 0.01))
+    w = ConstantWeight(1.0)
+    empty = Ball((5.0,), 0.01)
+    for call in (lambda: integrate(f, empty),
+                 lambda: weight_measure(w, empty, g),
+                 lambda: lp_weighted_norm(f, w, 2.0, empty),
+                 lambda: weak_lp_weighted_norm(f, w, 2.0, empty)):
+        with pytest.raises(ValueError, match="empty region"):
+            call()
 
 
 def test_field_rejects_nonfinite():

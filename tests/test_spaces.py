@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -418,6 +420,35 @@ def test_condition_constant_phi_truncation_sensitive():
                         points=128)
     assert np.isfinite(rep.constant)
     assert "truncation-sensitive" in rep.flags
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("gamma", [None, 0.5])
+def test_condition_rows_match_loop_oracle(dim, gamma):
+    # every (phi1, phi2) of the power-law, weight-measure and inverse
+    # weight-measure families, for the constant weight and a power weight
+    p, lam, k = 2.0, 0.5 * dim, 0.3
+    x = (0.1, -0.2)[:dim]
+    if gamma is None:
+        w = ONE
+        measure = (lambda t: 2.0 * t) if dim == 1 else (lambda t: math.pi * t * t)
+    else:
+        w = PowerWeight((0.0,) * dim, gamma)
+        measure = ((lambda t: oracles.power_cell_integral_1d(x[0] - t, x[0] + t, 0.0, gamma))
+                   if dim == 1 else (lambda t: oracles.ball_measure_polar(w, x, t)))
+    phis = [(PowerLawPhi(lam=lam, p=p, n=dim), lambda t, m: t ** ((lam - dim) / p)),
+            (WeightMeasurePhi(k=k, p=p, w=w), lambda t, m: m ** ((k - 1.0) / p)),
+            (InverseWeightMeasurePhi(p=p, w=w), lambda t, m: m ** (-1.0 / p))]
+    r_grid = np.geomspace(0.02, 0.9, 6) * 2.0
+    for phi1, loop1 in phis:
+        for phi2, loop2 in phis:
+            rep = condition_213(phi1, phi2, w, p, x, r_grid, upper_limit=20.0,
+                                points=48, sensitivity_checks=False)
+            want = oracles.condition_rows(loop1, loop2, measure, p, r_grid, 20.0, 48)
+            assert [r for r, _ in rep.per_r] == [r for r, _ in want]
+            np.testing.assert_allclose([v for _, v in rep.per_r],
+                                       [v for _, v in want], rtol=1e-12)
+            assert rep.constant == max(v for _, v in rep.per_r)
 
 
 def test_condition_phi2_scaling():
