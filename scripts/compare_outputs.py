@@ -10,10 +10,12 @@ case, n and flags columns exactly and the lhs, rhs and ratio columns at the
 tolerance, row by row; the suite's plot CSV, when either side has one,
 every column at the tolerance.  When DIR_A has the field output of `solve`
 (solution.csv) or of `operators` (operators.csv), it compares every column
-of it at the tolerance.  It prints the largest relative difference,
-|a - b| / max(|a|, |b|), for each file.  NaN matches only NaN.  Exits 1
-when a verdict, a note, a file, a column list, a row count, an exact column
-or a value differs, 0 otherwise.
+of it at the tolerance.  It prints, for each file, the largest relative
+difference, |a - b| / max(|a|, |b|), and the largest |a - b| over its
+column's largest magnitude on either side (the scale of
+benchmark/check.py's floor, which a near-zero cell does not inflate).
+NaN matches only NaN.  Exits 1 when a verdict, a note, a file, a column
+list, a row count, an exact column or a value differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -35,6 +37,19 @@ def rel_diff(a: float, b: float) -> float:
         return 0.0 if math.isnan(a) and math.isnan(b) else math.inf
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale > 0 else 0.0
+
+
+def column_diff(col_a: list[float], col_b: list[float]) -> float:
+    """max |a - b| over the column's largest magnitude on either side."""
+    scale = max((abs(v) for v in col_a + col_b if not math.isnan(v)), default=0.0)
+    worst = 0.0
+    for a, b in zip(col_a, col_b):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        if math.isnan(a) or math.isnan(b):
+            return math.inf
+        worst = max(worst, abs(a - b) / scale)
+    return worst
 
 
 def _rows(path: str, columns, exact=()) -> tuple[list[str], list[list[float]], list]:
@@ -93,7 +108,12 @@ def _compare_csv(dir_a: str, dir_b: str, name: str, columns, rtol: float,
             d = rel_diff(a, b)
             if d > worst:
                 worst, where = d, f" (row {i + 1}, {col})"
-    lines.append(f"{name}: {len(rows_a)} rows{note}, max rel diff {worst:.3g}{where}")
+    col_worst, col_where = max(
+        ((column_diff([r[j] for r in rows_a], [r[j] for r in rows_b]), col)
+         for j, col in enumerate(cols_a)), default=(0.0, ""))
+    lines.append(f"{name}: {len(rows_a)} rows{note}, max rel diff {worst:.3g}{where}, "
+                 f"max diff over column max {col_worst:.3g}"
+                 + (f" ({col_where})" if col_worst > 0 else ""))
     if worst > rtol:
         failures.append(f"{name}: max rel diff {worst:.3g}{where} > {rtol:g}")
 

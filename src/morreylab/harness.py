@@ -395,6 +395,9 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def write_reports(results: list[SuiteResult], out_dir: str) -> dict:
+    """Each suite's CSV (and plot CSV), and its summary merged into
+    `summary.json`: the entries of suites that this call did not run stay.
+    Returns the summary of this call's suites only."""
     os.makedirs(out_dir, exist_ok=True)
     summary = {}
     for res in results:
@@ -406,8 +409,13 @@ def write_reports(results: list[SuiteResult], out_dir: str) -> dict:
                               "fittedConstant": res.fitted_constant,
                               "tolerance": res.tolerance, "N-trend": res.trend,
                               "notes": res.notes}
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+    path = os.path.join(out_dir, "summary.json")
+    merged = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            merged = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump({**merged, **summary}, fh, indent=2, sort_keys=True)
     return summary
 
 

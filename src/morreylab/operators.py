@@ -9,6 +9,14 @@ on the lattice, so the two routes agree to rounding).  `_convolutions` is the
 one path: one forward transform per field, then one product per kernel; the
 solver's free-space potentials take it too.
 
+Each axis is zero-padded to the transform size L.  The kernel spans the
+2n-1 offsets, and the n x n central block keeps the rows n-1 ... 2n-2 of
+the (3n-2)-long linear convolution; a length-L circular transform wraps
+onto those rows only when L <= 2n-2, so every L >= 2n-1 gives the same
+values up to rounding.  The operators take the smallest such power of
+two, pow2(2n-1), the default size; the solver's free-space potentials
+pass pow2(3n-2) (see `solver._solve_disk_m1_values` for why).
+
 `_Convolver.apply` is irfft2 by hand: the product spectrum and its inverse
 column transform go into one reused buffer, and the inverse row transform
 runs only on the n rows of the central block, into a second.  Both
@@ -127,13 +135,19 @@ def maximal_singular(f: SampledField, kernel: CZKernel, x, eps_grid) -> float:
 # lattice convolution: one forward transform per field, cached kernel spectra
 
 
-class _Convolver:
-    """Linear convolution on the full lattice with cached kernel spectra."""
+def _pow2(k: int) -> int:
+    """The smallest power of two >= k."""
+    return 1 << int(np.ceil(np.log2(k)))
 
-    def __init__(self, grid: Grid):
+
+class _Convolver:
+    """Linear convolution on the full lattice with cached kernel spectra,
+    at transform size `size` per axis (default: alias-free pow2(2n-1))."""
+
+    def __init__(self, grid: Grid, size: int | None = None):
         self.grid = grid
         n = grid.n
-        self.size = 1 << int(np.ceil(np.log2(3 * n - 2)))
+        self.size = _pow2(2 * n - 1) if size is None else size
         offs = np.arange(-(n - 1), n) * grid.h
         self.oz1, self.oz2 = np.meshgrid(offs, offs, indexing="ij")
         self._spectra: dict = {}
@@ -166,14 +180,15 @@ class _Convolver:
 
 # one live convolver: a finished level's spectra are freed, not held
 @lru_cache(maxsize=1)
-def _convolver(grid: Grid) -> _Convolver:
-    return _Convolver(grid)
+def _convolver(grid: Grid, size: int | None) -> _Convolver:
+    return _Convolver(grid, size)
 
 
-def _convolutions(grid: Grid, values: np.ndarray, kernels):
+def _convolutions(grid: Grid, values: np.ndarray, kernels, size: int | None = None):
     """Lattice convolutions of the masked-cell `values` (zero outside) with
-    each (key, build) kernel in turn, all from one forward transform."""
-    conv = _convolver(grid)
+    each (key, build) kernel in turn, all from one forward transform, at
+    transform size `size` (None: the operators' pow2(2n-1))."""
+    conv = _convolver(grid, size)
     fwd = conv.forward(grid.embed(values))
     try:
         for key, build in kernels:

@@ -231,6 +231,24 @@ def test_verify_ap_suite_and_report(tmp_path, capsys):
     assert rep["verdicts"]["ap"] == "PASS"
 
 
+def test_report_keeps_the_verdicts_of_earlier_verify_calls(tmp_path, capsys):
+    cfgp = write_cfg(tmp_path, {"kernels": {"pair_counts": [40, 80], "grids": [32]}})
+    assert main(["verify", "--suite", "ap", "--jobs", "1", "--config", cfgp]) == 0
+    capsys.readouterr()
+    code = main(["verify", "--suite", "kernels", "--jobs", "1", "--config", cfgp])
+    # verify prints and judges this call's suites only
+    printed = capsys.readouterr().out.split()
+    assert printed[0] == "kernels" and len(printed) == 2
+    assert code == (0 if printed[1] == "PASS" else 1)
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert {k: v["verdict"] for k, v in summary.items()} == {"ap": "PASS",
+                                                           "kernels": printed[1]}
+    main(["report", "--config", cfgp])
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["verdicts"] == {"ap": "PASS", "kernels": printed[1]}
+    assert {"ap", "kernels"} <= set(rep)
+
+
 def test_verify_deterministic_output(tmp_path):
     cfgp = write_cfg(tmp_path)
     main(["verify", "--suite", "ap", "--config", cfgp])

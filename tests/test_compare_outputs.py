@@ -99,3 +99,19 @@ def test_compare_field_outputs(tmp_path):
     assert "DIFFERS solution.csv" not in far.stdout
     missing = _run(a, d)
     assert missing.returncode == 1 and "solution.csv: missing" in missing.stdout
+
+
+def test_compare_outputs_scales_by_the_column_max(tmp_path):
+    # a near-zero cell differs by a third of itself, by 6e-18 of its column
+    g = Grid(Interval(0.0, 1.0), 8)
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out, tiny in ((a, 1e-16), (b, 1.5e-16)):
+        out.mkdir()
+        mf = np.arange(1.0, 9.0)
+        mf[0] = tiny
+        _field_csv(str(out / "operators.csv"), g, {"f": np.ones(8), "Mf": mf})
+    got = _run(a, b)
+    assert got.returncode == 1
+    assert ("operators.csv: 8 rows, max rel diff 0.333 (row 1, Mf), "
+            "max diff over column max 6.25e-18 (Mf)") in got.stdout
+    assert _run(a, b, "--rtol", "0.34").returncode == 0

@@ -8,6 +8,7 @@ from morreylab.operators import (
     _ball_kernel,
     _Convolver,
     _gamma_kernel,
+    _pow2,
     _truncated_kernel,
     _window_sums_1d,
     maximal,
@@ -85,6 +86,27 @@ def test_maximal_field_matches_pointwise():
         for i in idx:
             want = maximal(f, g.nodes[i], radii)
             assert field.values[i] == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_fields_match_pointwise_at_the_alias_boundary(n):
+    # at n = 16 the transform is 2n long, one more than the alias-free
+    # 2n - 1; at 2n - 2 a field on one rim wraps onto the other.  The
+    # radii up to the diameter are half-integer cell counts: no lattice
+    # distance ties with them, and at a tie the pointwise |x - y| < t and
+    # the lattice kernel's |offset|^2 < t^2 can round apart
+    g = disk_grid(n)
+    assert _Convolver(g).size == {16: 32, 17: 64}[n]
+    x0 = g.nodes[:, 0]
+    f = SampledField(g, np.where(x0 > 0.6, 1.0 + x0, 0.0))
+    radii = (np.arange(1, n + 1) + 0.5) * g.h
+    mf = maximal_field(f, radii).values
+    k = CZKernel(2, 1, (1, 1))
+    ks = singular_field(f, k, radii).values
+    for i, x in enumerate(g.nodes):
+        assert mf[i] == pytest.approx(maximal(f, x, radii), rel=1e-9, abs=1e-12)
+        assert ks[i] == pytest.approx(maximal_singular(f, k, x, radii),
+                                      rel=1e-8, abs=1e-11)
 
 
 def test_maximal_zero_extension_box_invariance():
@@ -330,10 +352,13 @@ def _lattice_kernels(g):
             _gamma_kernel(g, 1, (1, 0))]
 
 
-@pytest.mark.parametrize("n", [12, 33, 64])
-def test_convolver_apply_is_irfft2_central_block(n):
+# the operators' default size keeps the plain ids; the solver's pow2(3n-2)
+@pytest.mark.parametrize("n,solver_size", [
+    pytest.param(n, solver, id=f"{n}-solver" if solver else str(n))
+    for solver in (False, True) for n in (12, 33, 64)])
+def test_convolver_apply_is_irfft2_central_block(n, solver_size):
     g = disk_grid(n)
-    conv = _Convolver(g)
+    conv = _Convolver(g, _pow2(3 * n - 2) if solver_size else None)
     fwd = conv.forward(g.embed(np.random.default_rng(n).normal(size=g.n_cells)))
     size = conv.size
     for key, build in _lattice_kernels(g):

@@ -141,6 +141,29 @@ def test_pointwise_domination_by_maximal():
     assert abs(consts[128] - consts[64]) <= 0.1 * consts[64]
 
 
+@pytest.mark.parametrize("n", [32, 33])
+def test_disk_m1_solve_does_not_depend_on_convolver_state(n, monkeypatch):
+    from morreylab import operators
+
+    sizes = []
+    apply = operators._Convolver.apply
+    monkeypatch.setattr(operators._Convolver, "apply",
+                        lambda self, *a: sizes.append(self.size) or apply(self, *a))
+    g = Grid(DISK, n)
+    rng = np.random.default_rng(n)
+    f = SampledField(g, rng.normal(size=g.n_cells))
+    first = solve_dirichlet(DISK, 1, f).jet
+    assert set(sizes) == {operators._pow2(3 * n - 2)}
+    sizes.clear()
+    maximal_field(f, operator_radius_grid(g, 8))
+    assert set(sizes) == {operators._pow2(2 * n - 1)}
+    again = solve_dirichlet(DISK, 1, f).jet
+    assert first.keys() == again.keys()
+    for alpha in first:
+        assert np.array_equal(first[alpha].values, again[alpha].values), alpha
+    assert operators._convolver.cache_info().currsize == 1
+
+
 def test_no_green_function():
     g = Grid(UNIT, 16)
     with pytest.raises(ValueError, match="no Green function"):
