@@ -869,7 +869,7 @@ def suite_marok1(config: dict) -> SuiteResult:
         # one stack: the K* field of every corpus member, then every member
         ks = np.stack([singular_field(f, kern, radii).values for _, f in corpus]
                       + [f.values for _, f in corpus])
-        sums = cache.ball_sums(np.abs(ks) ** p * wc)
+        sums = cache.power_sums(ks, wc, p)
         for i, (name, _) in enumerate(corpus):
             f_sums = sums[len(corpus) + i, nb:].reshape(nb, -1)
             for j, b in enumerate(sweep):

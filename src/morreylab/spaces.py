@@ -10,7 +10,9 @@ phi pairs under which the maximal/singular operators are bounded.
 
 The domain-restricted norm uses the weight measure of Omega(x,r) = Omega n
 B(x,r) in the prefactor.  Every sum over the balls of a sweep comes from one
-``SweepCache``; ``MorreyEvaluator`` builds the Morrey norm on it.
+``SweepCache``, as cumulative sums of shell sums that are summed over runs of
+consecutive cells; ``MorreyEvaluator`` builds the Morrey norm on it, forming
+|f|^p w one row chunk of a stack at a time.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ def weak_lp_weighted_norm(f: SampledField, w: Weight, p: float,
     return float(_weak_from_arrays(np.abs(f.values[sel]), wc[sel], p))
 
 
-_CHUNK_CELLS = 1 << 16  # stack cells per bincount pass of SweepCache.ball_sums
+_CHUNK_CELLS = 1 << 16  # stack cells per pass of SweepCache's ball sums
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +177,16 @@ _CHUNK_CELLS = 1 << 16  # stack cells per bincount pass of SweepCache.ball_sums
 
 
 class SweepCache:
-    """Per-center shell indices and distance orderings for the cells of a
-    ball sweep, with the sweep grouped by center once."""
+    """Per-center shells, runs and distance orderings for the cells of a
+    ball sweep, with the sweep grouped by center once.
+
+    A run is a maximal stretch of consecutive cells (in cell order) that lie
+    in one shell.  Per center, one ``np.add.reduceat`` over the runs gives
+    the run sums, a second over the run sums sorted by shell gives the sums
+    of the non-empty shells, and a cumulative sum over those gives the ball
+    sums.  Every sum adds only cells of its own ball, so a small ball's sum
+    keeps its relative accuracy next to large values outside it.  Every ball
+    that holds every cell gets one row total, so such balls tie exactly."""
 
     def __init__(self, grid: Grid, sweep: list[Ball]):
         self.grid = grid
@@ -186,8 +196,9 @@ class SweepCache:
             by_center.setdefault(b.center, []).append(i)
         self._order = {}
         self._dist = {}
-        # (center, ball indices, each ball's shell, cell shells, shell count)
-        # per center, in first-seen order
+        # (center, ball indices, run starts, inner runs sorted by shell,
+        # their first run per non-empty shell, each ball's cumulative-sum
+        # column) per center, in first-seen order
         self._groups = []
         self.sizes = np.zeros(len(self.balls), dtype=int)
         for c, idx in by_center.items():
@@ -199,10 +210,19 @@ class SweepCache:
             radii = np.array([self.balls[i].radius for i in idx])
             shells, ball_shell = np.unique(radii, return_inverse=True)
             # a cell with |node - c| < r lies in every ball of radius r, so
-            # its shell is the number of radii <= |node - c|
+            # its shell is the number of radii <= |node - c|; shell
+            # len(shells) holds the cells outside every ball
             cell_shell = np.searchsorted(shells, d, side="right")
-            self._groups.append((c, idx, ball_shell, cell_shell, len(shells)))
+            starts = np.flatnonzero(np.diff(cell_shell, prepend=-1))
+            run_shell = cell_shell[starts]
+            inner = np.flatnonzero(run_shell < len(shells))
+            by_shell = inner[np.argsort(run_shell[inner], kind="stable")]
+            firsts = np.flatnonzero(np.diff(run_shell[by_shell], prepend=-1))
+            # column 0 of the cumulative sums is the empty ball
+            column = np.searchsorted(run_shell[by_shell[firsts]], ball_shell, side="right")
+            self._groups.append((c, idx, starts, by_shell, firsts, column))
             self.sizes[idx] = self.counts(c, radii)
+        self._whole = np.flatnonzero(self.sizes == grid.n_cells)
 
     def counts(self, center, radii: np.ndarray) -> np.ndarray:
         """Number of cells with |node - center| < r for each r."""
@@ -215,23 +235,31 @@ class SweepCache:
     def ball_sums(self, a: np.ndarray) -> np.ndarray:
         """Sum of each row of a, (cells,) or (k, cells), over every ball,
         in sweep order; the result has shape a.shape[:-1] + (balls,)."""
+        return self._sums(a, lambda chunk: chunk)
+
+    def power_sums(self, values: np.ndarray, wc: np.ndarray, p: float) -> np.ndarray:
+        """``ball_sums(np.abs(values) ** p * wc)`` with the same bits; the
+        product is formed one row chunk at a time, never for the whole
+        stack."""
+        return self._sums(values, lambda chunk: np.abs(chunk) ** p * wc)
+
+    def _sums(self, a: np.ndarray, form) -> np.ndarray:
         rows = np.atleast_2d(a)
         out = np.empty((len(rows), len(self.balls)))
         # rows go through in chunks of about _CHUNK_CELLS stack cells, so
-        # that the bin and weight arrays of a pass stay in cache
+        # that a chunk and its run sums stay in cache
         step = max(1, _CHUNK_CELLS // rows.shape[1])
-        bins = np.empty((min(step, len(rows)), rows.shape[1]), dtype=np.intp)
         for lo in range(0, len(rows), step):
-            chunk = rows[lo: lo + step]
-            k = len(chunk)
-            for c, idx, ball_shell, cell_shell, s in self._groups:
-                # one bincount gives every (row, shell) sum; the outer shell
-                # s holds the cells outside every ball
-                np.add(np.arange(k)[:, None] * (s + 1), cell_shell[None, :], out=bins[:k])
-                shell = np.bincount(bins[:k].ravel(), weights=chunk.ravel(),
-                                    minlength=k * (s + 1))
-                out[lo: lo + k, idx] = np.cumsum(shell.reshape(k, s + 1)[:, :s],
-                                                 axis=1)[:, ball_shell]
+            # C order, so that a row's total does not depend on the layout
+            chunk = np.ascontiguousarray(form(rows[lo: lo + step]))
+            part = out[lo: lo + len(chunk)]
+            for _, idx, starts, by_shell, firsts, column in self._groups:
+                runs = np.add.reduceat(chunk, starts, axis=1)
+                shells = np.add.reduceat(runs[:, by_shell], firsts, axis=1)
+                cum = np.zeros((len(chunk), len(firsts) + 1))
+                np.cumsum(shells, axis=1, out=cum[:, 1:])
+                part[:, idx] = cum[:, column]
+            part[:, self._whole] = chunk.sum(axis=1)[:, None]
         return out.reshape(np.shape(a)[:-1] + (len(self.balls),))
 
     def ball_cells(self):
@@ -294,7 +322,7 @@ class MorreyEvaluator:
         if weak:
             inner = self.cache.weak_ball_norms(np.abs(values), wc, p)
         else:
-            inner = self.cache.ball_sums(np.abs(values) ** p * wc) ** (1.0 / p)
+            inner = self.cache.power_sums(values, wc, p) ** (1.0 / p)
         self._inner[key] = (values, inner)
         return inner
 

@@ -28,6 +28,12 @@ def integrate(nodes, values, cell_measure, center=None, radius=None) -> float:
     return total
 
 
+def ball_sums(nodes, values, balls) -> list[float]:
+    """Correctly rounded sum (math.fsum) of values over the cells of each
+    (center, radius) ball."""
+    return [math.fsum(values[i] for i in cells_in_region(nodes, c, r)) for c, r in balls]
+
+
 def power_antiderivative(t: float, gamma: float) -> float:
     # odd antiderivative of |t|^gamma, valid for gamma > -1
     return math.copysign(abs(t) ** (gamma + 1.0) / (gamma + 1.0), t)

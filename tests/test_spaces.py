@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from morreylab.geometry import Ball, Disk, Grid, Interval, SampledField, ball_sweep
+import morreylab
+from morreylab.geometry import (
+    Ball,
+    Disk,
+    Grid,
+    Interval,
+    SampledField,
+    ball_sweep,
+    centered_sweep,
+    nested_sweep,
+)
 from morreylab.spaces import (
     CustomPhi,
     InverseWeightMeasurePhi,
@@ -344,6 +358,77 @@ def test_stacked_ball_sums_match_prefix_sums(dim):
                 for b in sweep]
         np.testing.assert_allclose(sums, want, rtol=1e-12, atol=1e-15)
     assert np.all(got[:, 0] == 0.0) and np.all(got[:, -1] == 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ball_sums_match_fsum_oracle(dim):
+    g = grid(160) if dim == 1 else Grid(Disk((0.0, 0.0), 1.0), 24)
+    # radii from far below h: empty shells and balls that hold no cells
+    radii = np.geomspace(0.01 * g.h, g.domain.diameter, 24)
+    corner = tuple(float(v) for v in g.nodes[len(g.nodes) // 2] + 0.5 * g.h)
+    sweep = centered_sweep(g, 2, radii) + [Ball(corner, 0.3 * g.h), Ball(corner, g.h)]
+    rng = np.random.default_rng(41)
+    spike = rng.random(g.n_cells)
+    spike[2] = 1e12  # early in cell order
+    stack = np.stack([rng.random(g.n_cells), spike,
+                      10.0 ** rng.uniform(-6.0, 6.0, g.n_cells)])
+    cache = SweepCache(g, sweep)
+    got = cache.ball_sums(stack)
+    nodes = [tuple(q) for q in g.nodes]
+    balls = [(b.center, b.radius) for b in sweep]
+    assert np.any(cache.sizes == 0) and np.any(cache.sizes == g.n_cells)
+    for row, sums in zip(stack, got):
+        np.testing.assert_allclose(sums, oracles.ball_sums(nodes, list(row), balls),
+                                   rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("dom", [UNIT, Disk((0.0, 0.0), 1.0)], ids=["1d", "2d"])
+def test_balls_that_hold_every_cell_tie_exactly(dom):
+    g = Grid(dom, 64 if dom.dim == 1 else 24)
+    sweep = nested_sweep(g, 5 if dom.dim == 2 else 9)
+    cache = SweepCache(g, sweep)
+    whole = cache.sizes == g.n_cells
+    assert len({b.center for b, full in zip(sweep, whole) if full}) > 1
+    rows = np.random.default_rng(1).random((4, g.n_cells))
+    for sums in cache.ball_sums(rows):
+        assert len(set(sums[whole])) == 1
+    ev = MorreyEvaluator(g, sweep)
+    w = PowerWeight((0.1,) * dom.dim, 0.5)
+    assert len(set(ev.weight_sums(w)[whole])) == 1
+
+
+@pytest.mark.parametrize("weak", [False, True])
+def test_norm_in_two_row_chunks_keeps_the_bits(monkeypatch, weak):
+    import morreylab.spaces as spaces
+
+    g, sweep, w, stack = _stack_case(2)
+    wide = np.concatenate([stack, stack[::-1] * 3.0, stack[:1]])  # 9 rows
+    wc = weight_cell_integrals(w, g)
+    phis = _phis(2, 1.5, w)
+    want = [MorreyEvaluator(g, sweep).norm(wide, w, phi, 1.5, weak) for phi in phis]
+    whole = SweepCache(g, sweep).ball_sums(np.abs(wide) ** 1.5 * wc)
+    monkeypatch.setattr(spaces, "_CHUNK_CELLS", 2 * g.n_cells + 1)
+    ev = MorreyEvaluator(g, sweep)
+    for phi, norms in zip(phis, want):
+        assert np.array_equal(ev.norm(wide, w, phi, 1.5, weak), norms)
+    assert np.array_equal(ev.cache.power_sums(wide, wc, 1.5), whole)
+
+
+def test_ball_sums_bytes_do_not_depend_on_blas_threads():
+    code = ("import sys, numpy as np\n"
+            "from morreylab.geometry import Disk, Grid, nested_sweep\n"
+            "from morreylab.spaces import SweepCache\n"
+            "g = Grid(Disk((0.0, 0.0), 1.0), 48)\n"
+            "rows = np.random.default_rng(5).random((7, g.n_cells))\n"
+            "sys.stdout.buffer.write(SweepCache(g, nested_sweep(g, 5)).ball_sums(rows).tobytes())\n")
+    src = str(Path(morreylab.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, timeout=300).stdout)
+    assert len(outs[0]) > 0 and outs[0] == outs[1]
 
 
 # --- Sobolev-Morrey --------------------------------------------------------
