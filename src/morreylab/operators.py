@@ -2,12 +2,14 @@
 and the differentiation identity for second derivatives of the potential.
 
 All operators treat the field as extended by zero outside the domain; ball
-volumes in the maximal operator are full Lebesgue ball measures.  Pointwise
-evaluations are direct sums; whole-field evaluations on 2D grids go through
-cached-spectrum FFT convolutions (the discrete sums are translation-invariant
-on the lattice, so the two routes agree to rounding).  `_convolutions` is the
-one path: one forward transform per field, then one product per kernel; the
-solver's free-space potentials take it too.
+volumes in the maximal operator are full Lebesgue ball measures.  Each
+operator has one implementation, a whole field on every masked node:
+sliding window sums in 1D and cached-spectrum FFT convolutions in 2D (the
+discrete sums are translation-invariant on the lattice).  `_in_ball` is
+the one rule for which lattice offsets a ball or a truncation holds.
+`_convolutions` is the one convolution path: one forward transform per
+field, then one product per kernel; the solver's free-space potentials
+take it too.
 
 Each axis is zero-padded to the transform size L.  The kernel spans the
 2n-1 offsets, and the n x n central block keeps the rows n-1 ... 2n-2 of
@@ -33,22 +35,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Grid, SampledField, distance
+from .geometry import Grid, SampledField
 from .greens import FundamentalSolution
 
 __all__ = [
     "CZKernel",
-    "maximal",
     "maximal_field",
-    "truncated_singular",
-    "maximal_singular",
     "singular_field",
     "singular_identity_check",
     "IdentityReport",
     "operator_radius_grid",
 ]
-
-_BALL_VOL = {1: 2.0, 2: np.pi}
 
 
 def operator_radius_grid(grid: Grid, count: int = 48) -> np.ndarray:
@@ -97,38 +94,6 @@ class CZKernel:
         th = rng.uniform(0, 2 * np.pi, samples)
         z = np.column_stack([r * np.cos(th), r * np.sin(th)])
         return float((np.abs(self(z)) * r**self.dim).max())
-
-
-# ---------------------------------------------------------------------------
-# pointwise operators
-
-
-def maximal(f: SampledField, x, radius_grid) -> float:
-    """sup over the radius grid of the |f| average over B(x, t); the
-    denominator is the full ball volume (zero extension)."""
-    g = f.grid
-    d = distance(g.nodes, x)
-    absf = np.abs(f.values)
-    best = 0.0
-    for t in np.asarray(radius_grid, dtype=float):
-        s = absf[d < t].sum() * g.cell_measure
-        best = max(best, s / (_BALL_VOL[g.dim] * t**g.dim))
-    return best
-
-
-def truncated_singular(f: SampledField, kernel: CZKernel, x, eps: float) -> float:
-    """Quadrature of k(x - y) f(y) over cells with centers outside B(x, eps)."""
-    g = f.grid
-    if eps < g.h:
-        raise ValueError("truncation below resolution")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    keep = distance(g.nodes, x) >= eps
-    z = x[None, :] - g.nodes[keep]
-    return float((kernel(z) * f.values[keep]).sum() * g.cell_measure)
-
-
-def maximal_singular(f: SampledField, kernel: CZKernel, x, eps_grid) -> float:
-    return max(abs(truncated_singular(f, kernel, x, e)) for e in np.asarray(eps_grid))
 
 
 # ---------------------------------------------------------------------------
@@ -199,25 +164,37 @@ def _convolutions(grid: Grid, values: np.ndarray, kernels, size: int | None = No
 
 
 # ---------------------------------------------------------------------------
-# lattice kernels: (spectrum key, builder on the offset lattice)
+# lattice kernels: (spectrum key, builder on the offset lattice); a ball or
+# truncation is keyed by its exact radius, since radii one rounding apart
+# can hold different offsets
+
+
+def _in_ball(t: float, *offsets: np.ndarray) -> np.ndarray:
+    """The lattice-ball rule: an offset of k cells per axis, given per axis
+    as the arrays k * h, lies in the open ball B(0, t) iff its squares,
+    summed in axis order, are below t**2.  Every caller passes one scalar
+    t: a scalar square can round apart from an array square."""
+    r2 = offsets[0] ** 2
+    for o in offsets[1:]:
+        r2 = r2 + o**2
+    return r2 < t**2
 
 
 def _ball_kernel(grid: Grid, t: float):
-    """Indicator of |offset| < t times the cell measure."""
+    """Indicator of the offsets in B(0, t) times the cell measure."""
     def build(o1, o2):
-        return (o1**2 + o2**2 < t**2) * grid.cell_measure
-    return ("ball", round(t / grid.h, 9)), build
+        return _in_ball(t, o1, o2) * grid.cell_measure
+    return ("ball", float(t)), build
 
 
 def _truncated_kernel(grid: Grid, kernel: CZKernel, eps: float):
-    """k(offset) times the cell measure where |offset| >= eps, zero inside."""
+    """k(offset) times the cell measure outside B(0, eps), zero inside."""
     def build(o1, o2):
         z = np.stack([o1, o2], axis=-1)
-        r2 = o1**2 + o2**2
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = kernel(z.reshape(-1, 2)).reshape(o1.shape)
-        return np.where(r2 >= eps**2, vals, 0.0) * grid.cell_measure
-    return ("cz", kernel.alpha, kernel.m, round(eps / grid.h, 9)), build
+        return np.where(_in_ball(eps, o1, o2), 0.0, vals) * grid.cell_measure
+    return ("cz", kernel.alpha, kernel.m, float(eps)), build
 
 
 @lru_cache(maxsize=None)
@@ -303,11 +280,13 @@ def _window_sums_1d(lattice: np.ndarray, k) -> np.ndarray:
 
 
 def maximal_field(f: SampledField, radius_grid) -> SampledField:
-    """Mf on every masked node, matching `maximal` up to rounding."""
+    """Mf = sup over the radius grid of the |f| average over each ball, on
+    every masked node; the denominator is the full ball volume."""
     g = f.grid
     radii = np.asarray(radius_grid, dtype=float)
     if g.dim == 1:
-        k = np.ceil(radii / g.h).astype(int) - 1  # |j-i| h < t
+        offs = np.arange(g.n) * g.h  # half-width: the offsets k >= 1 in the ball
+        k = np.array([_in_ball(t, offs).sum() - 1 for t in radii], dtype=int)
         s = _window_sums_1d(g.embed(np.abs(f.values)), k) * g.cell_measure
         best = (s / (2.0 * radii[:, None])).max(axis=0, initial=0.0)
         return SampledField(g, g.extract(best))

@@ -2,8 +2,9 @@
 
 Written before (and independently of) the vectorized package code.  Every
 oracle is a plain Python loop over cells, using only the shared discrete
-model: midpoint quadrature, cell-in-region-by-center, analytic 1D power
-antiderivatives, 8x oversampled midpoint for 2D weight cells.
+model: midpoint quadrature, cell-in-region-by-center, lattice balls on
+integer cell offsets, analytic 1D power antiderivatives, 8x oversampled
+midpoint for 2D weight cells.
 """
 
 from __future__ import annotations
@@ -140,16 +141,69 @@ def morrey_norm(nodes, values, wcells, p, phi_eval, balls, weak=False):
     return best, best_i
 
 
-def maximal(nodes, values, cell_measure, dim, x, radii) -> float:
-    best = 0.0
+def lattice_r2(a, b, h) -> float:
+    """Squared length of the offset from cell b to cell a (integer lattice
+    indices): the squares of k * h summed in axis order.  o * o is what
+    numpy's o**2 gives on an array."""
+    r2 = 0.0
+    for i, j in zip(a, b):
+        o = (i - j) * h
+        r2 += o * o
+    return r2
+
+
+def ball_averages_lattice(cells, values, h, radii, centers=None) -> list[list[float]]:
+    """At each center cell (default: every cell), for each radius t, the
+    |values| sum over the cells whose offset has lattice_r2 < t**2 (t**2 on
+    one float, as the package squares a radius), times h^dim over the full
+    ball volume.  `cells` are the integer lattice indices of the values."""
+    dim = len(cells[0])
     vol = {1: 2.0, 2: math.pi}[dim]
-    for t in radii:
-        s = 0.0
-        for i, p in enumerate(nodes):
-            if dist(p, x) < t:
-                s += abs(values[i]) * cell_measure
-        best = max(best, s / (vol * t**dim))
-    return best
+    out = []
+    for a in cells if centers is None else centers:
+        near = [(lattice_r2(a, b, h), abs(v)) for b, v in zip(cells, values)]
+        row = []
+        for t in radii:
+            t = float(t)
+            t2 = t ** 2
+            s = math.fsum(v for r2, v in near if r2 < t2)
+            row.append(s * h ** dim / (vol * t ** dim))
+        out.append(row)
+    return out
+
+
+def maximal_lattice(cells, values, h, radii, centers=None) -> list[float]:
+    """Mf at each center cell: the sup over radii of ball_averages_lattice."""
+    return [max([0.0] + row) for row in ball_averages_lattice(cells, values, h, radii, centers)]
+
+
+def maximal_singular_lattice(cells, values, h, kernel, eps_grid, centers=None) -> list[float]:
+    """K*f at each center cell (default: every cell): the sup over eps of
+    |sum of kernel(offset * h) * values * h^dim| over the cells whose
+    offset has lattice_r2 >= eps**2.  kernel takes one offset as a tuple
+    of floats; it is evaluated once per integer offset, and never inside
+    the smallest truncation (where the zero offset lies)."""
+    dim = len(cells[0])
+    eps_grid = [float(e) for e in eps_grid]
+    smallest = min(eps_grid) ** 2
+    memo = {}
+    out = []
+    for a in cells if centers is None else centers:
+        terms = []
+        for b, v in zip(cells, values):
+            r2 = lattice_r2(a, b, h)
+            if r2 < smallest:
+                continue
+            off = tuple(i - j for i, j in zip(a, b))
+            if off not in memo:
+                memo[off] = kernel(tuple(k * h for k in off))
+            terms.append((r2, memo[off] * v))
+        best = 0.0
+        for e in eps_grid:
+            e2 = e ** 2
+            best = max(best, abs(math.fsum(t for r2, t in terms if r2 >= e2)))
+        out.append(best * h ** dim)
+    return out
 
 
 def ap_expression(nodes, wcells, wconj_cells, p, center, radius, cell_measure):

@@ -1,54 +1,70 @@
 import numpy as np
 import pytest
 
-from morreylab.corpus import polynomial_bump, smoothstep_indicator
+import oracles
+from morreylab.corpus import polynomial_bump
 from morreylab.geometry import Disk, Grid, Interval, SampledField
+from morreylab.harness import _nested_operator_grid
 from morreylab.operators import (
     CZKernel,
     _ball_kernel,
+    _convolutions,
     _Convolver,
     _gamma_kernel,
     _pow2,
     _truncated_kernel,
     _window_sums_1d,
-    maximal,
     maximal_field,
-    maximal_singular,
     operator_radius_grid,
     singular_field,
     singular_identity_check,
-    truncated_singular,
 )
 from morreylab.solver import solve_dirichlet, solve_dirichlet_many
-
-D1 = Disk((0.0, 0.0), 1.0)
 
 
 def disk_grid(n=64, R=1.0):
     return Grid(Disk((0.0, 0.0), R), n)
 
 
+def lattice_cells(g):
+    """Integer lattice index of every masked node, in node order."""
+    return [tuple(int(i) for i in c)
+            for c in np.argwhere(g.lattice_mask.reshape((g.n,) * g.dim))]
+
+
+def nearest_node(g, x):
+    return int(np.argmin(np.linalg.norm(g.nodes - np.asarray(x, dtype=float), axis=1)))
+
+
+def kernel_at(kernel):
+    return lambda z: float(kernel(np.array([z]))[0])
+
+
 # --- maximal -----------------------------------------------------------------
 
 def test_maximal_constant_one():
-    g = Grid(Interval(-1.0, 1.0), 256)
+    g = Grid(Interval(-1.0, 1.0), 257)
     f = SampledField(g, np.ones(g.n_cells))
-    got = maximal(f, [0.0], operator_radius_grid(g))
-    # cell quantization against the exact-ball denominator overshoots by at
-    # most a factor 1 + h/t, attained at radii of a few cells
+    i = nearest_node(g, [0.0])
+    assert g.nodes[i, 0] == 0.0
+    got = maximal_field(f, operator_radius_grid(g)).values[i]
+    # the 2k + 1 cells within k h < t against the exact-ball denominator
+    # are off by a factor within 1 +- h/2t: an overshoot of at most 1.5,
+    # at t just above h, and below 2% from t = 25 h on (index 28 on)
     assert 1.0 - 1e-12 <= got <= 1.5
-    coarse = maximal(f, [0.0], operator_radius_grid(g)[24:])
+    coarse = maximal_field(f, operator_radius_grid(g)[28:]).values[i]
     assert coarse == pytest.approx(1.0, rel=0.02)
 
 
 def test_maximal_offset_indicator():
     g = Grid(Interval(-4.0, 4.0), 512)
     f = SampledField.from_function(g, lambda x: (np.abs(x) < 1.0).astype(float))
+    i = nearest_node(g, [2.0])
     radii = np.concatenate([operator_radius_grid(g, 64), [3.0]])
-    got = maximal(f, [2.0], radii)
+    got = maximal_field(f, radii).values[i]
     assert got == pytest.approx(1.0 / 3.0, rel=0.02)
     # dense sweep oracle: the optimum over a fine t grid agrees
-    dense = maximal(f, [2.0], np.linspace(0.1, 8.0, 1500))
+    dense = maximal_field(f, np.linspace(0.1, 8.0, 1500)).values[i]
     assert got == pytest.approx(dense, rel=0.02)
 
 
@@ -56,12 +72,13 @@ def test_maximal_dominates_single_ball_average():
     g = disk_grid(48)
     rng = np.random.default_rng(1)
     f = SampledField(g, rng.uniform(0, 1, g.n_cells))
-    x = [0.2, -0.1]
+    i = nearest_node(g, [0.2, -0.1])
     radii = operator_radius_grid(g, 16)
-    m = maximal(f, x, radii)
+    m = maximal_field(f, radii).values[i]
+    cells = lattice_cells(g)
+    r2 = np.array([oracles.lattice_r2(cells[i], b, g.h) for b in cells])
     for t in radii[:4]:
-        d = np.linalg.norm(g.nodes - np.array(x)[None, :], axis=1)
-        avg = f.values[d < t].sum() * g.cell_measure / (np.pi * t**2)
+        avg = f.values[r2 < t**2].sum() * g.cell_measure / (np.pi * t**2)
         assert m >= avg - 1e-12
 
 
@@ -71,9 +88,10 @@ def test_maximal_sublinear_homogeneous():
     f1 = SampledField(g, rng.normal(size=g.n_cells))
     f2 = SampledField(g, rng.normal(size=g.n_cells))
     radii = operator_radius_grid(g, 24)
-    for x in ([0.3], [0.71]):
-        assert maximal(f1 + f2, x, radii) <= maximal(f1, x, radii) + maximal(f2, x, radii) + 1e-12
-        assert maximal(-3.0 * f1, x, radii) == pytest.approx(3.0 * maximal(f1, x, radii), rel=1e-12)
+    m1, m2 = maximal_field(f1, radii).values, maximal_field(f2, radii).values
+    assert np.all(maximal_field(f1 + f2, radii).values <= m1 + m2 + 1e-12)
+    np.testing.assert_allclose(maximal_field(-3.0 * f1, radii).values, 3.0 * m1,
+                               rtol=1e-12)
 
 
 def test_maximal_field_matches_pointwise():
@@ -83,30 +101,68 @@ def test_maximal_field_matches_pointwise():
         radii = operator_radius_grid(g, 12)
         field = maximal_field(f, radii)
         idx = rng.integers(0, g.n_cells, 12)
-        for i in idx:
-            want = maximal(f, g.nodes[i], radii)
-            assert field.values[i] == pytest.approx(want, rel=1e-9, abs=1e-12)
+        cells = lattice_cells(g)
+        want = oracles.maximal_lattice(cells, f.values, g.h, radii,
+                                       centers=[cells[i] for i in idx])
+        np.testing.assert_allclose(field.values[idx], want, rtol=1e-9, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("n", [16, 17, 24, 25])
 def test_fields_match_pointwise_at_the_alias_boundary(n):
     # at n = 16 the transform is 2n long, one more than the alias-free
     # 2n - 1; at 2n - 2 a field on one rim wraps onto the other.  The
-    # radii up to the diameter are half-integer cell counts: no lattice
-    # distance ties with them, and at a tie the pointwise |x - y| < t and
-    # the lattice kernel's |offset|^2 < t^2 can round apart
+    # radii are half-integer and integer cell counts up to the diameter,
+    # h and the diameter included: every integer one ties with a lattice
+    # distance, and the oracles decide those ties by the fields' rule
     g = disk_grid(n)
-    assert _Convolver(g).size == {16: 32, 17: 64}[n]
+    assert _Convolver(g).size == {16: 32, 17: 64, 24: 64, 25: 64}[n]
     x0 = g.nodes[:, 0]
     f = SampledField(g, np.where(x0 > 0.6, 1.0 + x0, 0.0))
-    radii = (np.arange(1, n + 1) + 0.5) * g.h
-    mf = maximal_field(f, radii).values
-    k = CZKernel(2, 1, (1, 1))
-    ks = singular_field(f, k, radii).values
-    for i, x in enumerate(g.nodes):
-        assert mf[i] == pytest.approx(maximal(f, x, radii), rel=1e-9, abs=1e-12)
-        assert ks[i] == pytest.approx(maximal_singular(f, k, x, radii),
-                                      rel=1e-8, abs=1e-11)
+    k = np.arange(1, n + 1)
+    radii = np.concatenate([(k + 0.5) * g.h, k * g.h, [g.domain.diameter]])
+    cz = CZKernel(2, 1, (1, 1))
+    cells = lattice_cells(g)
+    np.testing.assert_allclose(
+        maximal_field(f, radii).values,
+        oracles.maximal_lattice(cells, f.values, g.h, radii), rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(
+        singular_field(f, cz, radii).values,
+        oracles.maximal_singular_lattice(cells, f.values, g.h, kernel_at(cz), radii),
+        rtol=1e-9, atol=1e-12)
+
+
+def test_radii_one_rounding_apart_keep_their_own_balls():
+    # the ball of k h and that of the next float up differ on this grid:
+    # a spectrum shared between two such radii would stand for both
+    g = disk_grid(24)
+    f = SampledField(g, np.random.default_rng(11).uniform(0, 1, g.n_cells))
+    cz = CZKernel(2, 1, (1, 1))
+    cells = lattice_cells(g)
+    for k in (1, 3, 5):
+        radii = [k * g.h, np.nextafter(k * g.h, np.inf)]
+        np.testing.assert_allclose(
+            maximal_field(f, radii).values,
+            oracles.maximal_lattice(cells, f.values, g.h, radii), rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(
+            singular_field(f, cz, radii).values,
+            oracles.maximal_singular_lattice(cells, f.values, g.h, kernel_at(cz), radii),
+            rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,integer_radii", [(98, True), (322, False)])
+def test_maximal_field_1d_decides_ties_by_the_lattice_rule(n, integer_radii):
+    # on these grids a radius of the nested grid at 5 per octave, or an
+    # integer number of cells, lands on a lattice distance up to one
+    # rounding: the 1D half-widths must decide it as the 2D kernels and
+    # the oracle do
+    g = Grid(Interval(0.0, 1.0), n)
+    f = SampledField.from_function(g, lambda x: 1.0 + x)
+    radii = _nested_operator_grid(g, 5)
+    if integer_radii:
+        radii = np.concatenate([radii, np.arange(1, n) * g.h])
+    want = np.array(oracles.ball_averages_lattice(lattice_cells(g), f.values, g.h, radii))
+    for t, col in zip(radii, want.T):
+        np.testing.assert_allclose(maximal_field(f, [t]).values, col, rtol=1e-9, atol=1e-12)
 
 
 def test_maximal_zero_extension_box_invariance():
@@ -115,13 +171,10 @@ def test_maximal_zero_extension_box_invariance():
     pad = 16 * g1.h
     g2 = Grid(dom, 64 + 32, box=((-pad, 1.0 + pad),))
     vals = np.sin(np.pi * g1.nodes[:, 0])
-    order1 = np.argsort(g1.nodes[:, 0])
-    order2 = np.argsort(g2.nodes[:, 0])
-    f1 = SampledField(g1, vals)
-    f2 = SampledField(g2, vals[np.argsort(order1)][order2] if False else vals)
     radii = operator_radius_grid(g1, 16)
-    for x in ([0.31], [0.77]):
-        assert abs(maximal(f1, x, radii) - maximal(f2, x, radii)) < 1e-12
+    m1 = maximal_field(SampledField(g1, vals), radii).values
+    m2 = maximal_field(SampledField(g2, vals), radii).values
+    assert np.abs(m1 - m2).max() < 1e-12
 
 
 # --- CZ kernels ---------------------------------------------------------------
@@ -148,55 +201,62 @@ def test_czkernel_1d_vanishes():
 # --- truncated singular --------------------------------------------------------
 
 def test_truncated_radial_cancellation():
-    g = disk_grid(64)
+    g = disk_grid(65)
     f = SampledField(g, np.ones(g.n_cells))  # radial indicator of the disk
+    i = nearest_node(g, [0.0, 0.0])
+    assert not g.nodes[i].any()
     k = CZKernel(2, 1, (2, 0))
     for eps in (2 * g.h, 0.3, 0.7):
-        val = truncated_singular(f, k, [0.0, 0.0], eps)
-        assert abs(val) < 1e-10
+        assert singular_field(f, k, [eps]).values[i] < 1e-10
 
 
 def test_truncated_odd_symmetry():
-    g = disk_grid(48)
+    g = disk_grid(49)
     f = SampledField.from_function(g, lambda x, y: x)  # odd under x1 -> -x1
     k = CZKernel(2, 1, (2, 0))  # even under the reflection
-    val = truncated_singular(f, k, [0.0, 0.3], 3 * g.h)
-    assert abs(val) < 1e-10
+    axis = np.abs(g.nodes[:, 0]) < 1e-12
+    assert axis.sum() > 10
+    assert singular_field(f, k, [3 * g.h]).values[axis].max() < 1e-10
 
 
 def test_truncated_below_resolution():
     g = disk_grid(16)
     f = SampledField(g, np.ones(g.n_cells))
     with pytest.raises(ValueError, match="truncation below resolution"):
-        truncated_singular(f, CZKernel(2, 1, (2, 0)), [0.0, 0.0], g.h / 2)
+        singular_field(f, CZKernel(2, 1, (2, 0)), [g.h / 2, 2 * g.h])
 
 
 def test_truncated_smooth_oversampling_oracle():
-    # x outside the support: nonsingular quadrature must converge under
-    # refinement (4x finer grid within 1e-4 relative)
+    # a node outside the support: nonsingular quadrature must converge under
+    # refinement (3x finer grid within 1e-4 relative); each cell of grid
+    # 65 has its center at the center of a cell of grid 195
     k = CZKernel(2, 1, (1, 1))
+    bump, _, _ = polynomial_bump([0.5, 0.0], 0.5, 2)
+    coarse = disk_grid(65, R=2.0)
+    x = coarse.nodes[nearest_node(coarse, [-1.2, 0.0])]
     vals = {}
-    for n in (64, 256):
+    for n in (65, 195):
         g = disk_grid(n, R=2.0)
-        bump, _, _ = polynomial_bump([0.5, 0.0], 0.5, 2)
+        i = nearest_node(g, x)
+        assert np.linalg.norm(g.nodes[i] - x) < 1e-12
         f = SampledField(g, bump(g.nodes))
-        vals[n] = truncated_singular(f, k, [-1.2, 0.0], 2 * g.h)
-    assert vals[256] == pytest.approx(vals[64], rel=1e-4)
+        vals[n] = singular_field(f, k, [2 * g.h]).values[i]
+    assert vals[195] == pytest.approx(vals[65], rel=1e-4)
 
 
 def test_maximal_singular_dominates_and_constant_region():
     g = Grid(Disk((0.0, 0.0), 3.0), 96)
     f = SampledField.from_function(g, lambda x, y: (np.hypot(x, y) < 1.0).astype(float))
     k = CZKernel(2, 1, (2, 0))
-    x = [2.0, 0.0]
+    i = nearest_node(g, [2.0, 0.0])
     eps_grid = operator_radius_grid(g, 24)
-    ks = maximal_singular(f, k, x, eps_grid)
+    ks = singular_field(f, k, eps_grid).values[i]
     for e in eps_grid[:5]:
-        assert ks >= abs(truncated_singular(f, k, x, e)) - 1e-14
+        assert ks >= singular_field(f, k, [e]).values[i] - 1e-14
     # truncations below the distance to the support see the whole support
-    a = truncated_singular(f, k, x, 0.3)
-    b = truncated_singular(f, k, x, 0.8)
-    assert a == pytest.approx(b, abs=1e-6 * max(abs(a), 1))
+    a = singular_field(f, k, [0.3]).values[i]
+    b = singular_field(f, k, [0.8]).values[i]
+    assert a == pytest.approx(b, abs=1e-6 * max(a, 1))
 
 
 def test_singular_field_matches_pointwise():
@@ -206,21 +266,20 @@ def test_singular_field_matches_pointwise():
     k = CZKernel(2, 1, (1, 1))
     eps_grid = operator_radius_grid(g, 8)
     field = singular_field(f, k, eps_grid)
-    for i in rng.integers(0, g.n_cells, 8):
-        want = maximal_singular(f, k, g.nodes[i], eps_grid)
-        assert field.values[i] == pytest.approx(want, rel=1e-8, abs=1e-11)
+    idx = rng.integers(0, g.n_cells, 8)
+    cells = lattice_cells(g)
+    want = oracles.maximal_singular_lattice(cells, f.values, g.h, kernel_at(k), eps_grid,
+                                            centers=[cells[i] for i in idx])
+    np.testing.assert_allclose(field.values[idx], want, rtol=1e-8, atol=1e-11)
 
 
 def test_singular_linearity():
     g = disk_grid(24)
     rng = np.random.default_rng(7)
-    f1 = SampledField(g, rng.normal(size=g.n_cells))
-    f2 = SampledField(g, rng.normal(size=g.n_cells))
-    k = CZKernel(2, 1, (2, 0))
-    x, e = [0.1, 0.2], 3 * g.h
-    lhs = truncated_singular(f1 + 2.0 * f2, k, x, e)
-    rhs = truncated_singular(f1, k, x, e) + 2.0 * truncated_singular(f2, k, x, e)
-    assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
+    f1, f2 = rng.normal(size=(2, g.n_cells))
+    kern = [_truncated_kernel(g, CZKernel(2, 1, (2, 0)), 3 * g.h)]
+    (lhs,), (a,), (b,) = (list(_convolutions(g, v, kern)) for v in (f1 + 2.0 * f2, f1, f2))
+    np.testing.assert_allclose(lhs, a + 2.0 * b, rtol=1e-11, atol=1e-13)
 
 
 def test_one_live_convolver():
