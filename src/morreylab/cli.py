@@ -47,6 +47,8 @@ def _load(args) -> dict:
         raise harness.ConfigError(f"config not found: {args.config}") from None
     except json.JSONDecodeError as exc:
         raise harness.ConfigError(f"bad config: {exc}") from None
+    if args.grid is not None:
+        harness._check_count("--grid", args.grid)
     if args.seed is not None:
         cfg["seed"] = args.seed
     return cfg
@@ -81,7 +83,7 @@ def cmd_norm(args) -> int:
     cfg = _load(args)
     sec = cfg["norm"]
     dom = harness._domain_from(sec["domain"], "norm.domain")
-    n = args.grid or sec["grid"]
+    n = sec["grid"] if args.grid is None else args.grid
     g = Grid(dom, n)
     fname = sec["f"]
     f = _corpus_field(g, cfg["seed"], fname, "norm.f")
@@ -94,7 +96,7 @@ def cmd_norm(args) -> int:
     out = _out_dir(args, cfg)
     harness._write_csv(os.path.join(out, "norm.csv"),
                        ("f", "w", "phi", "p", "value", "center", "radius", "n"),
-                       [(fname, w.label, getattr(phi, "label", "phi"), p, res.value,
+                       [(fname, w.label, phi.label, p, res.value,
                          res.attaining_ball.center, res.attaining_ball.radius, n)])
     return _EXIT_PASS
 
@@ -103,21 +105,18 @@ def cmd_weight(args) -> int:
     cfg = _load(args)
     sec = cfg["weight"]
     dom = harness._domain_from(sec["domain"], "weight.domain")
-    n = args.grid or sec["grid"]
+    n = sec["grid"] if args.grid is None else args.grid
     g = Grid(dom, n)
     w = harness._weight_from(sec["spec"], "weight.spec", dom.dim)
     p = sec["p"]
     est = ap_constant(w, p, g, ap_sweep(g, w))
-    try:
-        member = ap_membership(w, p)
-        verdict = "in-class" if member.in_class else "out-of-class"
-    except ValueError:
-        verdict = "unclassified"
+    member = ap_membership(w, p)
+    verdict = "in-class" if member.in_class else "out-of-class"
     out = _out_dir(args, cfg)
     harness._write_csv(os.path.join(out, "weight.csv"),
                        ("p", "gamma", "estimate", "attaining_center",
                         "attaining_radius", "n"),
-                       [(p, getattr(w, "gamma", 0.0), est.value,
+                       [(p, member.gamma, est.value,
                          est.attaining_ball.center, est.attaining_ball.radius, n)])
     print(f"A_p estimate {est.value:.6g} ({verdict})")
     return _EXIT_PASS
@@ -166,7 +165,7 @@ def cmd_solve(args) -> int:
     sec = cfg["solve"]
     dom = harness._domain_from(sec["domain"], "solve.domain")
     m = sec["m"]
-    n = args.grid or sec["grid"]
+    n = sec["grid"] if args.grid is None else args.grid
     g = Grid(dom, n)
     f = _corpus_field(g, cfg["seed"], sec["f"], "solve.f")
     sol = solve_dirichlet(dom, m, f)
@@ -209,7 +208,7 @@ def cmd_operators(args) -> int:
     sec = cfg["operators"]
     dom = harness._domain_from(sec["domain"], "operators.domain")
     m = sec["m"]
-    n = args.grid or sec["grid"]
+    n = sec["grid"] if args.grid is None else args.grid
     g = Grid(dom, n)
     rho = 0.5 * dom.diameter / 2 if sec["bump_rho"] is None else sec["bump_rho"]
     bump, _, _ = polynomial_bump(harness._interior_center(dom), rho, dom.dim)

@@ -429,17 +429,16 @@ def green_function(domain: Domain, m: int) -> GreenFunction:
 
 
 # ---------------------------------------------------------------------------
-# Poisson kernel (disk, m = 1, j = 0: harmonic measure)
+# Poisson kernel (disk, m = 1: harmonic measure)
 
 
 @dataclass(frozen=True)
 class PoissonKernel:
     domain: Disk
-    j: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.domain, Disk) or self.j != 0:
-            raise ValueError("Poisson kernel implemented for disk, j = 0")
+        if not isinstance(self.domain, Disk):
+            raise ValueError("Poisson kernel implemented for disk")
 
     def __call__(self, x, P):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -637,7 +636,7 @@ def verify_kernel_bounds(domain: Domain, m: int, x: np.ndarray, y: np.ndarray,
 def verify_poisson_bounds(domain: Disk, count: int, seed: int) -> dict:
     """Fit C in |K_0(x,P)| <= C d(x)/|x-P|^n over interior x and boundary P,
     and check the harmonic-measure normalization at a probe point."""
-    kern = PoissonKernel(domain, 0)
+    kern = PoissonKernel(domain)
     rng = np.random.default_rng(seed)
     c = np.asarray(domain.center)
     R = domain.radius

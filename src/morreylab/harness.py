@@ -162,9 +162,11 @@ def load_config(path: str | None) -> dict:
     default whole.  Raises ConfigError for an unknown section or key, a
     value whose JSON type differs from the default's, a domain, weight or
     phi spec that SPEC_KINDS or the constructor rejects, a condition.x
-    that is no point of its domain, an operators order without a
-    fundamental solution or a disk operators.alpha that is no CZ kernel's
-    multi-index, or a suite case that names no implemented Green function."""
+    that is no point of its domain, an exponent p < 1, a grid or sweep
+    count below 2, a solve.m without a Green function, an operators order
+    without a fundamental solution or a disk operators.alpha that is no CZ
+    kernel's multi-index, or a suite case that names no implemented Green
+    function."""
     cfg = default_config()
     if path is None:
         return cfg
@@ -188,25 +190,37 @@ def load_config(path: str | None) -> dict:
     # domains and weights are built: a constructor's rejection surfaces here
     # too, and a weight is checked against its section's domain
     for name in CLI_DEFAULTS:
-        dim = None
+        dom = None
         for key, spec in cfg[name].items():
             family = _SPEC_KEYS.get(key)
             if family == "domain":
-                dim = _domain_from(spec, f"{name}.{key}").dim
+                dom = _domain_from(spec, f"{name}.{key}")
             elif family == "weight":
-                _weight_from(spec, f"{name}.{key}", dim)
+                _weight_from(spec, f"{name}.{key}", dom.dim)
             elif family == "phi" and spec is not None:  # a null phi2 is phi1
                 _spec("phi", spec, f"{name}.{key}")
             elif key == "x" and spec is not None:  # a null condition.x is the center
                 for i, v in enumerate(spec):
                     _check_type(f"{name}.x[{i}]", v, 0.0)
-                _build(f"{name}.x", _as_point, spec, dim)
+                _build(f"{name}.x", _as_point, spec, dom.dim)
+            elif key == "p" and not spec >= 1:
+                raise ConfigError(f"{name}.p: invalid exponent {spec!r}; need p >= 1")
+            elif key in ("grid", "centers", "radii"):
+                _check_count(f"{name}.{key}", spec)
+            elif name == "solve" and key == "m":
+                _build("solve.m", green_function, dom, spec)
     _check_operators(cfg["operators"])
     for name, section in cfg.items():
         if isinstance(section, dict) and "cases" in section:
             for i, case in enumerate(section["cases"]):
                 _case_domain(case, f"{name}.cases[{i}]")
     return cfg
+
+
+def _check_count(path: str, value) -> None:
+    """ConfigError unless a grid size or sweep count is at least 2."""
+    if not value >= 2:
+        raise ConfigError(f"{path}: expected a count >= 2, got {value!r}")
 
 
 def _check_operators(sec: dict) -> None:

@@ -127,7 +127,7 @@ def _solve_disk_m1_values(grid: Grid, F: np.ndarray) -> dict:
     """As `_pairwise_values` at m = 1, one column at a time: free-space
     potentials from one forward transform per column, plus the harmonic
     completion of the negated boundary trace."""
-    kern = PoissonKernel(grid.domain, 0)
+    kern = PoissonKernel(grid.domain)
     Pb, _ = kern.boundary_nodes(_BOUNDARY_FACTOR * grid.n)
     kernels = [_gamma_kernel(grid, 1, a) for a in ((0, 0), (1, 0), (0, 1))]
     vals = {a: np.empty_like(F) for a in ((0, 0), (1, 0), (0, 1))}

@@ -30,7 +30,6 @@ __all__ = [
     "PowerLawPhi",
     "WeightMeasurePhi",
     "InverseWeightMeasurePhi",
-    "CustomPhi",
     "PhiFunction",
     "lp_weighted_norm",
     "weak_lp_weighted_norm",
@@ -47,14 +46,14 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # phi families (Remark-style: power law, weight measure, inverse weight
-# measure, custom callable).  ``over(centers, radii, measure)`` evaluates phi
-# on many balls at once; ``measure(w)`` gives w's measure of each ball.
+# measure).  ``over(radii, measure)`` evaluates phi on many balls at once;
+# ``measure(w)`` gives w's measure of each ball.
 
 
 class _Phi:
     def __call__(self, x, r) -> float:
         """phi(x, r); the measure families take the full-space w(B(x, r))."""
-        return float(self.over([x], np.array([float(r)]),
+        return float(self.over(np.array([float(r)]),
                                lambda w: np.array([ball_measure(w, x, r)]))[0])
 
 
@@ -66,8 +65,8 @@ class PowerLawPhi(_Phi):
     p: float
     n: int
 
-    def over(self, centers, radii, measure) -> np.ndarray:
-        return np.asarray(radii, dtype=float) ** ((self.lam - self.n) / self.p)
+    def over(self, radii, measure) -> np.ndarray:
+        return radii ** ((self.lam - self.n) / self.p)
 
     @property
     def label(self):
@@ -82,7 +81,7 @@ class WeightMeasurePhi(_Phi):
     p: float
     w: Weight
 
-    def over(self, centers, radii, measure) -> np.ndarray:
+    def over(self, radii, measure) -> np.ndarray:
         return measure(self.w) ** ((self.k - 1.0) / self.p)
 
     @property
@@ -97,7 +96,7 @@ class InverseWeightMeasurePhi(_Phi):
     p: float
     w: Weight
 
-    def over(self, centers, radii, measure) -> np.ndarray:
+    def over(self, radii, measure) -> np.ndarray:
         return measure(self.w) ** (-1.0 / self.p)
 
     @property
@@ -105,22 +104,7 @@ class InverseWeightMeasurePhi(_Phi):
         return f"invwmeas(p={self.p:g})"
 
 
-class CustomPhi(_Phi):
-    """phi from a user callable (x, r) -> value; a (radii, values) table is
-    wrapped into log-linear interpolation."""
-
-    def __init__(self, func=None, table=None, label="custom"):
-        if func is None:
-            rs, vs = np.asarray(table[0], float), np.asarray(table[1], float)
-            func = lambda x, r: float(np.interp(np.log(r), np.log(rs), vs))
-        self._func = func
-        self.label = label
-
-    def over(self, centers, radii, measure) -> np.ndarray:
-        return np.array([float(self._func(c, r)) for c, r in zip(centers, radii)])
-
-
-PhiFunction = PowerLawPhi | WeightMeasurePhi | InverseWeightMeasurePhi | CustomPhi
+PhiFunction = PowerLawPhi | WeightMeasurePhi | InverseWeightMeasurePhi
 
 
 def _checked_phi(values: np.ndarray) -> np.ndarray:
@@ -302,11 +286,10 @@ class MorreyEvaluator:
         """phi on every sweep ball, with domain-restricted measures; it must
         be finite and > 0 on every ball that holds a cell."""
         if phi not in self._phis:
-            balls = self.cache.balls
+            radii = np.array([b.radius for b in self.cache.balls])
             # a ball without cells has zero measure; its value is never used
             with np.errstate(divide="ignore"):
-                vals = phi.over([b.center for b in balls],
-                                np.array([b.radius for b in balls]), self.weight_sums)
+                vals = phi.over(radii, self.weight_sums)
             _checked_phi(vals[self.cache.sizes > 0])
             self._phis[phi] = vals
         return self._phis[phi]
@@ -425,7 +408,6 @@ def _fitted_constant(phi1, phi2, w, p, x, r_grid, upper_limit, points):
     fill = np.geomspace(r_grid.min(), upper_limit, points)
     t_grid = np.unique(np.concatenate([r_grid, fill]))
     key = tuple(t_grid.tolist())
-    centers = [x] * len(t_grid)
 
     def measure(v):
         return _ball_measures(v, x, key)
@@ -433,12 +415,12 @@ def _fitted_constant(phi1, phi2, w, p, x, r_grid, upper_limit, points):
     # suffix-min of phi1(x,s) w(B(x,s))^{1/p} over s >= t, divided by
     # w(B(x,t))^{1/p}, then integrated dt/t from each t to the end
     meas = measure(w) ** (1.0 / p)
-    prod = _checked_phi(phi1.over(centers, t_grid, measure)) * meas
+    prod = _checked_phi(phi1.over(t_grid, measure)) * meas
     integrand = np.minimum.accumulate(prod[::-1])[::-1] / meas
     if not np.all(np.isfinite(integrand)):
         raise ValueError("divergent condition")
     lhs = _suffix_trapz(np.log(t_grid), integrand)
-    phi2_vals = _checked_phi(phi2.over(centers, t_grid, measure))
+    phi2_vals = _checked_phi(phi2.over(t_grid, measure))
     idx = np.searchsorted(t_grid, r_grid)
     rows = [(float(r), float(lhs[i] / phi2_vals[i])) for r, i in zip(r_grid, idx)]
     return max(v for _, v in rows), rows
@@ -457,6 +439,8 @@ def condition_213(phi1: PhiFunction, phi2: PhiFunction, w: Weight, p: float,
     1%); the upper limit T truncates the paper-side infinite integral and its
     sensitivity (T vs 10 T) is always reported.
     """
+    if p < 1:
+        raise ValueError("invalid exponent")
     x = tuple(float(v) for v in np.atleast_1d(x))
     if min(r_grid) <= 0 or max(r_grid) >= upper_limit:
         raise ValueError("r_grid must lie inside (0, upper_limit)")

@@ -1,8 +1,8 @@
 """Analytic weight families and Muckenhoupt A_p constant estimation.
 
-The family {constant, |x - x0|^gamma, products thereof} is closed under the
-powers needed by the A_p expression (w -> w^{-1/(p-1)}), evaluates pointwise,
-and integrates over grid cells: exactly in 1D via the |t|^{gamma+1}/(gamma+1)
+The family {constant, |x - x0|^gamma} is closed under the powers needed by
+the A_p expression (w -> w^{-1/(p-1)}), evaluates pointwise, and integrates
+over grid cells: exactly in 1D via the |t|^{gamma+1}/(gamma+1)
 antiderivative, by 8x oversampled midpoint in 2D.
 
 Cells on which the exact 1D integral diverges (conjugate exponent <= -1
@@ -24,7 +24,6 @@ from .geometry import (Ball, Grid, cell_lattice, distance, nested_log_radii, reg
 __all__ = [
     "ConstantWeight",
     "PowerWeight",
-    "ProductWeight",
     "Weight",
     "ApEstimate",
     "MembershipReport",
@@ -38,10 +37,10 @@ __all__ = [
 ]
 
 _OVERSAMPLE = 8
-# sub-cell points per pass of _subcell_values: bounds its temporaries
+# sub-cell points per pass of _oversampled_cells: bounds its temporaries
 _SUBCELL_CHUNK = 2**14
-# ball_measure's midpoint quadrature: _BALL_QUAD radii by 2 * _BALL_QUAD
-# angles in 2D, 4 * _BALL_QUAD points along the diameter in 1D
+# ball_measure's 2D midpoint quadrature: _BALL_QUAD radii by 2 * _BALL_QUAD
+# angles
 _BALL_QUAD = 96
 
 
@@ -105,23 +104,7 @@ class _RawPower(PowerWeight):
         pass
 
 
-@dataclass(frozen=True)
-class ProductWeight:
-    w1: "Weight"
-    w2: "Weight"
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self.w1(pts) * self.w2(pts)
-
-    def pow(self, s: float) -> "ProductWeight":
-        return ProductWeight(self.w1.pow(s), self.w2.pow(s))
-
-    @property
-    def label(self) -> str:
-        return f"{self.w1.label}*{self.w2.label}"
-
-
-Weight = ConstantWeight | PowerWeight | ProductWeight
+Weight = ConstantWeight | PowerWeight
 
 
 def conjugate_weight(w: Weight, p: float) -> Weight:
@@ -148,19 +131,14 @@ def _power_cells_1d(lo: np.ndarray, hi: np.ndarray, x0: float, gamma: float) -> 
     return np.where(straddle, fallback, exact)
 
 
-def _subcell_values(w: Weight, grid: Grid, nodes: np.ndarray):
-    """w at the _OVERSAMPLE**dim sub-cell midpoints of the cell of each node:
-    (cells, _OVERSAMPLE**dim) blocks of about _SUBCELL_CHUNK points, in
-    node order."""
+def _oversampled_cells(w: Weight, grid: Grid) -> np.ndarray:
+    """Midpoint sums of w over the _OVERSAMPLE**dim sub-cells of each cell,
+    in blocks of about _SUBCELL_CHUNK points."""
     shift = cell_lattice(((-0.5, 0.5),) * grid.dim, _OVERSAMPLE)[1] * grid.h
     step = max(1, _SUBCELL_CHUNK // len(shift))
-    for start in range(0, len(nodes), step):
-        pts = nodes[start:start + step, None, :] + shift
-        yield w(pts)
-
-
-def _oversampled_cells(w: Weight, grid: Grid) -> np.ndarray:
-    blocks = [vals.sum(axis=1) for vals in _subcell_values(w, grid, grid.nodes)]
+    nodes = grid.nodes
+    blocks = [w(nodes[start:start + step, None, :] + shift).sum(axis=1)
+              for start in range(0, len(nodes), step)]
     return np.concatenate(blocks) * (grid.h / _OVERSAMPLE) ** grid.dim
 
 
@@ -168,13 +146,9 @@ def _oversampled_cells(w: Weight, grid: Grid) -> np.ndarray:
 def _cells_cached(w: Weight, grid: Grid) -> np.ndarray:
     if isinstance(w, ConstantWeight):
         out = np.full(grid.n_cells, w.c * grid.cell_measure)
-    elif isinstance(w, PowerWeight) and grid.dim == 1:
+    elif grid.dim == 1:
         x = grid.nodes[:, 0]
         out = _power_cells_1d(x - grid.h / 2, x + grid.h / 2, w.center[0], w.gamma)
-    elif isinstance(w, ProductWeight) and isinstance(w.w1, ConstantWeight):
-        out = w.w1.c * _cells_cached(w.w2, grid)
-    elif isinstance(w, ProductWeight) and isinstance(w.w2, ConstantWeight):
-        out = w.w2.c * _cells_cached(w.w1, grid)
     else:
         out = _oversampled_cells(w, grid)
     out.setflags(write=False)
@@ -207,20 +181,17 @@ def ball_measure(w: Weight, x, r: float) -> float:
     condition checkers, where balls are not clipped to the domain); the
     dimension is that of the point x.
 
-    1D: exact antiderivatives.  2D: midpoint polar quadrature around x.
+    Constants and 1D powers: exact.  2D powers: midpoint polar quadrature
+    around x.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     dim, quad = len(x), _BALL_QUAD
     if isinstance(w, ConstantWeight):
         vol = 2.0 * r if dim == 1 else np.pi * r**2
         return w.c * vol
-    if dim == 1 and isinstance(w, PowerWeight):
+    if dim == 1:
         arr = _power_cells_1d(np.array([x[0] - r]), np.array([x[0] + r]), w.center[0], w.gamma)
         return float(arr[0])
-    # generic numeric path
-    if dim == 1:
-        t = x[0] - r + (np.arange(4 * quad) + 0.5) * (2 * r / (4 * quad))
-        return float(w(t[:, None]).sum() * (2 * r / (4 * quad)))
     mid, cos, sin = _polar_nodes()
     rho = mid * (r / quad)
     # x + rho (cos th, sin th) at every (radius, angle)
@@ -233,29 +204,19 @@ def ball_measure(w: Weight, x, r: float) -> float:
 
 
 def _cell_extrema(w: Weight, grid: Grid, sel: np.ndarray) -> tuple[float, float]:
-    """(ess inf, ess sup) of w over the selected cell union: analytic for
-    constants and pure powers; for composites, extremes over the same
-    oversampled subnodes as the cell integrals (keeps avg >= inf exact)."""
+    """(ess inf, ess sup) of w over the selected cell union, analytic: a
+    power's distance to its center ranges over each cell's node distance
+    plus or minus half the cell diagonal."""
     if isinstance(w, ConstantWeight):
         return w.c, w.c
-    if isinstance(w, ProductWeight) and isinstance(w.w1, ConstantWeight):
-        lo, hi = _cell_extrema(w.w2, grid, sel)
-        return w.w1.c * lo, w.w1.c * hi
-    if isinstance(w, ProductWeight) and isinstance(w.w2, ConstantWeight):
-        lo, hi = _cell_extrema(w.w1, grid, sel)
-        return w.w2.c * lo, w.w2.c * hi
-    nodes = grid.nodes[sel]
-    if isinstance(w, PowerWeight):
-        d = distance(nodes, w.center)
-        half = grid.h / np.sqrt(4.0 / grid.dim)  # half the cell diagonal
-        dmin = np.maximum(d - half, 0.0)
-        dmax = d + half
-        if w.gamma >= 0:
-            return float(dmin.min() ** w.gamma), float(dmax.max() ** w.gamma)
-        with np.errstate(divide="ignore"):
-            return float(dmax.max() ** w.gamma), float(dmin.min() ** w.gamma)
-    ext = np.array([(v.min(), v.max()) for v in _subcell_values(w, grid, nodes)])
-    return float(ext[:, 0].min()), float(ext[:, 1].max())
+    d = distance(grid.nodes[sel], w.center)
+    half = grid.h / np.sqrt(4.0 / grid.dim)  # half the cell diagonal
+    dmin = np.maximum(d - half, 0.0)
+    dmax = d + half
+    if w.gamma >= 0:
+        return float(dmin.min() ** w.gamma), float(dmax.max() ** w.gamma)
+    with np.errstate(divide="ignore"):
+        return float(dmax.max() ** w.gamma), float(dmin.min() ** w.gamma)
 
 
 @dataclass(frozen=True)
@@ -322,10 +283,6 @@ def ap_sweep(grid: Grid, w: Weight, centers_per_axis: int = 9,
     centers = [tuple(float(v) for v in c) for c in sweep_centers(grid.domain, centers_per_axis)]
     if isinstance(w, PowerWeight):
         centers.append(tuple(float(v) for v in w.center))
-    elif isinstance(w, ProductWeight):
-        for part in (w.w1, w.w2):
-            if isinstance(part, PowerWeight):
-                centers.append(tuple(float(v) for v in part.center))
     balls = []
     for c, dist in zip(centers, grid.domain.boundary_distance(np.array(centers))):
         if dist <= grid.h:
@@ -341,37 +298,18 @@ class MembershipReport:
     p: float
     gamma: float
     criterion: str
-    estimate: ApEstimate | None = None
 
 
-def _power_gamma(w: Weight) -> float:
-    if isinstance(w, ConstantWeight):
-        return 0.0
-    if isinstance(w, PowerWeight):
-        return w.gamma
-    raise ValueError("analytic classification unavailable; use ap_constant")
-
-
-def ap_membership(w: Weight, p: float, grid: Grid | None = None,
-                  sweep: list[Ball] | None = None) -> MembershipReport:
+def ap_membership(w: Weight, p: float) -> MembershipReport:
     """Power-weight A_p classification: -n < gamma < n(p-1) for p > 1,
-    -n < gamma <= 0 for p = 1.  Attaches a numeric estimate when a grid is
-    supplied, for cross-validation."""
+    -n < gamma <= 0 for p = 1; a constant weight is gamma = 0 with n = 1."""
     if p < 1:
         raise ValueError("invalid exponent")
-    gamma = _power_gamma(w)
-    if isinstance(w, ConstantWeight):
-        n = grid.dim if grid is not None else 1
-    else:
-        n = w.dim
+    gamma, n = (0.0, 1) if isinstance(w, ConstantWeight) else (w.gamma, w.dim)
     if p > 1:
         ok = -n < gamma < n * (p - 1.0)
         crit = f"-{n} < gamma < {n * (p - 1.0):g}"
     else:
         ok = -n < gamma <= 0.0
         crit = f"-{n} < gamma <= 0"
-    est = None
-    if grid is not None:
-        est = ap_constant(w, p, grid, sweep or ap_sweep(grid, w))
-    return MembershipReport(in_class=bool(ok), p=p, gamma=gamma, criterion=crit,
-                            estimate=est)
+    return MembershipReport(in_class=bool(ok), p=p, gamma=gamma, criterion=crit)

@@ -302,15 +302,12 @@ def harmonic_completion(center, radius, nodes, boundary_data):
 
 
 def ball_measure_polar(w, x, r, quad=96):
-    """Full-space w(B(x, r)) by midpoint quadrature: 4 * quad points along
-    the diameter in 1D; in 2D quad radii by 2 * quad angles, the nodes
-    built by meshgrid and stacked as an (quad * 2 * quad, 2) array."""
+    """Full-space w(B(x, r)) of a 2D point x by midpoint quadrature: quad
+    radii by 2 * quad angles, the nodes built by meshgrid and stacked as an
+    (quad * 2 * quad, 2) array."""
     import numpy as np
 
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if len(x) == 1:
-        t = x[0] - r + (np.arange(4 * quad) + 0.5) * (2 * r / (4 * quad))
-        return float(w(t.reshape(-1, 1)).sum() * (2 * r / (4 * quad)))
+    x = np.asarray(x, dtype=float)
     rho = (np.arange(quad) + 0.5) * (r / quad)
     th = (np.arange(2 * quad) + 0.5) * (2 * np.pi / (2 * quad))
     rr, tt = np.meshgrid(rho, th, indexing="ij")

@@ -184,14 +184,30 @@ def test_config_errors_exit_2_and_say_why(tmp_path, capsys, cmd, extra, words):
     ({"operators": {"alpha": [-1, 3]}}, ["operators.alpha", "2 non-negative integers"]),
     ({"operators": {"m": 3, "alpha": [6, 0]}},
      ["operators.m: no fundamental solution implemented"]),
+    # exponents, counts and the solve order of the command sections
+    ({"weight": {"p": 0.5}}, ["weight.p: invalid exponent 0.5"]),
+    ({"norm": {"p": 0.5}}, ["norm.p: invalid exponent 0.5"]),
+    ({"condition": {"p": 0.5}}, ["condition.p: invalid exponent 0.5"]),
+    ({"solve": {"m": 3}}, ["solve.m: no Green function"]),
+    ({"norm": {"centers": 1}}, ["norm.centers: expected a count >= 2, got 1"]),
+    ({"norm": {"radii": 1}}, ["norm.radii: expected a count >= 2, got 1"]),
+    ({"solve": {"grid": 1}}, ["solve.grid: expected a count >= 2, got 1"]),
+    ({"operators": {"grid": 1}}, ["operators.grid: expected a count >= 2, got 1"]),
 ])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, cfg, words):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     assert main(["verify", "--suite", "ap", "--config", str(path)]) == 2
     err = capsys.readouterr().err
+    assert err.startswith(words[0])
     for word in words:
         assert word in err
+
+
+@pytest.mark.parametrize("cmd,grid", [("solve", "1"), ("operators", "1"), ("solve", "0")])
+def test_grid_flag_below_two_exits_2(tmp_path, capsys, cmd, grid):
+    assert main([cmd, "--grid", grid, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"--grid: expected a count >= 2, got {grid}")
 
 
 def test_kernel_table_lists_the_suite_cases(tmp_path, capsys):

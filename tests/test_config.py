@@ -10,7 +10,9 @@ from importlib.resources import files
 import pytest
 
 from morreylab import cli, harness
-from morreylab.harness import CLI_DEFAULTS, default_config, load_config
+from morreylab.harness import CLI_DEFAULTS, SPEC_KINDS, default_config, load_config
+from morreylab.spaces import PhiFunction
+from morreylab.weights import ConstantWeight, Weight
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -68,6 +70,27 @@ def test_derived_keys_take_null_or_their_type(tmp_path):
     assert cfg["condition"]["x"] == [0.3] and cfg["operators"]["bump_rho"] == 0.4
     nulls = {"condition": {"phi2": None, "x": None}, "operators": {"bump_rho": None}}
     assert load_config(write(tmp_path, nulls)) == default_config()
+
+
+def _kind_classes(family: str, build) -> list[type]:
+    """The class that `build` makes of each `family` kind, the keys a spec
+    must give filled in with sample values."""
+    sample = {list: [0.0], float: 0.5}
+    classes = []
+    for kind, keys in SPEC_KINDS[family][1].items():
+        spec = {"kind": kind, **{k: sample[v] for k, v in keys.items() if isinstance(v, type)}}
+        classes.append(type(build(spec)))
+    return classes
+
+
+def test_spec_kinds_are_the_weight_and_phi_families():
+    # each kind a config can name builds its own class, and those classes
+    # are the members of the family, so neither can gain a kind alone
+    weights = _kind_classes("weight", lambda s: harness._weight_from(s, "w", 1))
+    phis = _kind_classes("phi", lambda s: harness._phi_from(s, "phi", 2.0, 1, ConstantWeight()))
+    for classes, family in ((weights, Weight), (phis, PhiFunction)):
+        assert len(set(classes)) == len(classes)
+        assert set(classes) == set(family.__args__)
 
 
 def _benchmark_workloads():

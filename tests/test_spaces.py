@@ -22,7 +22,6 @@ from morreylab.geometry import (
     nested_sweep,
 )
 from morreylab.spaces import (
-    CustomPhi,
     InverseWeightMeasurePhi,
     MorreyEvaluator,
     PowerLawPhi,
@@ -35,7 +34,7 @@ from morreylab.spaces import (
     sobolev_morrey_norm,
     weak_lp_weighted_norm,
 )
-from morreylab.weights import ConstantWeight, PowerWeight, ProductWeight, weight_cell_integrals
+from morreylab.weights import ConstantWeight, PowerWeight, weight_cell_integrals
 
 UNIT = Interval(0.0, 1.0)
 ONE = ConstantWeight(1.0)
@@ -215,8 +214,8 @@ def test_morrey_attaining_ball_invariant_under_weight_scaling():
     g = grid(40)
     rng = np.random.default_rng(19)
     f = SampledField(g, rng.normal(size=g.n_cells))
-    w = PowerWeight((0.5,), 0.5)
-    cw = ProductWeight(ConstantWeight(9.0), w)
+    w = ONE
+    cw = ConstantWeight(9.0)
     phi = PowerLawPhi(0.5, 2.0, 1)
     # radii below diam/2 keep the attaining ball generic (r = diam balls all
     # cover the whole domain and tie)
@@ -232,7 +231,8 @@ def test_morrey_invalid_phi():
     g = grid(16)
     f = const_field(g)
     sweep = ball_sweep(g, 3, 3)
-    for bad in (CustomPhi(func=lambda x, r: -1.0), CustomPhi(func=lambda x, r: np.nan)):
+    # a NaN exponent, and r^1000 underflowing to 0 on the balls with r < 1
+    for bad in (PowerLawPhi(np.nan, 2.0, 1), PowerLawPhi(2001.0, 2.0, 1)):
         with pytest.raises(ValueError, match="invalid phi"):
             morrey_norm(f, ONE, bad, 2.0, sweep)
         with pytest.raises(ValueError, match="invalid phi"):
@@ -286,17 +286,19 @@ def _stack_case(dim):
 
 
 def _phis(dim, p, w):
+    # the last measures a weight other than the norm's
     return (PowerLawPhi(lam=0.5 * dim, p=p, n=dim), WeightMeasurePhi(0.3, p, w),
-            InverseWeightMeasurePhi(p, w), CustomPhi(func=lambda x, r: 1.0 + r))
+            InverseWeightMeasurePhi(p, w), WeightMeasurePhi(0.6, p, ConstantWeight(2.0)))
 
 
-def _oracle_phi(phi, nodes, wcells, c, r):
+def _oracle_phi(phi, g, c, r):
     """phi with the domain-restricted measure the evaluator uses."""
-    if isinstance(phi, WeightMeasurePhi):
-        return oracles.weight_measure(nodes, wcells, c, r) ** ((phi.k - 1.0) / phi.p)
-    if isinstance(phi, InverseWeightMeasurePhi):
-        return oracles.weight_measure(nodes, wcells, c, r) ** (-1.0 / phi.p)
-    return phi(c, r)
+    if isinstance(phi, PowerLawPhi):
+        return phi(c, r)
+    nodes = [tuple(q) for q in g.nodes]
+    m = oracles.weight_measure(nodes, list(weight_cell_integrals(phi.w, g)), c, r)
+    k = phi.k if isinstance(phi, WeightMeasurePhi) else 0.0
+    return m ** ((k - 1.0) / phi.p)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -323,7 +325,7 @@ def test_stacked_morrey_matches_oracle_and_rows(dim, weak):
                 assert ev.norm(stack[i:i + 1], w, phi, p, weak)[0] == values[i]
                 assert ev.attaining(row, w, phi, p, weak) == (values[i], idx[i])
                 ov = [-np.inf if wm <= 0 else
-                      nb / (_oracle_phi(phi, nodes, wcells, c, r) * wm ** (1.0 / p))
+                      nb / (_oracle_phi(phi, g, c, r) * wm ** (1.0 / p))
                       for (nb, wm), (c, r) in zip(per_row[i], balls)]
                 best = max(ov)
                 assert values[i] == pytest.approx(best, rel=1e-10, abs=0.0)
@@ -499,8 +501,14 @@ def test_condition_powerlaw_closed_form(lam, p):
     assert rep.constant == pytest.approx(want, rel=0.02)
 
 
+def test_condition_rejects_p_below_one():
+    phi = PowerLawPhi(0.5, 0.5, 1)
+    with pytest.raises(ValueError, match="invalid exponent"):
+        condition_213(phi, phi, ONE, 0.5, [0.0], [0.1, 0.5], upper_limit=10.0)
+
+
 def test_condition_constant_phi_truncation_sensitive():
-    phi = CustomPhi(func=lambda x, r: 1.0)
+    phi = PowerLawPhi(lam=1.0, p=2.0, n=1)  # r^0: phi == 1 exactly
     rep = condition_213(phi, phi, ONE, 2.0, [0.0], [0.1, 0.5], upper_limit=10.0,
                         points=128)
     assert np.isfinite(rep.constant)
@@ -538,7 +546,8 @@ def test_condition_rows_match_loop_oracle(dim, gamma):
 
 def test_condition_phi2_scaling():
     phi1 = PowerLawPhi(0.5, 2.0, 1)
-    phi2 = CustomPhi(func=lambda x, r: 2.0 * phi1(x, r))
+    # (2r / 32)^(-1/4) = 2 r^(-1/4) = 2 phi1
+    phi2 = WeightMeasurePhi(0.5, 2.0, ConstantWeight(1.0 / 32.0))
     a = condition_213(phi1, phi1, ONE, 2.0, [0.0], [0.2, 0.6], 100.0,
                       sensitivity_checks=False)
     b = condition_213(phi1, phi2, ONE, 2.0, [0.0], [0.2, 0.6], 100.0,
