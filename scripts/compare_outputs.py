@@ -16,6 +16,10 @@ column's largest magnitude on either side (the scale of
 benchmark/check.py's floor, which a near-zero cell does not inflate).
 NaN matches only NaN.  Exits 1 when a verdict, a note, a file, a column
 list, a row count, an exact column or a value differs, 0 otherwise.
+
+`compare_file` gives the lines of one file, and reads a CSV that the
+comparison above leaves out (a command's table) too: its numeric columns at
+the tolerance, the others exactly.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ def _rows(path: str, columns, exact=()) -> tuple[list[str], list[list[float]], l
     column as a float when `columns` is None."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        columns = list(columns or reader.fieldnames)
+        columns = list(reader.fieldnames if columns is None else columns)
         rows = list(reader)
     return (columns, [[float(r[c]) for c in columns] for r in rows],
             [[r.get(c) for c in exact] for r in rows])
@@ -157,6 +161,43 @@ def compare(dir_a: str, dir_b: str, rtol: float) -> tuple[list[str], list[str]]:
         if os.path.exists(os.path.join(dir_a, name)):
             _compare_csv(dir_a, dir_b, name, None, rtol, lines, failures)
     return lines, failures
+
+
+def _is_number(text) -> bool:
+    try:
+        float(text)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _numeric_columns(*paths: str) -> tuple[list[str], list[str]]:
+    """(the columns every value of which is a number in every file, the rest)."""
+    rows = []
+    for path in paths:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows += reader
+    numeric = [c for c in reader.fieldnames if all(_is_number(r.get(c)) for r in rows)]
+    return numeric, [c for c in reader.fieldnames if c not in numeric]
+
+
+def compare_file(dir_a: str, dir_b: str, name: str, rtol: float = 1e-12) -> list[str]:
+    """The report lines, then the failures (prefixed DIFFERS), that concern
+    the file `name` of both directories: every suite's for summary.json, the
+    file's own for a CSV.  A CSV that compare() does not read (a command's
+    table) is compared on its numeric columns at rtol, the rest exactly."""
+    lines, failures = compare(dir_a, dir_b, rtol)
+
+    def mine(line):
+        head = line.split(":", 1)[0]
+        return head == name if name.endswith(".csv") else not head.endswith(".csv")
+
+    lines, failures = [s for s in lines if mine(s)], [s for s in failures if mine(s)]
+    if name.endswith(".csv") and not lines + failures:
+        numeric, text = _numeric_columns(os.path.join(dir_a, name), os.path.join(dir_b, name))
+        _compare_csv(dir_a, dir_b, name, numeric, rtol, lines, failures, exact=text)
+    return lines + [f"DIFFERS {line}" for line in failures]
 
 
 def main(argv=None) -> int:

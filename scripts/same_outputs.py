@@ -18,7 +18,9 @@ Every call runs with ``--jobs 1`` and leaves ``stdout.txt`` and
 ``exit_code.txt`` (``report.stdout.txt``/``report.exit_code.txt`` for the
 report call) next to its outputs.  The script prints the path of every
 file that differs or exists on one side only, and exits 1 when there is
-one, 0 otherwise.
+one, 0 otherwise.  Under a differing CSV or summary.json it prints the
+largest relative and column-scaled differences that
+``scripts/compare_outputs.py`` reports for that file at rtol 1e-12.
 """
 
 from __future__ import annotations
@@ -116,6 +118,18 @@ def differing(old: str, new: str) -> list[str]:
     return out
 
 
+def _difference(work: str, rel: str) -> list[str]:
+    """compare_outputs' lines for a differing CSV or summary.json; none for
+    any other path (one that exists on one side only ends in its note)."""
+    folder, name = os.path.split(rel)
+    if not (name.endswith(".csv") or name == "summary.json"):
+        return []
+    compare_outputs = _module(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                           "compare_outputs.py"), "compare_outputs")
+    return compare_outputs.compare_file(os.path.join(work, "old", folder),
+                                        os.path.join(work, "new", folder), name)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old_tree")
@@ -139,6 +153,8 @@ def main(argv=None) -> int:
     diffs = differing(os.path.join(work, "old"), os.path.join(work, "new"))
     for rel in diffs:
         print(rel)
+        for line in _difference(work, rel):
+            print(f"    {line}")
     compared = len(_files(os.path.join(work, "old")) | _files(os.path.join(work, "new")))
     print(f"# {len(diffs)} of {compared} paths differ (outputs under {work})")
     return 1 if diffs else 0

@@ -160,6 +160,20 @@ def _pairs(x, y, dim):
     return x, y
 
 
+_BLOCK_ENTRIES = 1 << 15  # kernel entries a pairwise driver holds per array
+
+
+def _row_blocks(n: int):
+    """Yield the row slices of an n x n pairwise kernel sum: each holds the
+    largest power of two of rows with rows * n <= _BLOCK_ENTRIES, and at
+    least one row.  A power of two because a one-column OpenBLAS product
+    kept its bits at 8 to 64 rows (on node counts a multiple of 4), so the
+    solver's values do not move with the grid's block size there."""
+    rows = 1 << max((_BLOCK_ENTRIES // n).bit_length() - 1, 0)
+    for start in range(0, n, rows):
+        yield slice(start, min(start + rows, n))
+
+
 class GreenFunction:
     """Common interface: jet(alphas, x, y), and its one-alpha wrappers
     __call__(x, y), derivative(alpha, x, y), regular_part(x, y) and

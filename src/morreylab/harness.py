@@ -41,6 +41,7 @@ from .geometry import (
 )
 from .greens import (
     FundamentalSolution,
+    _row_blocks,
     green_function,
     sample_pairs,
     verify_kernel_bounds,
@@ -161,12 +162,13 @@ def load_config(path: str | None) -> dict:
     sections merge key by key, and a value inside a section replaces the
     default whole.  Raises ConfigError for an unknown section or key, a
     value whose JSON type differs from the default's, a domain, weight or
-    phi spec that SPEC_KINDS or the constructor rejects, a condition.x
-    that is no point of its domain, an exponent p < 1, a grid or sweep
-    count below 2, a solve.m without a Green function, an operators order
-    without a fundamental solution or a disk operators.alpha that is no CZ
-    kernel's multi-index, or a suite case that names no implemented Green
-    function."""
+    phi spec that SPEC_KINDS or the constructor rejects, a phi parameter
+    outside its class's range, a condition.x that is no point of its
+    domain, an exponent p < 1, a grid or sweep count below 2, a
+    hardy.family below 1, a solve.m without a Green function, an operators
+    order without a fundamental solution or a disk operators.alpha that is
+    no CZ kernel's multi-index, or a suite case that names no implemented
+    Green function."""
     cfg = default_config()
     if path is None:
         return cfg
@@ -198,7 +200,7 @@ def load_config(path: str | None) -> dict:
             elif family == "weight":
                 _weight_from(spec, f"{name}.{key}", dom.dim)
             elif family == "phi" and spec is not None:  # a null phi2 is phi1
-                _spec("phi", spec, f"{name}.{key}")
+                _check_phi(spec, f"{name}.{key}", dom.dim)
             elif key == "x" and spec is not None:  # a null condition.x is the center
                 for i, v in enumerate(spec):
                     _check_type(f"{name}.x[{i}]", v, 0.0)
@@ -207,6 +209,8 @@ def load_config(path: str | None) -> dict:
                 raise ConfigError(f"{name}.p: invalid exponent {spec!r}; need p >= 1")
             elif key in ("grid", "centers", "radii"):
                 _check_count(f"{name}.{key}", spec)
+            elif key == "family" and not spec >= 1:
+                raise ConfigError(f"{name}.family: expected a count >= 1, got {spec!r}")
             elif name == "solve" and key == "m":
                 _build("solve.m", green_function, dom, spec)
     _check_operators(cfg["operators"])
@@ -298,6 +302,18 @@ def _phi_from(spec: dict, path: str, p: float, n: int, w):
     if kind == "weight-measure":
         return WeightMeasurePhi(k=k["k"], p=p, w=w)
     return InverseWeightMeasurePhi(p=p, w=w)
+
+
+def _check_phi(spec: dict, path: str, n: int) -> None:
+    """ConfigError unless a phi spec on an n-dimensional domain keeps its
+    class's range: 0 < lam < n for a power law, 0 <= k < 1 for a weight
+    measure."""
+    kind, k = _spec("phi", spec, path)
+    if kind == "power-law" and k["lam"] is not None and not 0 < k["lam"] < n:
+        raise ConfigError(f"{path}.lam: expected 0 < lam < {n} on a {n}D domain, "
+                          f"got {k['lam']!r}")
+    if kind == "weight-measure" and not 0 <= k["k"] < 1:
+        raise ConfigError(f"{path}.k: expected 0 <= k < 1, got {k['k']!r}")
 
 
 def _interior_center(dom: Domain):
@@ -627,9 +643,7 @@ def _offdiagonal_region_sums(g: Grid, gf, alphas, F: np.ndarray, MF: np.ndarray)
     kf = {a: np.zeros_like(F) for a in alphas}
     sf = np.zeros_like(F)
     smf = np.zeros_like(F)
-    block = 512
-    for start in range(0, g.n_cells, block):
-        sl = slice(start, min(start + block, g.n_cells))
+    for sl in _row_blocks(g.n_cells):
         X = g.nodes[sl][:, None, :]
         Y = g.nodes[None, :, :]
         mask = distance(X, Y) > g.boundary_dist[sl][:, None]

@@ -10,7 +10,9 @@ principal-value quadrature (the operators module tests that identity).
 
 Evaluation strategy per instance:
 
-* interval m = 1, 2 and disk m = 2: pairwise closed-form kernels in blocks,
+* interval m = 1, 2 and disk m = 2: pairwise closed-form kernels in row
+  blocks of at most 2^15 entries (`greens._row_blocks`), so the working set
+  does not grow with the grid,
 * disk m = 1: FFT convolution for the free-space part plus harmonic
   completion of the regular part through the Poisson kernel (the regular
   potential is harmonic, so its boundary trace determines it; this keeps
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Disk, Domain, Grid, SampledField
-from .greens import PoissonKernel, green_function
+from .greens import PoissonKernel, _row_blocks, green_function
 from .operators import _convolutions, _gamma_diagonal_cell, _gamma_kernel, _masked_fd, _pow2
 from .spaces import multi_indices
 
@@ -51,7 +53,6 @@ class Solution:
 # ---------------------------------------------------------------------------
 # instance drivers
 
-_BLOCK = 256  # kernel rows the pairwise driver holds at once
 _BOUNDARY_FACTOR = 8  # Poisson-integral boundary nodes per grid cell
 
 
@@ -68,10 +69,10 @@ def _pairwise_values(grid: Grid, m: int, F: np.ndarray) -> dict:
     # diagonal cells: analytic Gamma integral plus the midpoint regular part
     diag = {a: _gamma_diagonal_cell(grid.dim, m, a, grid.h) / grid.cell_measure + h
             for a, h in gf.jet(orders, nodes, nodes, regular=True)}
-    for start in range(0, M, _BLOCK):
-        rows = np.arange(start, min(start + _BLOCK, M))
+    for rows in _row_blocks(M):
+        own = np.arange(rows.start, rows.stop)
         for a, kern in gf.jet(orders, nodes[rows][:, None, :], nodes[None, :, :]):
-            kern[rows - start, rows] = diag[a][rows]
+            kern[own - rows.start, own] = diag[a][rows]
             vals[a][rows] = kern @ FV
     return vals
 

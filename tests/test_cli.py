@@ -193,6 +193,18 @@ def test_config_errors_exit_2_and_say_why(tmp_path, capsys, cmd, extra, words):
     ({"norm": {"radii": 1}}, ["norm.radii: expected a count >= 2, got 1"]),
     ({"solve": {"grid": 1}}, ["solve.grid: expected a count >= 2, got 1"]),
     ({"operators": {"grid": 1}}, ["operators.grid: expected a count >= 2, got 1"]),
+    ({"hardy": {"family": 0}}, ["hardy.family: expected a count >= 1, got 0"]),
+    # phi parameters against their class's range
+    ({"norm": {"phi": {"kind": "power-law", "lam": 2001}}},
+     ["norm.phi.lam: expected 0 < lam < 1 on a 1D domain, got 2001"]),
+    ({"norm": {"phi": {"kind": "weight-measure", "k": 5}}},
+     ["norm.phi.k: expected 0 <= k < 1, got 5"]),
+    ({"condition": {"phi1": {"kind": "power-law", "lam": 0.0}}},
+     ["condition.phi1.lam: expected 0 < lam < 1"]),
+    ({"condition": {"domain": {"kind": "disk"}, "phi2": {"kind": "power-law", "lam": 2.0}}},
+     ["condition.phi2.lam: expected 0 < lam < 2 on a 2D domain, got 2.0"]),
+    ({"condition": {"phi2": {"kind": "weight-measure", "k": -0.5}}},
+     ["condition.phi2.k: expected 0 <= k < 1, got -0.5"]),
 ])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, cfg, words):
     path = tmp_path / "bad.json"

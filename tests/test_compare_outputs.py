@@ -115,3 +115,29 @@ def test_compare_outputs_scales_by_the_column_max(tmp_path):
     assert ("operators.csv: 8 rows, max rel diff 0.333 (row 1, Mf), "
             "max diff over column max 6.25e-18 (Mf)") in got.stdout
     assert _run(a, b, "--rtol", "0.34").returncode == 0
+
+
+def test_compare_file_reports_one_file(tmp_path):
+    # the lines scripts/same_outputs.py prints under a differing file; a
+    # command's table is compared on its numeric columns, its labels exactly
+    import importlib.util
+
+    from morreylab.harness import _write_csv
+
+    spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out, ratio, label in ((a, 3.0, "step1"), (b, 3.0 * (1 + 1e-6), "step2")):
+        _write(out, ratio)
+        _write_csv(str(out / "hardy.csv"), ("g", "lhs", "ratio", "holds"),
+                   [(label, 1.0, ratio, True)])
+    demo = mod.compare_file(a, b, "demo.csv")
+    assert demo[0].startswith("demo.csv: 3 rows, verdict PASS, max rel diff 1e-06")
+    assert demo[1] == "DIFFERS demo.csv: max rel diff 1e-06 (row 3, ratio) > 1e-12"
+    assert mod.compare_file(a, b, "summary.json") == [
+        "demo summary: max rel diff 0 (fittedConstant)"]
+    hardy = mod.compare_file(a, b, "hardy.csv")
+    assert hardy[0] == ("hardy.csv: 1 rows, max rel diff 1e-06 (row 1, ratio), "
+                        "max diff over column max 1e-06 (ratio)")
+    assert "row 1, g: 'step1' != 'step2'" in hardy[1]

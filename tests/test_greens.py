@@ -218,6 +218,21 @@ def test_jet_entries_are_derivatives_of_the_order_below(dom, m, kmax, regular):
                                    atol=1e-8 * np.abs(jet[below]).max(), err_msg=str(alpha))
 
 
+@pytest.mark.parametrize("n,rows", [
+    (64, 512), (300, 64), (256, 128), (1804, 16), (1 << 15, 1), ((1 << 15) + 3, 1),
+])
+def test_row_blocks(n, rows):
+    # the largest power of two of rows within the entry budget, at least one
+    from morreylab.greens import _BLOCK_ENTRIES, _row_blocks
+
+    blocks = list(_row_blocks(n))
+    cells = np.arange(n)
+    assert np.array_equal(np.concatenate([cells[s] for s in blocks]), cells)
+    assert [s.stop - s.start for s in blocks[:-1]] == [rows] * (len(blocks) - 1)
+    assert 0 < blocks[-1].stop - blocks[-1].start <= rows
+    assert rows == 1 or rows * n <= _BLOCK_ENTRIES < 2 * rows * n
+
+
 # --- kernel bounds -----------------------------------------------------------
 
 def test_kernel_bounds_interval_m2_bounded_regime():

@@ -165,15 +165,19 @@ def test_suite_lemma22_oracle_n64():
     assert rhs > 0
 
 
-def test_lemma22_region_sums_match_oracle_2d():
+def test_lemma22_region_sums_match_oracle_2d(monkeypatch):
     # the blocked masked double sums against plain Python loops on a small
-    # disk, for every order-2m alpha the jet serves (disk m=1 and m=2)
+    # disk, for every order-2m alpha the jet serves (disk m=1 and m=2), in
+    # 32-row blocks with a partial last one
+    from morreylab import greens
     from morreylab.greens import green_function
     from morreylab.harness import _nested_operator_grid, _offdiagonal_region_sums
     from morreylab.spaces import multi_indices
 
     dom = Disk((0.0, 0.0), 1.0)
     g = Grid(dom, 10)
+    monkeypatch.setattr(greens, "_BLOCK_ENTRIES", 32 * g.n_cells)
+    assert [s.stop - s.start for s in greens._row_blocks(g.n_cells)] == [32, 32, 16]
     corpus = build_corpus(g, seed=7, n_random=1)[:2]
     F = np.column_stack([np.abs(f.values) for _, f in corpus])
     MF = np.column_stack([maximal_field(f, _nested_operator_grid(g, 3)).values
@@ -198,6 +202,26 @@ def test_lemma22_region_sums_match_oracle_2d():
                 list(MF[:, 0]), list(MF[:, 1]))
             assert lhs_mod == pytest.approx(lhs_or, rel=1e-10), (m, a)
             assert rhs_mod == pytest.approx(rhs_or, rel=1e-10), (m, a)
+
+
+def test_offdiagonal_region_sums_working_set():
+    # the row blocks bound the traced peak; 512-row blocks took 127 MB
+    import tracemalloc
+
+    from morreylab.greens import green_function
+    from morreylab.harness import _offdiagonal_region_sums
+
+    dom = Disk((0.0, 0.0), 1.0)
+    g = Grid(dom, 48)
+    rng = np.random.default_rng(0)
+    F, MF = rng.random((2, g.n_cells, 5))
+    tracemalloc.start()
+    try:
+        _offdiagonal_region_sums(g, green_function(dom, 1), [(2, 0), (1, 1), (0, 2)], F, MF)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_suite_boundedness_small():

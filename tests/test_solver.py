@@ -17,7 +17,8 @@ def ones(g):
     return SampledField(g, np.ones(g.n_cells))
 
 
-# N = 300 ends in a partial block of the pairwise driver's kernel rows
+# the pairwise driver runs N = 256 in two 128-row blocks and N = 300 in
+# 64-row blocks, the last of them partial (44 rows)
 def test_interval_m1_exact():
     for n in (256, 300):
         g = Grid(UNIT, n)
@@ -192,6 +193,47 @@ def test_batch_equals_single(dom, m, n):
             else:
                 scale = max(np.abs(want).max(), 1e-300)
                 assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dom,m,n", [(UNIT, 1, 100), (UNIT, 2, 100), (DISK, 2, 20)])
+def test_pairwise_values_do_not_move_with_the_block_budget(dom, m, n, monkeypatch):
+    # 8 to 64 rows per block, each ending in a partial block: one column
+    # keeps its bits, a batch its values to 1e-13.  The node counts (100,
+    # 316) are multiples of 4; at some odd counts (the disk at n = 15, 17
+    # and 25) one column's bits moved with the row count as well
+    from morreylab import greens
+    from morreylab.solver import _pairwise_values
+
+    g = Grid(dom, n)
+    F = np.column_stack([f.values for _, f in build_corpus(g, seed=3, n_random=2)])
+    results = []
+    for rows in (8, 16, 32, 64):
+        assert g.n_cells % rows
+        monkeypatch.setattr(greens, "_BLOCK_ENTRIES", rows * g.n_cells)
+        results.append((_pairwise_values(g, m, F[:, :1]), _pairwise_values(g, m, F)))
+    (one0, many0), rest = results[0], results[1:]
+    for one, many in rest:
+        for a in one0:
+            assert np.array_equal(one[a], one0[a]), a
+            scale = np.abs(many0[a]).max(axis=0)
+            assert (np.abs(many[a] - many0[a]).max(axis=0) <= 1e-13 * scale).all(), a
+
+
+def test_pairwise_values_working_set():
+    # the row blocks bound the traced peak; 256-row blocks took 92 MB
+    import tracemalloc
+
+    from morreylab.solver import _pairwise_values
+
+    g = Grid(DISK, 40)
+    F = np.random.default_rng(0).random((g.n_cells, 1))
+    tracemalloc.start()
+    try:
+        _pairwise_values(g, 2, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 @pytest.mark.parametrize("dom,n", [(DISK, 32), (Disk((0.5, -0.25), 2.0), 41)])
