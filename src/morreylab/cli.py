@@ -50,6 +50,7 @@ def _load(args) -> dict:
     if args.grid is not None:
         harness._check_count("--grid", args.grid)
     if args.seed is not None:
+        harness._check_seed("--seed", args.seed)
         cfg["seed"] = args.seed
     return cfg
 

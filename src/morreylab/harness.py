@@ -164,11 +164,11 @@ def load_config(path: str | None) -> dict:
     value whose JSON type differs from the default's, a domain, weight or
     phi spec that SPEC_KINDS or the constructor rejects, a phi parameter
     outside its class's range, a condition.x that is no point of its
-    domain, an exponent p < 1, a grid or sweep count below 2, a
-    hardy.family below 1, a solve.m without a Green function, an operators
-    order without a fundamental solution or a disk operators.alpha that is
-    no CZ kernel's multi-index, or a suite case that names no implemented
-    Green function."""
+    domain, a number out of the range `_check_number` gives its key, a seed
+    that is no non-negative integer, a solve.m without a Green function, an
+    operators order without a fundamental solution or a disk operators.alpha
+    that is no CZ kernel's multi-index, or a suite case that names no
+    implemented Green function."""
     cfg = default_config()
     if path is None:
         return cfg
@@ -189,6 +189,11 @@ def load_config(path: str | None) -> dict:
                                   f"{', '.join(sorted(section))}")
             _check_type(f"{name}.{key}", v, section[key])
             section[key] = v
+    _check_seed("seed", cfg["seed"])
+    for name, section in cfg.items():
+        if isinstance(section, dict):
+            for key, v in section.items():
+                _check_number(f"{name}.{key}", key, v)
     # domains and weights are built: a constructor's rejection surfaces here
     # too, and a weight is checked against its section's domain
     for name in CLI_DEFAULTS:
@@ -205,12 +210,6 @@ def load_config(path: str | None) -> dict:
                 for i, v in enumerate(spec):
                     _check_type(f"{name}.x[{i}]", v, 0.0)
                 _build(f"{name}.x", _as_point, spec, dom.dim)
-            elif key == "p" and not spec >= 1:
-                raise ConfigError(f"{name}.p: invalid exponent {spec!r}; need p >= 1")
-            elif key in ("grid", "centers", "radii"):
-                _check_count(f"{name}.{key}", spec)
-            elif key == "family" and not spec >= 1:
-                raise ConfigError(f"{name}.family: expected a count >= 1, got {spec!r}")
             elif name == "solve" and key == "m":
                 _build("solve.m", green_function, dom, spec)
     _check_operators(cfg["operators"])
@@ -221,10 +220,44 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _check_count(path: str, value) -> None:
-    """ConfigError unless a grid size or sweep count is at least 2."""
-    if not value >= 2:
-        raise ConfigError(f"{path}: expected a count >= 2, got {value!r}")
+# the least value of each count a section holds, by key; a key that starts
+# with "grids" holds a list of grid sizes
+_LEAST_COUNTS = {"grid": 2, "centers": 2, "radii": 2, "family": 1, "n_random": 0,
+                 "corpus_2d": 1, "pairs": 1, "pair_counts": 1}
+
+
+def _check_number(path: str, key: str, value) -> None:
+    """ConfigError unless the number under `key` is in range: a count at
+    least its _LEAST_COUNTS entry (2 for a grid size), an exponent p >= 1, a
+    tolerance > 0.  A list of grid sizes, pair counts or exponents (the
+    ps_* keys) must be non-empty and hold such numbers."""
+    least = 2 if key.startswith("grids") else _LEAST_COUNTS.get(key)
+    exponent = key == "p" or key.startswith("ps_")
+    if isinstance(value, list) and (least is not None or exponent):
+        if not value:
+            raise ConfigError(f"{path}: expected a non-empty list")
+        for i, v in enumerate(value):
+            _check_type(f"{path}[{i}]", v, 0.0)
+            _check_number(f"{path}[{i}]", key, v)
+    elif exponent and not value >= 1:
+        raise ConfigError(f"{path}: invalid exponent {value!r}; need p >= 1")
+    elif key == "tolerance" and not value > 0:
+        raise ConfigError(f"{path}: expected a tolerance > 0, got {value!r}")
+    elif least is not None:
+        _check_count(path, value, least)
+
+
+def _check_seed(path: str, value) -> None:
+    """ConfigError unless a seed is a non-negative integer."""
+    if type(value) is not int or value < 0:
+        raise ConfigError(f"{path}: expected a non-negative integer, got {value!r}")
+
+
+def _check_count(path: str, value, least: int = 2) -> None:
+    """ConfigError unless a count (by default a grid size or sweep count)
+    is an integer of at least `least`."""
+    if type(value) is not int or value < least:
+        raise ConfigError(f"{path}: expected a count >= {least}, got {value!r}")
 
 
 def _check_operators(sec: dict) -> None:
@@ -923,16 +956,18 @@ def suite_marok1(config: dict) -> SuiteResult:
 # suite: the a priori estimate
 
 
-def _apriori_stack(corpus, sols, jets) -> np.ndarray:
-    """One stack per level: every corpus member f, then the jet of each
-    member's solution u, member by member."""
-    return np.stack([f.values for _, f in corpus]
-                    + [sol.jet[a].values for sol in sols for a in jets])
+def _apriori_stack(corpus, sols, jets) -> list[np.ndarray]:
+    """One stack per level, as a list of rows that are not copied: every
+    corpus member f, then the jet of each member's solution u, member by
+    member."""
+    return ([f.values for _, f in corpus]
+            + [sol.jet[a].values for sol in sols for a in jets])
 
 
 def _apriori_norms(ev, stack, n_fields, w, phi, p):
     """(||f||, sum over the jet of ||D^a u||) for every corpus member, from
-    one evaluator call on the level's stack."""
+    one evaluator call on the level's stack (the same list object each
+    time, so the evaluator's inner-norm cache finds it)."""
     norms = ev.norm(stack, w, phi, p)
     # summed in jet order, as sum() over the jet
     return norms[:n_fields], sum(norms[n_fields:].reshape(n_fields, -1).T,

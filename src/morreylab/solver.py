@@ -16,18 +16,24 @@ Evaluation strategy per instance:
 * disk m = 1: FFT convolution for the free-space part plus harmonic
   completion of the regular part through the Poisson kernel (the regular
   potential is harmonic, so its boundary trace determines it; this keeps
-  512-per-axis solves in seconds).
+  512-per-axis solves in seconds).  The completion sums the Poisson
+  integral's Fourier series by Horner's rule over the nodes in order of
+  radius, and drops, per block of nodes, the terms whose sum is negligible
+  at the block's largest radius.
 
-Each instance maps a (cells, k) stack of right-hand sides to one (cells, k)
-array per multi-index of order below 2m; `solve_dirichlet_many` adds the
-order-2m arrays and splits the columns into solutions.  Disk m = 1 solves
-column by column (one forward transform each), so a field's solution does
-not depend on the rest of its batch.
+Each instance maps a (cells, k) stack of right-hand sides to one (k, cells)
+block per multi-index of order below 2m, row i for right-hand side i;
+`solve_dirichlet_many` adds the order-2m blocks, one row at a time, and
+each solution's jet holds read-only row views of the blocks, so every
+derivative field is held once.  Disk m = 1 solves column by column (one
+forward transform each), so a field's solution does not depend on the rest
+of its batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,14 +63,14 @@ _BOUNDARY_FACTOR = 8  # Poisson-integral boundary nodes per grid cell
 
 
 def _pairwise_values(grid: Grid, m: int, F: np.ndarray) -> dict:
-    """F: (cells, k) right-hand sides -> dict alpha -> (cells, k) for every
+    """F: (cells, k) right-hand sides -> dict alpha -> (k, cells) for every
     |alpha| < 2m: sum_j D^alpha G(x_i, y_j) F_j h^n, built from closed-form
     kernels one block of rows at a time."""
     gf = green_function(grid.domain, m)
     nodes = grid.nodes
     M = len(nodes)
     orders = multi_indices(grid.dim, 2 * m - 1)
-    vals = {a: np.empty((M, F.shape[1])) for a in orders}
+    vals = {a: np.empty((F.shape[1], M)) for a in orders}
     FV = F * grid.cell_measure
     # diagonal cells: analytic Gamma integral plus the midpoint regular part
     diag = {a: _gamma_diagonal_cell(grid.dim, m, a, grid.h) / grid.cell_measure + h
@@ -73,7 +79,7 @@ def _pairwise_values(grid: Grid, m: int, F: np.ndarray) -> dict:
         own = np.arange(rows.start, rows.stop)
         for a, kern in gf.jet(orders, nodes[rows][:, None, :], nodes[None, :, :]):
             kern[own - rows.start, own] = diag[a][rows]
-            vals[a][rows] = kern @ FV
+            vals[a][:, rows] = (kern @ FV).T
     return vals
 
 
@@ -91,6 +97,57 @@ def _top_order(dim: int, m: int) -> dict:
     return table
 
 
+# The completion's Horner sums run over the nodes sorted by radius, in
+# blocks of _TAIL_BLOCK nodes.  A block drops the terms of degree >= K_b,
+# the least K_b whose tail sum_{k >= K_b} |c_k| (r^k + k r^(k-1)) at the
+# block's largest radius r is at most _TAIL_EPS * max|c|: that sum bounds
+# what the dropped terms add to F and to F' at every node of the block.
+# 256 nodes keep a block's largest radius close to its own nodes' radii,
+# while the bound table, blocks by degrees, stays small: 805 by 2049 (13 MB)
+# at N = 512.  1e-17 is a tenth of the double rounding unit at the
+# coefficients' scale, so the dropped terms sit below the rounding of the
+# kept sum.
+_TAIL_BLOCK = 256
+_TAIL_EPS = 1e-17
+
+
+@lru_cache(maxsize=1)
+def _radius_order(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, zeta[order], rmax): the masked nodes sorted by |zeta|, with
+    zeta = (x - center) / radius as a complex number, and the largest
+    |zeta| of each block of _TAIL_BLOCK sorted nodes."""
+    dom: Disk = grid.domain
+    c = np.asarray(dom.center)
+    zeta = ((grid.nodes[:, 0] - c[0]) + 1j * (grid.nodes[:, 1] - c[1])) / dom.radius
+    r = np.abs(zeta)
+    order = np.argsort(r, kind="stable")
+    ends = np.minimum(np.arange(_TAIL_BLOCK, len(r) + _TAIL_BLOCK, _TAIL_BLOCK), len(r))
+    out = order, zeta[order], r[order][ends - 1]
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _tail_degrees(size: np.ndarray, rmax: np.ndarray) -> np.ndarray:
+    """K_b for every block: the number of leading terms of F = sum c_k
+    zeta^k (|c_k| = size[k]) that the block keeps, nondecreasing with the
+    block's largest radius rmax[b]."""
+    K = len(size)
+    # r^k by repeated products, cheaper than pow; a relative error of k
+    # units is immaterial to a bound
+    powers = np.empty((len(rmax), K))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = rmax[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    terms = powers * size
+    powers[:, :-1] *= np.arange(1, K) * size[1:]  # the F' term k |c_k| r^(k-1)
+    terms[:, 1:] += powers[:, :-1]
+    tails = powers  # reused: tails[:, K'] sums the terms of degree >= K'
+    np.cumsum(terms[:, ::-1], axis=1, out=tails[:, ::-1])
+    # rounding is monotone, so the counts already grow with rmax
+    return np.maximum.accumulate((tails > _TAIL_EPS * size.max()).sum(axis=1))
+
+
 def _harmonic_completion(grid: Grid, boundary_data: np.ndarray):
     """Harmonic H on the disk with boundary values `boundary_data` (sampled
     at the midpoint angles of PoissonKernel.boundary_nodes), plus its first
@@ -98,6 +155,9 @@ def _harmonic_completion(grid: Grid, boundary_data: np.ndarray):
 
     This is the Poisson integral evaluated through its Fourier series:
     H = Re F(zeta) with F holomorphic, F(zeta) = c0 + sum 2 g_k zeta^k.
+    F and F' are summed by Horner's rule in place, degree k on the suffix
+    of radius-sorted nodes whose blocks keep that degree, so the terms
+    dropped at a node add at most _TAIL_EPS * max|c| to |F| + |F'| there.
     """
     dom: Disk = grid.domain
     M = len(boundary_data)
@@ -109,18 +169,23 @@ def _harmonic_completion(grid: Grid, boundary_data: np.ndarray):
     keep = np.nonzero(np.abs(coeff) > 1e-15 * scale)[0]
     K = int(keep[-1]) + 1 if len(keep) else 1
     coeff = coeff[:K]
-    c = np.asarray(dom.center)
-    zeta = ((grid.nodes[:, 0] - c[0]) + 1j * (grid.nodes[:, 1] - c[1])) / dom.radius
-    F = np.zeros_like(zeta)
-    Fp = np.zeros_like(zeta)
-    for k in range(K - 1, -1, -1):  # Horner for F and F' together, in place
-        np.multiply(Fp, zeta, out=Fp)
-        np.add(Fp, F, out=Fp)
-        np.multiply(F, zeta, out=F)
-        np.add(F, coeff[k], out=F)
-    H = F.real
-    dH1 = Fp.real / dom.radius
-    dH2 = -Fp.imag / dom.radius
+    order, zs, rmax = _radius_order(grid)
+    degrees = _tail_degrees(np.abs(coeff), rmax)
+    # degree k runs on the nodes from first[k] on: the blocks with K_b > k
+    first = np.minimum(_TAIL_BLOCK * np.searchsorted(degrees, np.arange(K), side="right"),
+                       len(zs)).tolist()
+    F = np.zeros_like(zs)
+    Fp = np.zeros_like(zs)
+    for k in range(degrees[-1] - 1, -1, -1):  # Horner for F and F' together
+        f, fp, z = F[first[k]:], Fp[first[k]:], zs[first[k]:]
+        np.multiply(fp, z, out=fp)
+        np.add(fp, f, out=fp)
+        np.multiply(f, z, out=f)
+        np.add(f, coeff[k], out=f)
+    H, dH1, dH2 = (np.empty(len(zs)) for _ in range(3))
+    H[order] = F.real
+    dH1[order] = Fp.real / dom.radius
+    dH2[order] = -Fp.imag / dom.radius
     return H, dH1, dH2
 
 
@@ -131,7 +196,7 @@ def _solve_disk_m1_values(grid: Grid, F: np.ndarray) -> dict:
     kern = PoissonKernel(grid.domain)
     Pb, _ = kern.boundary_nodes(_BOUNDARY_FACTOR * grid.n)
     kernels = [_gamma_kernel(grid, 1, a) for a in ((0, 0), (1, 0), (0, 1))]
-    vals = {a: np.empty_like(F) for a in ((0, 0), (1, 0), (0, 1))}
+    vals = {a: np.empty((F.shape[1], grid.n_cells)) for a in ((0, 0), (1, 0), (0, 1))}
     # pow2(3n-2), not the operators' alias-free pow2(2n-1): the values are
     # the same, but at N=256 the smaller size moves the rounding of u11
     # (analytically 0 for f = 1) by 1.9e-12, past the 1.7e-13 that the
@@ -139,13 +204,15 @@ def _solve_disk_m1_values(grid: Grid, F: np.ndarray) -> dict:
     # of the benchmark references
     size = _pow2(3 * grid.n - 2)
     for i in range(F.shape[1]):
-        pots = _convolutions(grid, F[:, i], kernels, size)
-        pot0 = next(pots)
-        trace = _bilinear(grid, pot0, Pb)  # by bilinear interpolation
-        H, dH1, dH2 = _harmonic_completion(grid, -trace)
-        vals[(0, 0)][:, i] = grid.extract(pot0) + H
-        vals[(1, 0)][:, i] = grid.extract(next(pots)) + dH1
-        vals[(0, 1)][:, i] = grid.extract(next(pots)) + dH2
+        # the transforms and potentials are freed before the completion
+        # allocates its arrays, so that the two do not peak together
+        pots = list(_convolutions(grid, F[:, i], kernels, size))
+        trace = _bilinear(grid, pots[0], Pb)  # by bilinear interpolation
+        for block, pot in zip(vals.values(), pots):
+            block[i] = grid.extract(pot)
+        del pots
+        for block, part in zip(vals.values(), _harmonic_completion(grid, -trace)):
+            block[i] += part
     return vals
 
 
@@ -168,7 +235,8 @@ def solve_dirichlet(domain: Domain, m: int, f: SampledField) -> Solution:
 def solve_dirichlet_many(domain: Domain, m: int,
                          fields: list[SampledField]) -> list[Solution]:
     """Batch solve: each block of pairwise kernels is built once and applied
-    to every right-hand side."""
+    to every right-hand side.  The solutions' jet fields are read-only rows
+    of one (k, cells) block per multi-index."""
     if not fields:
         return []
     grid = fields[0].grid
@@ -182,13 +250,14 @@ def solve_dirichlet_many(domain: Domain, m: int,
     else:
         vals = _pairwise_values(grid, m, F)
     for alpha, (source, axis) in _top_order(domain.dim, m).items():
-        vals[alpha] = grid.extract(_masked_fd(grid, grid.embed(vals[source].T), axis)[0]).T
-    out = []
-    for i in range(len(fields)):
-        jet = {a: SampledField(grid, np.ascontiguousarray(v[:, i]))
-               for a, v in vals.items()}
-        out.append(Solution(domain=domain, m=m, jet=jet))
-    return out
+        block = vals[alpha] = np.empty_like(vals[source])
+        for i, row in enumerate(vals[source]):
+            block[i] = grid.extract(_masked_fd(grid, grid.embed(row), axis)[0])
+    for block in vals.values():
+        block.setflags(write=False)
+    return [Solution(domain=domain, m=m,
+                     jet={a: SampledField(grid, block[i]) for a, block in vals.items()})
+            for i in range(len(fields))]
 
 
 # ---------------------------------------------------------------------------

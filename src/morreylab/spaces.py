@@ -156,8 +156,10 @@ _CHUNK_CELLS = 1 << 16  # stack cells per pass of SweepCache's ball sums
 # ---------------------------------------------------------------------------
 # the ball-sum engine: the balls of one center are nested, so every cell
 # falls in one shell between consecutive radii, and a ball sum is a cumulative
-# sum over shell sums.  Arrays come as one field (cells,) or a stack
-# (k, cells); a row's sums never depend on the other rows of its stack.
+# sum over shell sums.  Arrays come as one field (cells,), a stack
+# (k, cells) or a list of k rows (cells,), which is never stacked whole:
+# each pass copies only its own rows.  A row's sums never depend on the
+# other rows of its stack, nor on whether the stack is an array or a list.
 
 
 class SweepCache:
@@ -216,26 +218,27 @@ class SweepCache:
         """Sums of values over the cells nearest center, for every count."""
         return np.concatenate([[0.0], np.cumsum(values[self._order[center]])])
 
-    def ball_sums(self, a: np.ndarray) -> np.ndarray:
-        """Sum of each row of a, (cells,) or (k, cells), over every ball,
-        in sweep order; the result has shape a.shape[:-1] + (balls,)."""
+    def ball_sums(self, a) -> np.ndarray:
+        """Sum of each row of a, (cells,), (k, cells) or a list of k rows,
+        over every ball, in sweep order; the result has shape (balls,) for
+        one field and (k, balls) for a stack."""
         return self._sums(a, lambda chunk: chunk)
 
-    def power_sums(self, values: np.ndarray, wc: np.ndarray, p: float) -> np.ndarray:
+    def power_sums(self, values, wc: np.ndarray, p: float) -> np.ndarray:
         """``ball_sums(np.abs(values) ** p * wc)`` with the same bits; the
         product is formed one row chunk at a time, never for the whole
         stack."""
         return self._sums(values, lambda chunk: np.abs(chunk) ** p * wc)
 
-    def _sums(self, a: np.ndarray, form) -> np.ndarray:
-        rows = np.atleast_2d(a)
+    def _sums(self, a, form) -> np.ndarray:
+        rows = a if isinstance(a, list) else np.atleast_2d(a)
         out = np.empty((len(rows), len(self.balls)))
         # rows go through in chunks of about _CHUNK_CELLS stack cells, so
         # that a chunk and its run sums stay in cache
-        step = max(1, _CHUNK_CELLS // rows.shape[1])
+        step = max(1, _CHUNK_CELLS // self.grid.n_cells)
         for lo in range(0, len(rows), step):
             # C order, so that a row's total does not depend on the layout
-            chunk = np.ascontiguousarray(form(rows[lo: lo + step]))
+            chunk = np.ascontiguousarray(form(np.asarray(rows[lo: lo + step])))
             part = out[lo: lo + len(chunk)]
             for _, idx, starts, by_shell, firsts, column in self._groups:
                 runs = np.add.reduceat(chunk, starts, axis=1)
@@ -244,7 +247,7 @@ class SweepCache:
                 np.cumsum(shells, axis=1, out=cum[:, 1:])
                 part[:, idx] = cum[:, column]
             part[:, self._whole] = chunk.sum(axis=1)[:, None]
-        return out.reshape(np.shape(a)[:-1] + (len(self.balls),))
+        return out if isinstance(a, list) else out.reshape(np.shape(a)[:-1] + (len(self.balls),))
 
     def ball_cells(self):
         """(ball index, the ball's cells nearest first) for every ball."""
@@ -263,11 +266,12 @@ class SweepCache:
 
 
 class MorreyEvaluator:
-    """Morrey norms of fields, or stacks of fields, against one (grid,
-    sweep).  Weight sums and phi values are computed once per weight and
-    phi; inner ball norms are cached per (values array, w, p, weak), so
-    sweeping the phi family costs one pass over the balls per phi.  Callers
-    must not mutate value arrays between calls."""
+    """Morrey norms of fields, or stacks of fields (arrays or lists of
+    rows), against one (grid, sweep).  Weight sums and phi values are
+    computed once per weight and phi; inner ball norms are cached per
+    (values object, w, p, weak), so sweeping the phi family costs one pass
+    over the balls per phi.  Callers must not mutate value arrays or lists
+    between calls."""
 
     def __init__(self, grid: Grid, sweep):
         self.grid = grid
@@ -294,9 +298,9 @@ class MorreyEvaluator:
             self._phis[phi] = vals
         return self._phis[phi]
 
-    def _inner_norms(self, values: np.ndarray, w, p: float, weak: bool) -> np.ndarray:
-        # the cached values array is kept alive inside the entry so a freed
-        # array's id can never alias a live key
+    def _inner_norms(self, values, w, p: float, weak: bool) -> np.ndarray:
+        # the cached values array (or list) is kept alive inside the entry so
+        # a freed object's id can never alias a live key
         key = (id(values), w, p, weak)
         hit = self._inner.get(key)
         if hit is not None and hit[0] is values:
@@ -309,11 +313,12 @@ class MorreyEvaluator:
         self._inner[key] = (values, inner)
         return inner
 
-    def attaining(self, values: np.ndarray, w, phi, p: float, weak: bool = False):
+    def attaining(self, values, w, phi, p: float, weak: bool = False):
         """The discrete Morrey norm, the max of phi^{-1} w(ball)^{-1/p}
         ||f||_ball over the balls of positive weight measure, and the index
         of the first ball that attains it: a (float, int) for one field
-        (cells,), a pair of (k,) arrays for a stack (k, cells)."""
+        (cells,), a pair of (k,) arrays for a stack (k, cells) or a list of
+        k rows."""
         if p < 1:
             raise ValueError("invalid exponent")
         wsums = self.weight_sums(w)
@@ -326,11 +331,11 @@ class MorreyEvaluator:
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where(wsums > 0, inner / (phiv * wsums ** (1.0 / p)), -np.inf)
         i = np.argmax(vals, axis=-1)
-        if np.ndim(values) == 1:
+        if vals.ndim == 1:  # one field; np.ndim would stack a list
             return float(vals[i]), int(i)
         return vals.max(axis=-1), i
 
-    def norm(self, values: np.ndarray, w, phi, p: float, weak: bool = False):
+    def norm(self, values, w, phi, p: float, weak: bool = False):
         """``attaining(...)[0]``: a float for one field, (k,) for a stack."""
         return self.attaining(values, w, phi, p, weak)[0]
 
@@ -375,8 +380,8 @@ def sobolev_morrey_norm(jet: dict[tuple[int, ...], SampledField], w: Weight,
     missing = [s for s in need if s not in jet]
     if missing:
         raise ValueError(f"incomplete jet: missing {missing}")
-    stack = np.stack([jet[s].values for s in need])
-    return float(MorreyEvaluator(any_field.grid, sweep).norm(stack, w, phi, p, weak).sum())
+    rows = [jet[s].values for s in need]
+    return float(MorreyEvaluator(any_field.grid, sweep).norm(rows, w, phi, p, weak).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,27 @@ def test_config_errors_exit_2_and_say_why(tmp_path, capsys, cmd, extra, words):
     ({"solve": {"grid": 1}}, ["solve.grid: expected a count >= 2, got 1"]),
     ({"operators": {"grid": 1}}, ["operators.grid: expected a count >= 2, got 1"]),
     ({"hardy": {"family": 0}}, ["hardy.family: expected a count >= 1, got 0"]),
+    # the suite sections' grid lists, counts, exponents and tolerances, and
+    # the seed
+    ({"apriori": {"grids": [1, 2]}}, ["apriori.grids[0]: expected a count >= 2, got 1"]),
+    ({"apriori": {"grids": []}}, ["apriori.grids: expected a non-empty list"]),
+    ({"apriori": {"grids": [16, 24.5]}}, ["apriori.grids[1]: expected a count >= 2, got 24.5"]),
+    ({"identity": {"grid": 16.0}}, ["identity.grid: expected a count >= 2, got 16.0"]),
+    ({"marok1": {"grids": [64, "128"]}}, ["marok1.grids[1]: expected number, got string"]),
+    ({"lemma22": {"grids_1d": [0]}}, ["lemma22.grids_1d[0]: expected a count >= 2, got 0"]),
+    ({"pointwise": {"grids_2d": []}}, ["pointwise.grids_2d: expected a non-empty list"]),
+    ({"apriori": {"ps_2d": [0.5]}}, ["apriori.ps_2d[0]: invalid exponent 0.5; need p >= 1"]),
+    ({"boundedness": {"ps_1d": []}}, ["boundedness.ps_1d: expected a non-empty list"]),
+    ({"lemma24": {"p": 0.9}}, ["lemma24.p: invalid exponent 0.9; need p >= 1"]),
+    ({"apriori": {"tolerance": -1.0}}, ["apriori.tolerance: expected a tolerance > 0, got -1.0"]),
+    ({"kernels": {"tolerance": 0}}, ["kernels.tolerance: expected a tolerance > 0, got 0"]),
+    ({"apriori": {"n_random": -1}}, ["apriori.n_random: expected a count >= 0, got -1"]),
+    ({"lemma24": {"corpus_2d": 0}}, ["lemma24.corpus_2d: expected a count >= 1, got 0"]),
+    ({"lemma22": {"pairs": 0}}, ["lemma22.pairs: expected a count >= 1, got 0"]),
+    ({"kernels": {"pair_counts": [1000, 0]}},
+     ["kernels.pair_counts[1]: expected a count >= 1, got 0"]),
+    ({"seed": -1}, ["seed: expected a non-negative integer, got -1"]),
+    ({"seed": 7.5}, ["seed: expected a non-negative integer, got 7.5"]),
     # phi parameters against their class's range
     ({"norm": {"phi": {"kind": "power-law", "lam": 2001}}},
      ["norm.phi.lam: expected 0 < lam < 1 on a 1D domain, got 2001"]),
@@ -220,6 +241,11 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, cfg, words):
 def test_grid_flag_below_two_exits_2(tmp_path, capsys, cmd, grid):
     assert main([cmd, "--grid", grid, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"--grid: expected a count >= 2, got {grid}")
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    assert main(["verify", "--suite", "ap", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("--seed: expected a non-negative integer, got -1")
 
 
 def test_kernel_table_lists_the_suite_cases(tmp_path, capsys):

@@ -215,8 +215,8 @@ def test_pairwise_values_do_not_move_with_the_block_budget(dom, m, n, monkeypatc
     for one, many in rest:
         for a in one0:
             assert np.array_equal(one[a], one0[a]), a
-            scale = np.abs(many0[a]).max(axis=0)
-            assert (np.abs(many[a] - many0[a]).max(axis=0) <= 1e-13 * scale).all(), a
+            scale = np.abs(many0[a]).max(axis=1)  # row i: right-hand side i
+            assert (np.abs(many[a] - many0[a]).max(axis=1) <= 1e-13 * scale).all(), a
 
 
 def test_pairwise_values_working_set():
@@ -236,14 +236,89 @@ def test_pairwise_values_working_set():
     assert peak < 16e6
 
 
-@pytest.mark.parametrize("dom,n", [(DISK, 32), (Disk((0.5, -0.25), 2.0), 41)])
-def test_harmonic_completion_matches_out_of_place_horner(dom, n):
-    from morreylab.solver import _harmonic_completion
-
-    g = Grid(dom, n)
+def _boundary_data(n):
     th = np.arange(8 * n) * (2 * np.pi / (8 * n))
-    data = np.cos(3 * th) + 0.5 * np.sin(7 * th) + np.random.default_rng(n).normal(size=8 * n)
-    got = _harmonic_completion(g, data)
+    return np.cos(3 * th) + 0.5 * np.sin(7 * th) + np.random.default_rng(n).normal(size=8 * n)
+
+
+@pytest.mark.parametrize("dom,n", [(DISK, 32), (Disk((0.5, -0.25), 2.0), 41)])
+def test_harmonic_completion_matches_out_of_place_horner(dom, n, monkeypatch):
+    # with no tail dropped every node runs every degree, and the in-place
+    # Horner on suffixes of the radius-sorted nodes keeps the oracle's bits
+    from morreylab import solver
+
+    monkeypatch.setattr(solver, "_TAIL_EPS", 0.0)
+    g = Grid(dom, n)
+    data = _boundary_data(n)
+    got = solver._harmonic_completion(g, data)
     want = oracles.harmonic_completion(dom.center, dom.radius, g.nodes, data)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dom,n", [(Disk((0.5, -0.25), 2.0), 41), (DISK, 256)])
+def test_harmonic_completion_tail_stays_within_its_bound(dom, n):
+    # the dropped terms add at most _TAIL_EPS * max|c| to |F| + |F'| at a
+    # node; the two Horner sums also round apart, by up to 2.9 units of
+    # u * B at these grids, B = sum |c_k| (r^k + k r^(k-1)) the node's
+    # absolute sum; 8 units are allowed
+    from morreylab import solver
+
+    g = Grid(dom, n)
+    data = _boundary_data(n)
+    got = solver._harmonic_completion(g, data)
+    want = oracles.harmonic_completion(dom.center, dom.radius, g.nodes, data)
+    M = len(data)
+    ghat = np.fft.rfft(data) / M
+    size = 2.0 * np.abs(ghat)
+    size[0] = abs(ghat[0].real)
+    r = np.hypot(*(g.nodes - np.asarray(dom.center)).T) / dom.radius
+    k = np.arange(len(size))
+    B = (np.polynomial.polynomial.polyval(r, size)
+         + np.polynomial.polynomial.polyval(r, (k * size)[1:]))
+    bound = solver._TAIL_EPS * size.max() + 8 * (np.finfo(float).eps / 2) * B
+    assert not all(np.array_equal(a, b) for a, b in zip(got, want))  # terms were dropped
+    for i, (a, b) in enumerate(zip(got, want)):
+        scale = 1.0 if i == 0 else dom.radius  # derivatives carry 1 / radius
+        assert (np.abs(a - b) * scale <= bound).all(), i
+
+
+def test_harmonic_completion_of_zero_data_is_zero():
+    from morreylab.solver import _harmonic_completion
+
+    g = Grid(DISK, 33)  # a node sits at the center, r = 0
+    for field in _harmonic_completion(g, np.zeros(8 * 33)):
+        assert np.all(field == 0.0)
+
+
+@pytest.mark.parametrize("dom,m,n", [(UNIT, 2, 32), (DISK, 1, 24)])
+def test_batch_jets_are_read_only_rows_of_one_block(dom, m, n):
+    g = Grid(dom, n)
+    fields = [f for _, f in build_corpus(g, seed=3, n_random=2)]
+    sols = solve_dirichlet_many(dom, m, fields)
+    for a in sols[0].jet:
+        rows = [sol.jet[a].values for sol in sols]
+        block = rows[0].base
+        assert block.shape == (len(fields), g.n_cells), a
+        assert all(np.shares_memory(block, row) for row in rows), a
+        with pytest.raises(ValueError, match="read-only"):
+            rows[-1][0] = 1.0
+
+
+def test_disk_m1_batch_working_set():
+    # each jet field is held once, as a row of its block: the parent's
+    # copies and whole-stack differences peaked at 7.5 MB here
+    import tracemalloc
+
+    g = Grid(DISK, 64)
+    fields = [f for _, f in build_corpus(g, seed=7, n_random=12)]
+    assert len(fields) == 21
+    solve_dirichlet_many(DISK, 1, fields[:1])  # the transform and radius caches
+    tracemalloc.start()
+    try:
+        sols = solve_dirichlet_many(DISK, 1, fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = len(sols[0].jet) * len(fields) * g.n_cells * 8  # 3.3 MB of blocks
+    assert peak < held + 2.2e6

@@ -416,6 +416,25 @@ def test_norm_in_two_row_chunks_keeps_the_bits(monkeypatch, weak):
     assert np.array_equal(ev.cache.power_sums(wide, wc, 1.5), whole)
 
 
+@pytest.mark.parametrize("chunk_rows", [None, 2])
+@pytest.mark.parametrize("weak", [False, True])
+def test_norm_of_a_list_of_rows_keeps_the_stack_bits(monkeypatch, weak, chunk_rows):
+    # within one chunk (9 rows of a small grid) and across five chunks
+    import morreylab.spaces as spaces
+
+    g, sweep, w, stack = _stack_case(2)
+    wide = np.concatenate([stack, stack[::-1] * 3.0, stack[:1]])  # 9 rows
+    if chunk_rows:
+        monkeypatch.setattr(spaces, "_CHUNK_CELLS", chunk_rows * g.n_cells + 1)
+    rows = list(wide)
+    for phi in _phis(2, 1.5, w):
+        want = MorreyEvaluator(g, sweep).attaining(wide, w, phi, 1.5, weak)
+        got = MorreyEvaluator(g, sweep).attaining(rows, w, phi, 1.5, weak)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(SweepCache(g, sweep).ball_sums(rows),
+                          SweepCache(g, sweep).ball_sums(wide))
+
+
 def test_ball_sums_bytes_do_not_depend_on_blas_threads():
     code = ("import sys, numpy as np\n"
             "from morreylab.geometry import Disk, Grid, nested_sweep\n"
