@@ -48,9 +48,9 @@ def _load(args) -> dict:
     except json.JSONDecodeError as exc:
         raise harness.ConfigError(f"bad config: {exc}") from None
     if args.grid is not None:
-        harness._check_count("--grid", args.grid)
+        harness._check_number("--grid", "grid", args.grid)
     if args.seed is not None:
-        harness._check_seed("--seed", args.seed)
+        harness._check_number("--seed", "seed", args.seed)
         cfg["seed"] = args.seed
     return cfg
 

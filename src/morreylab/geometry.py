@@ -227,11 +227,11 @@ class Grid:
         """Boolean mask over masked nodes: |node - center| < radius."""
         return distance(self.nodes, _as_point(center, self.dim)) < radius
 
-    def embed(self, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    def embed(self, values: np.ndarray) -> np.ndarray:
         """Scatter masked-cell values, (cells,) or a stack (k, cells), onto
         the full lattice (zero outside), (n,) * dim or (k,) + (n,) * dim."""
         values = np.asarray(values)
-        flat = np.full(values.shape[:-1] + self.lattice_mask.shape, fill, dtype=float)
+        flat = np.zeros(values.shape[:-1] + self.lattice_mask.shape)
         flat[..., self.lattice_mask] = values
         return flat.reshape(values.shape[:-1] + (self.n,) * self.dim)
 

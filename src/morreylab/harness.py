@@ -121,8 +121,8 @@ _SPEC_KEYS = {"domain": "domain", "weight": "weight", "spec": "weight",
 
 class ConfigError(ValueError):
     """A config that names an unknown section, key or kind, gives a value of
-    the wrong JSON type or one a constructor rejects; the message starts
-    with the key path."""
+    the wrong JSON type, out of its range or one a constructor rejects; the
+    message starts with the key path."""
 
 
 @functools.cache
@@ -161,14 +161,10 @@ def load_config(path: str | None) -> dict:
     """The config at `path` merged over default_config(), one level deep:
     sections merge key by key, and a value inside a section replaces the
     default whole.  Raises ConfigError for an unknown section or key, a
-    value whose JSON type differs from the default's, a domain, weight or
-    phi spec that SPEC_KINDS or the constructor rejects, a phi parameter
-    outside its class's range, a condition.x that is no point of its
-    domain, a number out of the range `_check_number` gives its key, a seed
-    that is no non-negative integer, a solve.m without a Green function, an
-    operators order without a fundamental solution or a disk operators.alpha
-    that is no CZ kernel's multi-index, or a suite case that names no
-    implemented Green function."""
+    value whose JSON type differs from the default's, a number outside the
+    `_RANGES` entry of its key, a condition.r_max not below upper_mult, or
+    a spec, point, order, multi-index, ap interval or suite case that
+    SPEC_KINDS, its constructor or its class's range rejects."""
     cfg = default_config()
     if path is None:
         return cfg
@@ -189,23 +185,23 @@ def load_config(path: str | None) -> dict:
                                   f"{', '.join(sorted(section))}")
             _check_type(f"{name}.{key}", v, section[key])
             section[key] = v
-    _check_seed("seed", cfg["seed"])
+    _check_number("seed", "seed", cfg["seed"])
     for name, section in cfg.items():
         if isinstance(section, dict):
             for key, v in section.items():
                 _check_number(f"{name}.{key}", key, v)
-    # domains and weights are built: a constructor's rejection surfaces here
-    # too, and a weight is checked against its section's domain
+    # domains, weights and phis are built as the commands build them, a
+    # weight against its section's domain
     for name in CLI_DEFAULTS:
-        dom = None
+        dom = w = None
         for key, spec in cfg[name].items():
             family = _SPEC_KEYS.get(key)
             if family == "domain":
                 dom = _domain_from(spec, f"{name}.{key}")
             elif family == "weight":
-                _weight_from(spec, f"{name}.{key}", dom.dim)
+                w = _weight_from(spec, f"{name}.{key}", dom.dim)
             elif family == "phi" and spec is not None:  # a null phi2 is phi1
-                _check_phi(spec, f"{name}.{key}", dom.dim)
+                _phi_from(spec, f"{name}.{key}", cfg[name]["p"], dom.dim, w)
             elif key == "x" and spec is not None:  # a null condition.x is the center
                 for i, v in enumerate(spec):
                     _check_type(f"{name}.x[{i}]", v, 0.0)
@@ -213,6 +209,11 @@ def load_config(path: str | None) -> dict:
             elif name == "solve" and key == "m":
                 _build("solve.m", green_function, dom, spec)
     _check_operators(cfg["operators"])
+    _build("ap.b", Interval, cfg["ap"]["a"], cfg["ap"]["b"])
+    r_max, upper = cfg["condition"]["r_max"], cfg["condition"]["upper_mult"]
+    if not r_max < upper:
+        raise ConfigError(f"condition.upper_mult: expected a number > r_max = {r_max!r}, "
+                          f"got {upper!r}")
     for name, section in cfg.items():
         if isinstance(section, dict) and "cases" in section:
             for i, case in enumerate(section["cases"]):
@@ -220,44 +221,48 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-# the least value of each count a section holds, by key; a key that starts
-# with "grids" holds a list of grid sizes
-_LEAST_COUNTS = {"grid": 2, "centers": 2, "radii": 2, "family": 1, "n_random": 0,
-                 "corpus_2d": 1, "pairs": 1, "pair_counts": 1}
+def _count(least: int):
+    return (lambda v: type(v) is int and v >= least,
+            f"expected a count >= {least}, got {{!r}}")
+
+
+# (test, message) of every number, or list of numbers, a config holds, by
+# key in any section; the numbers load builds into objects have no entry
+_RANGES = {
+    **dict.fromkeys(["grid", "grids", "grids_1d", "grids_2d", "centers", "radii",
+                     "centers_per_axis", "radius_points"], _count(2)),
+    **dict.fromkeys(["family", "corpus_2d", "pairs", "pair_counts"], _count(1)),
+    "n_random": _count(0),
+    "seed": (lambda v: type(v) is int and v >= 0,
+             "expected a non-negative integer, got {!r}"),
+    **dict.fromkeys(["p", "ps_1d", "ps_2d"],
+                    (lambda v: v >= 1, "invalid exponent {!r}; need p >= 1")),
+    "tolerance": (lambda v: v > 0, "expected a tolerance > 0, got {!r}"),
+    **dict.fromkeys(["radius", "bump_rho", "d", "r_min", "r_max", "upper_mult"],
+                    (lambda v: v > 0, "expected a number > 0, got {!r}")),
+    # at 1 or below the negative-control gate passes with no growth
+    "control_growth": (lambda v: v > 1, "expected a growth > 1, got {!r}"),
+    # the suites take lam * n
+    "lams": (lambda v: 0 < v < 1, "expected 0 < lam < 1 (a fraction of n), got {!r}"),
+    "ks": (lambda v: 0 <= v < 1, "expected 0 <= k < 1, got {!r}"),
+}
 
 
 def _check_number(path: str, key: str, value) -> None:
-    """ConfigError unless the number under `key` is in range: a count at
-    least its _LEAST_COUNTS entry (2 for a grid size), an exponent p >= 1, a
-    tolerance > 0.  A list of grid sizes, pair counts or exponents (the
-    ps_* keys) must be non-empty and hold such numbers."""
-    least = 2 if key.startswith("grids") else _LEAST_COUNTS.get(key)
-    exponent = key == "p" or key.startswith("ps_")
-    if isinstance(value, list) and (least is not None or exponent):
-        if not value:
-            raise ConfigError(f"{path}: expected a non-empty list")
-        for i, v in enumerate(value):
-            _check_type(f"{path}[{i}]", v, 0.0)
-            _check_number(f"{path}[{i}]", key, v)
-    elif exponent and not value >= 1:
-        raise ConfigError(f"{path}: invalid exponent {value!r}; need p >= 1")
-    elif key == "tolerance" and not value > 0:
-        raise ConfigError(f"{path}: expected a tolerance > 0, got {value!r}")
-    elif least is not None:
-        _check_count(path, value, least)
-
-
-def _check_seed(path: str, value) -> None:
-    """ConfigError unless a seed is a non-negative integer."""
-    if type(value) is not int or value < 0:
-        raise ConfigError(f"{path}: expected a non-negative integer, got {value!r}")
-
-
-def _check_count(path: str, value, least: int = 2) -> None:
-    """ConfigError unless a count (by default a grid size or sweep count)
-    is an integer of at least `least`."""
-    if type(value) is not int or value < least:
-        raise ConfigError(f"{path}: expected a count >= {least}, got {value!r}")
+    """ConfigError unless `value`, or each entry of a non-empty list of
+    numbers, passes the _RANGES test of `key`.  A key without an entry, or
+    a null (derived) value, is not checked."""
+    if key not in _RANGES or value is None:
+        return
+    test, message = _RANGES[key]
+    entries = ({f"{path}[{i}]": v for i, v in enumerate(value)}
+               if isinstance(value, list) else {path: value})
+    if not entries:
+        raise ConfigError(f"{path}: expected a non-empty list")
+    for where, v in entries.items():
+        _check_type(where, v, 0.0)
+        if not test(v):
+            raise ConfigError(f"{where}: {message.format(v)}")
 
 
 def _check_operators(sec: dict) -> None:
@@ -287,7 +292,8 @@ def _spec(family: str, spec: dict, path: str) -> tuple[str, dict]:
         if key not in keys:
             raise ConfigError(f"{path}.{key}: unknown key for kind {kind!r}; "
                               f"valid: {', '.join(keys)}")
-        _check_type(f"{path}.{key}", value, float if keys[key] is None else keys[key])
+        if value is not None or keys[key] is not None:  # a null default takes null
+            _check_type(f"{path}.{key}", value, float if keys[key] is None else keys[key])
         for i, x in enumerate(value if isinstance(value, list) else ()):
             _check_type(f"{path}.{key}[{i}]", x, 0.0)
         if isinstance(keys[key], list) and len(value) != len(keys[key]):
@@ -329,24 +335,20 @@ def _weight_from(spec: dict, path: str, dim: int):
 
 
 def _phi_from(spec: dict, path: str, p: float, n: int, w):
+    """The phi of a kind-tagged spec on an n-dimensional domain; ConfigError
+    outside its class's range, 0 < lam < n (null: n/2) or 0 <= k < 1."""
     kind, k = _spec("phi", spec, path)
     if kind == "power-law":
-        return PowerLawPhi(lam=0.5 * n if k["lam"] is None else k["lam"], p=p, n=n)
+        lam = 0.5 * n if k["lam"] is None else k["lam"]
+        if not 0 < lam < n:
+            raise ConfigError(f"{path}.lam: expected 0 < lam < {n} on a {n}D domain, "
+                              f"got {lam!r}")
+        return PowerLawPhi(lam=lam, p=p, n=n)
     if kind == "weight-measure":
+        if not 0 <= k["k"] < 1:
+            raise ConfigError(f"{path}.k: expected 0 <= k < 1, got {k['k']!r}")
         return WeightMeasurePhi(k=k["k"], p=p, w=w)
     return InverseWeightMeasurePhi(p=p, w=w)
-
-
-def _check_phi(spec: dict, path: str, n: int) -> None:
-    """ConfigError unless a phi spec on an n-dimensional domain keeps its
-    class's range: 0 < lam < n for a power law, 0 <= k < 1 for a weight
-    measure."""
-    kind, k = _spec("phi", spec, path)
-    if kind == "power-law" and k["lam"] is not None and not 0 < k["lam"] < n:
-        raise ConfigError(f"{path}.lam: expected 0 < lam < {n} on a {n}D domain, "
-                          f"got {k['lam']!r}")
-    if kind == "weight-measure" and not 0 <= k["k"] < 1:
-        raise ConfigError(f"{path}.k: expected 0 <= k < 1, got {k['k']!r}")
 
 
 def _interior_center(dom: Domain):
@@ -359,12 +361,12 @@ def _boundary_point(dom: Domain):
     return (dom.center[0] + dom.radius, dom.center[1])
 
 
-def default_weights(dom: Domain, p: float, gammas=(-0.4, 0.5)):
+def default_weights(dom: Domain, p: float):
     """The standard family as (name, w, tag): constant, centered/boundary
-    powers (those inside the class at this p), and the control gamma =
+    powers of gamma -0.4, 0.5 (those in the class at p), the control gamma =
     n(p-1) + 0.5; ap_membership tags each in-class or out-of-class."""
     mid = _interior_center(dom)
-    usable = [g for g in gammas if ap_membership(PowerWeight(mid, g), p).in_class]
+    usable = [g for g in (-0.4, 0.5) if ap_membership(PowerWeight(mid, g), p).in_class]
     out = [("const", ConstantWeight(1.0))]
     out += [(f"pow{g:+g}-center", PowerWeight(mid, g)) for g in usable]
     if usable:
@@ -400,7 +402,6 @@ class SuiteResult:
     tolerance: float
     trend: list
     rows: list = field(default_factory=list)
-    header: tuple = ("suite", "case", "lhs", "rhs", "ratio", "n", "flags")
     notes: list = field(default_factory=list)
     plot_data: list = field(default_factory=list)  # (r, ratio) pairs
 
@@ -464,7 +465,8 @@ def write_reports(results: list[SuiteResult], out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     summary = {}
     for res in results:
-        _write_csv(os.path.join(out_dir, f"{res.suite}.csv"), res.header, res.rows)
+        _write_csv(os.path.join(out_dir, f"{res.suite}.csv"),
+                   ("suite", "case", "lhs", "rhs", "ratio", "n", "flags"), res.rows)
         if res.plot_data:
             _write_csv(os.path.join(out_dir, f"{res.suite}_plot.csv"), ("r", "ratio"),
                        res.plot_data)

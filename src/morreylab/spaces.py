@@ -371,8 +371,7 @@ def multi_indices(dim: int, max_order: int) -> list[tuple[int, ...]]:
 
 
 def sobolev_morrey_norm(jet: dict[tuple[int, ...], SampledField], w: Weight,
-                        phi: PhiFunction, p: float, sweep: list[Ball], m: int,
-                        weak: bool = False) -> float:
+                        phi: PhiFunction, p: float, sweep: list[Ball], m: int) -> float:
     """Sum of Morrey norms of D^s u over all |s| <= m."""
     any_field = next(iter(jet.values()))
     dim = any_field.grid.dim
@@ -381,7 +380,7 @@ def sobolev_morrey_norm(jet: dict[tuple[int, ...], SampledField], w: Weight,
     if missing:
         raise ValueError(f"incomplete jet: missing {missing}")
     rows = [jet[s].values for s in need]
-    return float(MorreyEvaluator(any_field.grid, sweep).norm(rows, w, phi, p, weak).sum())
+    return float(MorreyEvaluator(any_field.grid, sweep).norm(rows, w, phi, p).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,32 @@ def test_config_errors_exit_2_and_say_why(tmp_path, capsys, cmd, extra, words):
      ["condition.phi2.lam: expected 0 < lam < 2 on a 2D domain, got 2.0"]),
     ({"condition": {"phi2": {"kind": "weight-measure", "k": -0.5}}},
      ["condition.phi2.k: expected 0 <= k < 1, got -0.5"]),
+    # a null spec value only where the kind's default is null (lam)
+    ({"norm": {"phi": {"kind": "weight-measure", "k": None}}},
+     ["norm.phi.k: expected number, got null"]),
+    # every other number through its _RANGES entry, in any section
+    ({"ap": {"centers_per_axis": 1}}, ["ap.centers_per_axis: expected a count >= 2, got 1"]),
+    ({"operators": {"radius_points": 1}},
+     ["operators.radius_points: expected a count >= 2, got 1"]),
+    ({"identity": {"radius": -1}}, ["identity.radius: expected a number > 0, got -1"]),
+    ({"identity": {"bump_rho": 0}}, ["identity.bump_rho: expected a number > 0, got 0"]),
+    ({"identity": {"bump_rho": -1}}, ["identity.bump_rho: expected a number > 0, got -1"]),
+    ({"operators": {"bump_rho": 0}}, ["operators.bump_rho: expected a number > 0, got 0"]),
+    ({"hardy": {"d": 0}}, ["hardy.d: expected a number > 0, got 0"]),
+    ({"condition": {"r_min": 0}}, ["condition.r_min: expected a number > 0, got 0"]),
+    ({"boundedness": {"control_growth": -1}},
+     ["boundedness.control_growth: expected a growth > 1, got -1"]),
+    ({"boundedness": {"control_growth": 1}},
+     ["boundedness.control_growth: expected a growth > 1, got 1"]),
+    ({"apriori": {"lams": [1.5]}},
+     ["apriori.lams[0]: expected 0 < lam < 1 (a fraction of n), got 1.5"]),
+    ({"boundedness": {"lams": ["x"]}}, ["boundedness.lams[0]: expected number, got string"]),
+    ({"apriori": {"ks": []}}, ["apriori.ks: expected a non-empty list"]),
+    ({"boundedness": {"ks": [0.3, 1.0]}}, ["boundedness.ks[1]: expected 0 <= k < 1, got 1.0"]),
+    # the two checks across keys
+    ({"ap": {"a": 1.0, "b": -1.0}}, ["ap.b: interval needs b > a"]),
+    ({"condition": {"upper_mult": 0.5}},
+     ["condition.upper_mult: expected a number > r_max = 0.9, got 0.5"]),
 ])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, cfg, words):
     path = tmp_path / "bad.json"

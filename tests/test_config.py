@@ -65,11 +65,39 @@ def test_partial_apriori_config_gets_the_shipped_n_random(tmp_path, monkeypatch)
 
 def test_derived_keys_take_null_or_their_type(tmp_path):
     user = {"condition": {"phi2": {"kind": "power-law"}, "x": [0.3]},
-            "operators": {"bump_rho": 0.4}}
+            "operators": {"bump_rho": 0.4},
+            "norm": {"phi": {"kind": "power-law", "lam": None}}}  # lam n/2
     cfg = load_config(write(tmp_path, user))
     assert cfg["condition"]["x"] == [0.3] and cfg["operators"]["bump_rho"] == 0.4
+    assert harness._phi_from(cfg["norm"]["phi"], "phi", 2.0, 2, ConstantWeight()).lam == 1.0
     nulls = {"condition": {"phi2": None, "x": None}, "operators": {"bump_rho": None}}
     assert load_config(write(tmp_path, nulls)) == default_config()
+
+
+# the numbers that load builds into a domain, a point, a Green function or a
+# CZ kernel instead of looking up a range
+BUILT = {"ap.a", "ap.b", "condition.x", "operators.m", "operators.alpha", "solve.m"}
+# read by nothing; they go with the reference refresh of ROADMAP item 2
+DEAD = {"boundedness.radius_points_1d", "boundedness.radius_points_2d"}
+
+
+def test_every_config_number_has_a_range():
+    def numeric(path, value):
+        if value is None:  # a derived default: the type it may take instead
+            return harness._DERIVED_TYPES[path] in ("number", "list")
+        values = value if isinstance(value, list) else [value]
+        return bool(values) and all(type(v) in (int, float) for v in values)
+
+    seen = set()
+    for name, section in default_config().items():
+        items = section.items() if isinstance(section, dict) else [(None, section)]
+        for key, value in items:
+            path = name if key is None else f"{name}.{key}"
+            if numeric(path, value):
+                seen.add(path)
+                assert (key or name) in harness._RANGES or path in BUILT | DEAD, path
+    assert BUILT | DEAD <= seen
+    assert len(seen) > 50
 
 
 def _kind_classes(family: str, build) -> list[type]:
