@@ -162,9 +162,10 @@ def load_config(path: str | None) -> dict:
     sections merge key by key, and a value inside a section replaces the
     default whole.  Raises ConfigError for an unknown section or key, a
     value whose JSON type differs from the default's, a number outside the
-    `_RANGES` entry of its key, a condition.r_max not below upper_mult, or
-    a spec, point, order, multi-index, ap interval or suite case that
-    SPEC_KINDS, its constructor or its class's range rejects."""
+    `_RANGES` entry of its key, an ap.p not above 1.5, condition radii not
+    in the order r_min < r_max < upper_mult, or a spec, point, order,
+    multi-index, ap interval or suite case that SPEC_KINDS, its
+    constructor or its class's range rejects."""
     cfg = default_config()
     if path is None:
         return cfg
@@ -210,10 +211,13 @@ def load_config(path: str | None) -> dict:
                 _build("solve.m", green_function, dom, spec)
     _check_operators(cfg["operators"])
     _build("ap.b", Interval, cfg["ap"]["a"], cfg["ap"]["b"])
-    r_max, upper = cfg["condition"]["r_max"], cfg["condition"]["upper_mult"]
-    if not r_max < upper:
-        raise ConfigError(f"condition.upper_mult: expected a number > r_max = {r_max!r}, "
-                          f"got {upper!r}")
+    if not cfg["ap"]["p"] > 1.5:  # suite_ap's |x|^0.5 is in A_p for p > 1.5 only
+        raise ConfigError(f"ap.p: expected a number > 1.5, got {cfg['ap']['p']!r}")
+    cond = cfg["condition"]
+    for lo, hi in (("r_min", "r_max"), ("r_max", "upper_mult")):
+        if not cond[lo] < cond[hi]:
+            raise ConfigError(f"condition.{hi}: expected a number > {lo} = {cond[lo]!r}, "
+                              f"got {cond[hi]!r}")
     for name, section in cfg.items():
         if isinstance(section, dict) and "cases" in section:
             for i, case in enumerate(section["cases"]):
@@ -503,15 +507,17 @@ def suite_ap(config: dict) -> SuiteResult:
     ok &= abs(one.value - 1.0) < 1e-12
 
     w_in = PowerWeight(_interior_center(dom), 0.5)
+    # its A_p quotient on every ball centered at the origin (4/3 at p = 2)
+    exact = (1.0 / (1.0 + w_in.gamma)) * ((p - 1.0) / (p - 1.0 - w_in.gamma)) ** (p - 1.0)
     origin = [Ball(w_in.center, r) for r in (0.25, 0.5, 0.99)]
     est_origin = ap_constant(w_in, p, g, origin)
-    rows.append(("ap", "pow+0.5-origin-balls", est_origin.value, 4.0 / 3.0,
-                 est_origin.value / (4.0 / 3.0), grids[-1], ""))
-    ok &= abs(est_origin.value - 4.0 / 3.0) <= 0.03 * (4.0 / 3.0)
+    rows.append(("ap", "pow+0.5-origin-balls", est_origin.value, exact,
+                 est_origin.value / exact, grids[-1], ""))
+    ok &= abs(est_origin.value - exact) <= 0.03 * exact
     full = ap_constant(w_in, p, g, ap_sweep(g, w_in, centers))
-    rows.append(("ap", "pow+0.5-full-sweep", full.value, 4.0 / 3.0,
-                 full.value / (4.0 / 3.0), grids[-1], ""))
-    ok &= full.value >= 4.0 / 3.0 - 1e-9
+    rows.append(("ap", "pow+0.5-full-sweep", full.value, exact,
+                 full.value / exact, grids[-1], ""))
+    ok &= full.value >= exact - 1e-9
     ok &= ap_membership(w_in, p).in_class
 
     ctrl = PowerWeight(_interior_center(dom), dom.dim * (p - 1.0) + 0.5)
@@ -612,17 +618,17 @@ def suite_identity(config: dict) -> SuiteResult:
     g = Grid(dom, n)
     bump, _, _ = polynomial_bump([0.0, 0.0], rho, 2)
     f = SampledField(g, bump(g.nodes))
-    rows, reports = [], []
+    rows = []
     ok = True
-    for alpha, beta in (((2, 0), (1, 0)), ((0, 2), (0, 1)), ((1, 1), (1, 0))):
-        rep = singular_identity_check(f, alpha, beta)
-        reports.append(rep)
-        rows.append(("identity", f"a{alpha}", rep.fitted_a, rep.expected_a,
+    reports = singular_identity_check(f, (((2, 0), (1, 0)), ((0, 2), (0, 1)),
+                                          ((1, 1), (1, 0))))
+    for rep in reports:
+        rows.append(("identity", f"a{rep.alpha}", rep.fitted_a, rep.expected_a,
                      rep.max_discrepancy, n, f"skipped={rep.skipped_nodes}"))
         ok &= rep.max_discrepancy <= 0.02
-        if alpha != (1, 1):
+        if rep.alpha != (1, 1):
             ok &= abs(rep.fitted_a - rep.expected_a) <= 0.02 * abs(rep.expected_a)
-    trace = reports[0].trace_residual  # the check at ((2, 0), (1, 0))
+    trace = reports[0].trace_residual  # the same for every pair
     rows.append(("identity", "trace", trace, 0.0, trace, n, ""))
     ok &= trace <= 0.02
     return SuiteResult(suite="identity", verdict="PASS" if ok else "FAIL",
@@ -650,8 +656,8 @@ def suite_pointwise(config: dict) -> SuiteResult:
             corpus = build_corpus(g, seed=seed, n_random=cfg["n_random"])
             sols = solve_dirichlet_many(dom, m, [f for _, f in corpus])
             radii = _nested_operator_grid(g, 4 if dom.dim == 2 else 6)
-            for (_, f), sol in zip(corpus, sols):
-                mf = np.maximum(maximal_field(f, radii).values, 1e-300)
+            for sol, mf in zip(sols, maximal_field([f for _, f in corpus], radii)):
+                mf = np.maximum(mf.values, 1e-300)
                 for a in per_level:
                     ratio = (np.abs(sol.jet[a].values) / mf).max()
                     per_level[a][n] = max(per_level[a].get(n, 0.0), ratio)
@@ -708,7 +714,8 @@ def suite_lemma22(config: dict) -> SuiteResult:
             corpus = build_corpus(g, seed=seed, n_random=2)[:n_funcs]
             radii = _nested_operator_grid(g, 3 if dom.dim == 2 else 5)
             F = np.column_stack([np.abs(f.values) for _, f in corpus])
-            MF = np.column_stack([maximal_field(f, radii).values for _, f in corpus])
+            MF = np.column_stack([mf.values for mf in
+                                  maximal_field([f for _, f in corpus], radii)])
             hn = g.cell_measure
             kf, sf, smf = _offdiagonal_region_sums(g, gf, alphas, F, MF)
             fits = []
@@ -754,19 +761,24 @@ def suite_lemma24(config: dict) -> SuiteResult:
             alphas = [a for a in multi_indices(dom.dim, 2 * m) if sum(a) == 2 * m]
             wdist = default_weights(dom, p)[1][1](g.nodes)
             fits = []
-            # M|f| per member, also the M|g| of the first four members as g
-            mfs = [maximal_field(f, radii).values for _, f in corpus]
-            for (fname, f), sol, mf in zip(corpus, sols, mfs):
-                ksf = (singular_field(f, kern, radii).values if kern is not None
-                       else np.zeros(g.n_cells))
+            # per member: the order-2m derivative of largest sup, the first
+            # on a tie, and its two dist-g test functions
+            daus = [max((sol.jet[a].values for a in alphas), key=lambda v: np.abs(v).max())
+                    for sol in sols]
+            sgns = [np.abs(dau) ** (p - 1.0) * np.sign(dau) for dau in daus]
+            dist_gs = [gv for sgn in sgns for gv in (sgn, sgn * wdist)]
+            # M|f| of every member (also M|g| of the first four members as
+            # g), then M|g| of every dist-g, in one stack
+            fields = [f for _, f in corpus]
+            ms = [mf.values for mf in maximal_field(
+                fields + [SampledField(g, np.abs(gv)) for gv in dist_gs], radii)]
+            ksfs = ([np.zeros(g.n_cells)] * len(fields) if kern is None
+                    else [kf.values for kf in singular_field(fields, kern, radii)])
+            for i, ((fname, f), dau, mf, ksf) in enumerate(zip(corpus, daus, ms, ksfs)):
                 absf = np.abs(f.values)
-                # the order-2m derivative of largest sup, the first on a tie
-                dau = max((sol.jet[a].values for a in alphas),
-                          key=lambda v: np.abs(v).max())
-                sgn = np.abs(dau) ** (p - 1.0) * np.sign(dau)
-                gs = [(gn, gv, maximal_field(SampledField(g, np.abs(gv)), radii).values)
-                      for gn, gv in (("dist-g", sgn), ("dist-g-weighted", sgn * wdist))]
-                gs += [(gn, fg.values, mg) for (gn, fg), mg in zip(corpus[:4], mfs)]
+                gs = [(gn, dist_gs[2 * i + d], ms[len(fields) + 2 * i + d])
+                      for d, gn in enumerate(("dist-g", "dist-g-weighted"))]
+                gs += [(gn, fg.values, mg) for (gn, fg), mg in zip(corpus[:4], ms)]
                 for gname, gv, mg in gs:
                     lhs = float((np.abs(dau * gv)).sum() * hn)
                     rhs = float(((ksf + mf) * np.abs(gv) + mg * absf
@@ -828,6 +840,7 @@ def suite_boundedness(config: dict) -> SuiteResult:
             radii = _nested_operator_grid(g, 6 if dom.dim == 1 else 3)
             ev = MorreyEvaluator(g, nested_sweep(g, 5 if dom.dim == 2 else 9))
             kern = CZKernel(2, m, (2 * m, 0)) if dom.dim == 2 else None
+            corpora = []
             for p in ps:
                 gamma_ctrl = dom.dim * (p - 1.0) + 0.5
                 # the control witness: the conjugate power profile of the
@@ -840,15 +853,20 @@ def suite_boundedness(config: dict) -> SuiteResult:
                                    0.25 * dom.diameter))
                 if dom.dim == 2:
                     corpus = corpus[: cfg["corpus_2d"]] + [corpus[-1]]
+                corpora.append(corpus)
+            # one stack per operator over the corpora of every p
+            fields = [f for corpus in corpora for _, f in corpus]
+            ops = [maximal_field(fields, radii)]
+            if kern is not None:
+                ops.append(singular_field(fields, kern, radii))
+            tnames = ["M", "K*"][: len(ops)]
+            start = 0
+            for p, corpus in zip(ps, corpora):
                 F = np.stack([f.values for _, f in corpus])
                 # the operator fields of corpus member i are rows
                 # i * len(tnames) ... of one stack
-                tnames = ["M"] if kern is None else ["M", "K*"]
-                T = np.empty((len(corpus) * len(tnames), g.n_cells))
-                for i, (_, f) in enumerate(corpus):
-                    T[i * len(tnames)] = maximal_field(f, radii).values
-                    if kern is not None:
-                        T[i * len(tnames) + 1] = singular_field(f, kern, radii).values
+                T = np.stack([op[start + i].values for i in range(len(corpus)) for op in ops])
+                start += len(corpus)
                 if dom.dim == 1 and p == ps[0]:
                     # radius-grid doubling probe (flag if the maximal field
                     # is still grid-sensitive at this density)
@@ -894,9 +912,10 @@ def suite_boundedness(config: dict) -> SuiteResult:
             break
     verdict = "PASS" if (in_ok and control_ok) else ("UNSTABLE" if control_ok else "FAIL")
     worst = max((max(v) for _, v, _ in case_trends), default=np.nan)
+    series = [vals for _, vals, _ in case_trends]  # many combos share one series
+    trend = [vals for i, vals in enumerate(series) if vals not in series[:i]][:6]
     return SuiteResult(suite="boundedness", verdict=verdict,
-                       fitted_constant=worst, tolerance=tol,
-                       trend=[v for _, v, _ in case_trends[:6]], rows=rows,
+                       fitted_constant=worst, tolerance=tol, trend=trend, rows=rows,
                        notes=notes, plot_data=plot)
 
 
@@ -930,8 +949,9 @@ def suite_marok1(config: dict) -> SuiteResult:
         wt_all = wsums[nb:].reshape(nb, -1)
         fits = []
         # one stack: the K* field of every corpus member, then every member
-        ks = np.stack([singular_field(f, kern, radii).values for _, f in corpus]
-                      + [f.values for _, f in corpus])
+        fields = [f for _, f in corpus]
+        ks = np.stack([kf.values for kf in singular_field(fields, kern, radii)]
+                      + [f.values for f in fields])
         sums = cache.power_sums(ks, wc, p)
         for i, (name, _) in enumerate(corpus):
             f_sums = sums[len(corpus) + i, nb:].reshape(nb, -1)

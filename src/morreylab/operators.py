@@ -3,13 +3,16 @@ and the differentiation identity for second derivatives of the potential.
 
 All operators treat the field as extended by zero outside the domain; ball
 volumes in the maximal operator are full Lebesgue ball measures.  Each
-operator has one implementation, a whole field on every masked node:
-sliding window sums in 1D and cached-spectrum FFT convolutions in 2D (the
-discrete sums are translation-invariant on the lattice).  `_in_ball` is
-the one rule for which lattice offsets a ball or a truncation holds.
-`_convolutions` is the one convolution path: one forward transform per
-field, then one product per kernel; the solver's free-space potentials
-take it too.
+operator has one implementation, for one field or a list of fields on one
+grid: sliding window sums in 1D and FFT convolutions in 2D (the discrete
+sums are translation-invariant on the lattice).  `_in_ball` is the one
+rule for which lattice offsets a ball or a truncation holds.
+
+`_convolutions` is the one convolution path, a stack of rows against a
+list of kernels; the solver's free-space potentials take it too.  It holds
+the smaller set of transforms and streams the other (the rows' while each
+spectrum is built, applied to every row and dropped, or the spectra while
+each row is transformed), and keeps no spectrum past the call.
 
 Each axis is zero-padded to the transform size L.  The kernel spans the
 2n-1 offsets, and the n x n central block keeps the rows n-1 ... 2n-2 of
@@ -22,20 +25,20 @@ pass pow2(3n-2) (see `solver._solve_disk_m1_values` for why).
 `_Convolver.apply` is irfft2 by hand: the product spectrum and its inverse
 column transform go into one reused buffer, and the inverse row transform
 runs only on the n rows of the central block, into a second.  Both
-buffers belong to the convolver, live while `_convolutions` runs over one
-field's kernels and are overwritten by each apply, so apply returns a copy
-of the central block: callers hold several results at once.  The bits are
-irfft2's, which runs the same two stages line by line.
+buffers live while one `_convolutions` call runs and are overwritten by
+each apply, so apply returns a copy of the central block: callers hold
+several results at once.  The bits are irfft2's, which runs the same two
+stages line by line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
-from .geometry import Grid, SampledField
+from .geometry import Grid, SampledField, log_radii
 from .greens import FundamentalSolution
 
 __all__ = [
@@ -50,8 +53,6 @@ __all__ = [
 
 def operator_radius_grid(grid: Grid, count: int = 48) -> np.ndarray:
     """Log-spaced radii/truncations in [cell width, diam]."""
-    from .geometry import log_radii
-
     return log_radii(grid.h, grid.domain.diameter, count)
 
 
@@ -87,17 +88,9 @@ class CZKernel:
             return np.zeros(z.shape[:-1] if z.ndim > 1 else z.shape)
         return gam.derivative(self.alpha, z)
 
-    def size_constant(self, samples: int = 256, seed: int = 0) -> float:
-        """Fitted C_k in |k(z)| <= C_k |z|^{-n} over a log-radial sample."""
-        rng = np.random.default_rng(seed)
-        r = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), samples))
-        th = rng.uniform(0, 2 * np.pi, samples)
-        z = np.column_stack([r * np.cos(th), r * np.sin(th)])
-        return float((np.abs(self(z)) * r**self.dim).max())
-
 
 # ---------------------------------------------------------------------------
-# lattice convolution: one forward transform per field, cached kernel spectra
+# lattice convolution: a stack of rows against a list of kernels
 
 
 def _pow2(k: int) -> int:
@@ -106,8 +99,9 @@ def _pow2(k: int) -> int:
 
 
 class _Convolver:
-    """Linear convolution on the full lattice with cached kernel spectra,
-    at transform size `size` per axis (default: alias-free pow2(2n-1))."""
+    """Linear convolution on the full lattice at transform size `size` per
+    axis (default: alias-free pow2(2n-1)); its spectra and buffers live for
+    one `_convolutions` call."""
 
     def __init__(self, grid: Grid, size: int | None = None):
         self.grid = grid
@@ -118,7 +112,7 @@ class _Convolver:
         self._spectra: dict = {}
         # apply's buffers: the product spectrum, then its column transform,
         # and the kept rows of the inverse; allocated at the first apply of
-        # a field, dropped by _convolutions after its last
+        # a call, dropped by _convolutions after its last
         self._work = self._rows = None
 
     def spectrum(self, key, build):
@@ -143,23 +137,31 @@ class _Convolver:
         return self._rows[:, n - 1: 2 * n - 1].copy()
 
 
-# one live convolver: a finished level's spectra are freed, not held
+# the last grid's convolver keeps its offset lattice, not its spectra
 @lru_cache(maxsize=1)
 def _convolver(grid: Grid, size: int | None) -> _Convolver:
     return _Convolver(grid, size)
 
 
-def _convolutions(grid: Grid, values: np.ndarray, kernels, size: int | None = None):
-    """Lattice convolutions of the masked-cell `values` (zero outside) with
-    each (key, build) kernel in turn, all from one forward transform, at
-    transform size `size` (None: the operators' pow2(2n-1))."""
+def _convolutions(grid: Grid, rows, kernels, size: int | None = None):
+    """(i, j, lattice) for the convolution of masked-cell row i of `rows`
+    (zero outside) with (key, build) kernel j, each row meeting the kernels
+    in order, at transform size `size` (None: the operators' pow2(2n-1))."""
     conv = _convolver(grid, size)
-    fwd = conv.forward(grid.embed(values))
     try:
-        for key, build in kernels:
-            yield conv.apply(fwd, key, build)
+        if len(rows) <= len(kernels):
+            fwds = [conv.forward(grid.embed(v)) for v in rows]
+            for j, (key, build) in enumerate(kernels):
+                for i, fwd in enumerate(fwds):
+                    yield i, j, conv.apply(fwd, key, build)
+                conv._spectra.clear()
+        else:
+            for i, v in enumerate(rows):
+                fwd = conv.forward(grid.embed(v))
+                for j, (key, build) in enumerate(kernels):
+                    yield i, j, conv.apply(fwd, key, build)
     finally:
-        # the cached convolver does not hold apply's buffers between fields
+        conv._spectra.clear()
         conv._work = conv._rows = None
 
 
@@ -269,49 +271,62 @@ def _gamma_kernel(grid: Grid, m: int, alpha: tuple[int, int]):
 
 
 def _window_sums_1d(lattice: np.ndarray, k) -> np.ndarray:
-    """sum over |j - i| <= k of lattice[j] at every i (zero padded); an
-    array of R half-widths k gives an (R, n) stack from one cumsum."""
-    cs = np.concatenate([[0.0], np.cumsum(lattice)])
-    n = len(lattice)
+    """sum over |j - i| <= k of lattice[..., j] at every i (zero padded), per
+    lattice of a stack; R half-widths k give (R, n) per lattice, one cumsum."""
+    n = lattice.shape[-1]
+    cs = np.zeros(lattice.shape[:-1] + (n + 1,))
+    np.cumsum(lattice, axis=-1, out=cs[..., 1:])
     k = np.asarray(k)[..., None]
     lo = np.clip(np.arange(n) - k, 0, n)
     hi = np.clip(np.arange(n) + k + 1, 0, n)
-    return cs[hi] - cs[lo]
+    return cs[..., hi] - cs[..., lo]
 
 
-def maximal_field(f: SampledField, radius_grid) -> SampledField:
+def _stackable(op):
+    """`op` on a list of fields on one grid, also given one field."""
+    @wraps(op)
+    def wrapper(f, *args):
+        if isinstance(f, SampledField):
+            return op([f], *args)[0]
+        if any(x.grid is not f[0].grid for x in f):
+            raise ValueError("stacked fields must share one grid")
+        return op(f, *args) if f else []
+    return wrapper
+
+
+@_stackable
+def maximal_field(fields, radius_grid):
     """Mf = sup over the radius grid of the |f| average over each ball, on
     every masked node; the denominator is the full ball volume."""
-    g = f.grid
+    g = fields[0].grid
     radii = np.asarray(radius_grid, dtype=float)
     if g.dim == 1:
         offs = np.arange(g.n) * g.h  # half-width: the offsets k >= 1 in the ball
         k = np.array([_in_ball(t, offs).sum() - 1 for t in radii], dtype=int)
-        s = _window_sums_1d(g.embed(np.abs(f.values)), k) * g.cell_measure
-        best = (s / (2.0 * radii[:, None])).max(axis=0, initial=0.0)
-        return SampledField(g, g.extract(best))
-    sums = _convolutions(g, np.abs(f.values), [_ball_kernel(g, t) for t in radii])
-    best = None
-    for t, s in zip(radii, sums):
-        avg = s / (np.pi * t**2)
-        best = avg if best is None else np.maximum(best, avg)
-    return SampledField(g, np.maximum(g.extract(best), 0.0))
+        s = _window_sums_1d(g.embed(np.abs([f.values for f in fields])), k) * g.cell_measure
+        best = (s / (2.0 * radii[:, None])).max(axis=-2, initial=0.0)
+        return [SampledField(g, v) for v in g.extract(best)]
+    best = np.full((len(fields), g.n, g.n), -np.inf)
+    for i, j, s in _convolutions(g, [np.abs(f.values) for f in fields],
+                                 [_ball_kernel(g, t) for t in radii]):
+        np.maximum(best[i], s / (np.pi * radii[j] ** 2), out=best[i])
+    return [SampledField(g, v) for v in np.maximum(g.extract(best), 0.0)]
 
 
-def singular_field(f: SampledField, kernel: CZKernel, eps_grid) -> SampledField:
+@_stackable
+def singular_field(fields, kernel: CZKernel, eps_grid):
     """K* f = sup over truncations |K_eps f| on every masked node."""
-    g = f.grid
+    g = fields[0].grid
     eps = np.asarray(eps_grid, dtype=float)
     if (eps < g.h).any():
         raise ValueError("truncation below resolution")
     if g.dim == 1:
-        return SampledField(g, np.zeros(g.n_cells))
-    best = None
-    for part in _convolutions(g, f.values,
-                              [_truncated_kernel(g, kernel, e) for e in eps]):
-        part = np.abs(part)
-        best = part if best is None else np.maximum(best, part)
-    return SampledField(g, g.extract(best))
+        return [SampledField(g, np.zeros(g.n_cells)) for _ in fields]
+    best = np.zeros((len(fields), g.n, g.n))
+    for i, _, part in _convolutions(g, [f.values for f in fields],
+                                    [_truncated_kernel(g, kernel, e) for e in eps]):
+        np.maximum(best[i], np.abs(part), out=best[i])
+    return [SampledField(g, v) for v in g.extract(best)]
 
 
 # ---------------------------------------------------------------------------
@@ -356,45 +371,50 @@ class IdentityReport:
     skipped_nodes: int
 
 
-def singular_identity_check(f: SampledField, alpha: tuple[int, int],
-                            beta: tuple[int, int]) -> IdentityReport:
+def singular_identity_check(f: SampledField, pairs) -> list[IdentityReport]:
     """One more derivative of the (2m-1)-order potential against the
-    singular integral truncated at 2h plus a multiple of f.
+    singular integral truncated at 2h plus a multiple of f, one report per
+    (alpha, beta) of `pairs`, from one stack of convolutions.
 
     Implemented instance: n = 2, m = 1.  alpha must exceed beta by one unit
     coordinate; the expected multiplier for alpha = e_i + e_j is
     -delta_ij / n (validated by the fit, not assumed).
     """
     g = f.grid
-    if g.dim != 2 or sum(alpha) != 2 or sum(beta) != 1:
-        raise ValueError("identity check implemented for n = 2, m = 1")
-    diff = (alpha[0] - beta[0], alpha[1] - beta[1])
-    if sorted(diff) != [0, 1] or min(diff) < 0:
-        raise ValueError("alpha must extend beta by one coordinate")
-    axis = 0 if diff[0] == 1 else 1
+    for alpha, beta in pairs:
+        if g.dim != 2 or sum(alpha) != 2 or sum(beta) != 1:
+            raise ValueError("identity check implemented for n = 2, m = 1")
+        diff = (alpha[0] - beta[0], alpha[1] - beta[1])
+        if sorted(diff) != [0, 1] or min(diff) < 0:
+            raise ValueError("alpha must extend beta by one coordinate")
 
-    # d_i Gamma * f for i = 1, 2 (beta is one of them), then K_eps f
+    # d_i Gamma * f for i = 1, 2 (each beta is one of them), then K_eps f
     firsts = ((1, 0), (0, 1))
     kernels = [_gamma_kernel(g, 1, b) for b in firsts]
-    kernels.append(_truncated_kernel(g, CZKernel(2, 1, alpha), 2.0 * g.h))
-    *pots, kf = _convolutions(g, f.values, kernels)
-    lhs, ok = _masked_fd(g, pots[firsts.index(tuple(beta))], axis)
-    expected_a = -(1.0 / 2.0) if alpha[0] != 1 else 0.0  # -delta_ij / n
-
+    kernels += [_truncated_kernel(g, CZKernel(2, 1, a), 2.0 * g.h) for a, _ in pairs]
+    lattices = [None] * len(kernels)
+    for _, j, out in _convolutions(g, [f.values], kernels):
+        lattices[j] = out
+    pots, kfs = lattices[:2], lattices[2:]
     fv = g.embed(f.values)
-    sel = ok & (np.abs(fv) > 0.1 * np.abs(f.values).max())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fitted = np.median(((lhs - kf) / fv)[sel]) if sel.any() else np.nan
-    resid = np.abs(lhs - kf - expected_a * fv)[ok].max() / max(np.abs(f.values).max(), 1e-300)
+    scale = max(np.abs(f.values).max(), 1e-300)
 
     # trace: sum_i d_i (d_i Gamma * f) = -f on interior nodes
     (d0, ok0), (d1, ok1) = (_masked_fd(g, p, i) for i, p in enumerate(pots))
-    trace_ok = ok0 & ok1
-    trace_res = np.abs(d0 + d1 + fv)[trace_ok].max() / max(np.abs(f.values).max(), 1e-300)
+    trace_res = np.abs(d0 + d1 + fv)[ok0 & ok1].max() / scale
 
-    skipped = int(g.lattice_mask.sum() - ok.sum())
-    return IdentityReport(alpha=tuple(alpha), beta=tuple(beta),
-                          fitted_a=float(fitted), expected_a=expected_a,
-                          max_discrepancy=float(resid),
-                          trace_residual=float(trace_res),
-                          skipped_nodes=skipped)
+    reports = []
+    for (alpha, beta), kf in zip(pairs, kfs):
+        axis = 0 if alpha[0] > beta[0] else 1
+        lhs, ok = _masked_fd(g, pots[firsts.index(tuple(beta))], axis)
+        expected_a = -(1.0 / 2.0) if alpha[0] != 1 else 0.0  # -delta_ij / n
+        sel = ok & (np.abs(fv) > 0.1 * np.abs(f.values).max())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fitted = np.median(((lhs - kf) / fv)[sel]) if sel.any() else np.nan
+        resid = np.abs(lhs - kf - expected_a * fv)[ok].max() / scale
+        reports.append(IdentityReport(
+            alpha=tuple(alpha), beta=tuple(beta), fitted_a=float(fitted),
+            expected_a=expected_a, max_discrepancy=float(resid),
+            trace_residual=float(trace_res),
+            skipped_nodes=int(g.lattice_mask.sum() - ok.sum())))
+    return reports

@@ -190,30 +190,31 @@ def _harmonic_completion(grid: Grid, boundary_data: np.ndarray):
 
 
 def _solve_disk_m1_values(grid: Grid, F: np.ndarray) -> dict:
-    """As `_pairwise_values` at m = 1, one column at a time: free-space
-    potentials from one forward transform per column, plus the harmonic
-    completion of the negated boundary trace."""
+    """As `_pairwise_values` at m = 1: the free-space potentials of every
+    column from one stack of convolutions, plus the harmonic completion of
+    each column's negated boundary trace."""
     kern = PoissonKernel(grid.domain)
     Pb, _ = kern.boundary_nodes(_BOUNDARY_FACTOR * grid.n)
-    kernels = [_gamma_kernel(grid, 1, a) for a in ((0, 0), (1, 0), (0, 1))]
-    vals = {a: np.empty((F.shape[1], grid.n_cells)) for a in ((0, 0), (1, 0), (0, 1))}
+    jets = ((0, 0), (1, 0), (0, 1))
+    kernels = [_gamma_kernel(grid, 1, a) for a in jets]
+    blocks = [np.empty((F.shape[1], grid.n_cells)) for _ in kernels]
+    traces = np.empty((F.shape[1], len(Pb)))
     # pow2(3n-2), not the operators' alias-free pow2(2n-1): the values are
     # the same, but at N=256 the smaller size moves the rounding of u11
     # (analytically 0 for f = 1) by 1.9e-12, past the 1.7e-13 that the
     # benchmark's reference check allows there; it moves with a refresh
     # of the benchmark references
     size = _pow2(3 * grid.n - 2)
-    for i in range(F.shape[1]):
-        # the transforms and potentials are freed before the completion
-        # allocates its arrays, so that the two do not peak together
-        pots = list(_convolutions(grid, F[:, i], kernels, size))
-        trace = _bilinear(grid, pots[0], Pb)  # by bilinear interpolation
-        for block, pot in zip(vals.values(), pots):
-            block[i] = grid.extract(pot)
-        del pots
-        for block, part in zip(vals.values(), _harmonic_completion(grid, -trace)):
+    for i, j, pot in _convolutions(grid, F.T, kernels, size):
+        if j == 0:
+            traces[i] = _bilinear(grid, pot, Pb)  # by bilinear interpolation
+        blocks[j][i] = grid.extract(pot)
+    # the completions run once the convolutions have freed their transforms,
+    # so that the two do not peak together
+    for i, trace in enumerate(traces):
+        for block, part in zip(blocks, _harmonic_completion(grid, -trace)):
             block[i] += part
-    return vals
+    return dict(zip(jets, blocks))
 
 
 def _bilinear(grid: Grid, lattice: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -273,7 +273,7 @@ def test_criterion_8_identity():
     g = Grid(Disk((0.0, 0.0), 2.0), 256)
     bump, _, _ = polynomial_bump([0.0, 0.0], 1.0, 2)
     f = SampledField(g, bump(g.nodes))
-    rep = singular_identity_check(f, (2, 0), (1, 0))
+    [rep] = singular_identity_check(f, [((2, 0), (1, 0))])
     assert rep.fitted_a == pytest.approx(-0.5, abs=0.01)
     assert rep.max_discrepancy < 0.02
     assert rep.trace_residual < 0.02

@@ -252,6 +252,10 @@ def test_config_errors_exit_2_and_say_why(tmp_path, capsys, cmd, extra, words):
     ({"ap": {"a": 1.0, "b": -1.0}}, ["ap.b: interval needs b > a"]),
     ({"condition": {"upper_mult": 0.5}},
      ["condition.upper_mult: expected a number > r_max = 0.9, got 0.5"]),
+    ({"condition": {"r_min": 0.95}},
+     ["condition.r_max: expected a number > r_min = 0.95, got 0.9"]),
+    # |x|^0.5 leaves A_p at p = 1.5
+    ({"ap": {"p": 1.5}}, ["ap.p: expected a number > 1.5, got 1.5"]),
 ])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, cfg, words):
     path = tmp_path / "bad.json"

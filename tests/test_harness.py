@@ -98,34 +98,46 @@ def test_suite_ap_passes():
     assert r.fitted_constant >= 4.0 / 3.0 - 1e-9
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_suite_ap_expects_the_origin_quotient_at_p(p):
+    # (1/(1+g)) ((p-1)/(p-1-g))^(p-1) for |x|^g, g = 1/2: 4/3 at p = 2
+    cfg = tiny_config()
+    cfg["ap"]["p"] = p
+    r = run_suite("ap", cfg)
+    assert r.verdict == "PASS"
+    expected = {row[1]: row[3] for row in r.rows}
+    assert expected["pow+0.5-full-sweep"] == {2.0: 4.0 / 3.0, 3.0: pytest.approx(32 / 27)}[p]
+
+
 def test_suite_identity_passes(monkeypatch):
     calls = []
     check = harness.singular_identity_check
     monkeypatch.setattr(harness, "singular_identity_check",
-                        lambda *a: calls.append(a[1:]) or check(*a))
+                        lambda f, pairs: calls.append(pairs) or check(f, pairs))
     r = run_suite("identity", tiny_config())
     assert r.verdict == "PASS"
-    # one check per (alpha, beta); the trace residual comes from the first
-    assert calls == [((2, 0), (1, 0)), ((0, 2), (0, 1)), ((1, 1), (1, 0))]
+    # one check for every (alpha, beta): they share the potentials' spectra
+    assert calls == [(((2, 0), (1, 0)), ((0, 2), (0, 1)), ((1, 1), (1, 0)))]
 
 
-def test_suite_lemma24_one_maximal_field_per_member(monkeypatch):
-    # per level: M|f| once per corpus member, reused as M|g| when the member
-    # is one of the first four test functions, plus M|g| of the two dist-g
-    # test functions of each member
-    levels = []
-    mf = harness.maximal_field
-    monkeypatch.setattr(harness, "maximal_field",
-                        lambda f, radii: levels.append(f.grid.n) or mf(f, radii))
+def test_suite_lemma24_one_maximal_field_per_level(monkeypatch):
+    # per level, one stack: M|f| of every corpus member, reused as M|g| when
+    # the member is one of the first four test functions, plus M|g| of the
+    # two dist-g test functions of each member; one K* stack on the disk
+    calls = []
+    mf, sf = harness.maximal_field, harness.singular_field
+    monkeypatch.setattr(harness, "maximal_field", lambda fs, radii: calls.append(
+        ("M", fs[0].grid.n, len(fs))) or mf(fs, radii))
+    monkeypatch.setattr(harness, "singular_field", lambda fs, k, radii: calls.append(
+        ("K*", fs[0].grid.n, len(fs))) or sf(fs, k, radii))
     cfg = tiny_config()
     cfg["lemma24"].update(cases=[["interval", 1], ["disk", 1]], grids_1d=[32, 64],
                           grids_2d=[24, 48], corpus_2d=5)
     run_suite("lemma24", cfg)
-    for n in (32, 64):
-        members = len(build_corpus(Grid(Interval(0.0, 1.0), n), seed=cfg["seed"],
-                                   n_random=4))
-        assert levels.count(n) == 3 * members
-    assert levels.count(24) == levels.count(48) == 3 * 5
+    members = {n: len(build_corpus(Grid(Interval(0.0, 1.0), n), seed=cfg["seed"],
+                                   n_random=4)) for n in (32, 64)}
+    assert calls == [("M", 32, 3 * members[32]), ("M", 64, 3 * members[64]),
+                     ("M", 24, 3 * 5), ("K*", 24, 5), ("M", 48, 3 * 5), ("K*", 48, 5)]
 
 
 def test_suite_kernels_small():
@@ -233,6 +245,27 @@ def test_suite_boundedness_small():
     # the notes print plain floats, not numpy reprs
     assert not any("np.float64" in note for note in r.notes)
     assert any("attained by" in note for note in r.notes)
+    # the trend lists distinct series, not one series per equal combo
+    assert 1 < len(r.trend) == len({tuple(v) for v in r.trend}) <= 6
+
+
+@pytest.mark.parametrize("suite,section", [
+    ("pointwise", {"cases": [["disk", 1]], "grids_2d": [24, 48]}),
+    ("lemma22", {"cases": [["disk", 1]], "grids_2d": [24, 48]}),
+    ("boundedness", {"cases": [["disk", 1]], "grids": [24, 48], "ps_2d": [1.5, 2.0]}),
+    ("marok1", {"grids": [24, 48]}),
+])
+def test_suites_take_one_operator_stack_per_level(monkeypatch, suite, section):
+    calls = []
+    mf, sf = harness.maximal_field, harness.singular_field
+    monkeypatch.setattr(harness, "maximal_field", lambda fs, radii: calls.append(
+        ("M", fs[0].grid.n)) or mf(fs, radii))
+    monkeypatch.setattr(harness, "singular_field", lambda fs, k, radii: calls.append(
+        ("K*", fs[0].grid.n)) or sf(fs, k, radii))
+    cfg = tiny_config()
+    cfg[suite].update(section)
+    run_suite(suite, cfg)
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_apriori_and_boundedness_skip_the_same_condition_failures(monkeypatch):
