@@ -129,17 +129,17 @@ class FundamentalSolution:
             if self.dim == 1:
                 out = self._forms(z.reshape(-1) if z.ndim else z[None])(tuple(alpha))
                 return out.reshape(z.shape) if z.ndim else out[0]
-            out = self._forms(np.atleast_2d(z))(tuple(alpha))
+            out = self._forms(*np.moveaxis(np.atleast_2d(z), -1, 0))(tuple(alpha))
         return out if z.ndim > 1 else out[0]
 
-    def _forms(self, z):
+    def _forms(self, *z):
         """alpha -> D^alpha Gamma, from terms of z shared by all alphas; z
-        holds the offsets t in 1D and the points (..., 2) in 2D."""
+        holds one coordinate array per axis, which broadcast together."""
         if self.dim == 1:
-            t = _Terms(_GAMMA1_TERMS, t=z)
+            t = _Terms(_GAMMA1_TERMS, t=z[0])
             forms = _GAMMA1_FORMS[self.m]
-            return lambda a: forms[a[0]](t) if a[0] < len(forms) else np.zeros_like(z)
-        t = _Terms(_GAMMA2_TERMS, z1=z[..., 0], z2=z[..., 1])
+            return lambda a: forms[a[0]](t) if a[0] < len(forms) else np.zeros_like(z[0])
+        t = _Terms(_GAMMA2_TERMS, z1=z[0], z2=z[1])
         if self.m == 1:
             return lambda a: -_M1_FORMS[a](t) / (2.0 * np.pi)
         return lambda a: _M2_FORMS[a](t) / (8.0 * np.pi)
@@ -206,8 +206,7 @@ class GreenFunction:
         shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
         h = self._regular(alphas, x, y)
         if not regular:
-            z = x - y
-            gam = self.gamma._forms(z if self.dim > 1 else z[..., 0])
+            gam = self.gamma._forms(*np.moveaxis(x - y, -1, 0))
         for a in alphas:
             with np.errstate(divide="ignore", invalid="ignore"):
                 if regular:

@@ -888,6 +888,7 @@ def suite_boundedness(config: dict) -> SuiteResult:
                     per_combo.setdefault(key, []).append(sup_ratio)
                     rows.append((label, case, sup_ratio, 1.0, sup_ratio, n,
                                  f"{tag};sup at {sup_case}"))
+            del ev, corpora, fields, ops, corpus, F, T  # before the next level
         for key, vals in per_combo.items():
             tag = key[-1]
             if tag == "in-class":
@@ -1043,6 +1044,8 @@ def suite_apriori(config: dict) -> SuiteResult:
                 notes.append(f"{[kind, m]}: corpus doubling sup "
                              f"{base:.4g} -> {doubled:.4g}{flag}")
                 series.append(([base, doubled], "UNSTABLE" if flag else "PASS"))
+                del corpus2, sols2
+            del corpus, sols, ev, stack  # before the next level's solve
         series += [(vals, trend_verdict(vals, tol)) for vals in per_combo.values()]
     return _refinement_result("apriori", series, tol, rows, notes, trend_len=6, plot=plot)
 

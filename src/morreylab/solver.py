@@ -33,7 +33,6 @@ of its batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -111,7 +110,6 @@ _TAIL_BLOCK = 256
 _TAIL_EPS = 1e-17
 
 
-@lru_cache(maxsize=1)
 def _radius_order(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(order, zeta[order], rmax): the masked nodes sorted by |zeta|, with
     zeta = (x - center) / radius as a complex number, and the largest
@@ -122,10 +120,7 @@ def _radius_order(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     r = np.abs(zeta)
     order = np.argsort(r, kind="stable")
     ends = np.minimum(np.arange(_TAIL_BLOCK, len(r) + _TAIL_BLOCK, _TAIL_BLOCK), len(r))
-    out = order, zeta[order], r[order][ends - 1]
-    for a in out:
-        a.setflags(write=False)
-    return out
+    return order, zeta[order], r[order][ends - 1]
 
 
 def _tail_degrees(size: np.ndarray, rmax: np.ndarray) -> np.ndarray:
@@ -148,10 +143,10 @@ def _tail_degrees(size: np.ndarray, rmax: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate((tails > _TAIL_EPS * size.max()).sum(axis=1))
 
 
-def _harmonic_completion(grid: Grid, boundary_data: np.ndarray):
+def _harmonic_completion(grid: Grid, boundary_data: np.ndarray, by_radius):
     """Harmonic H on the disk with boundary values `boundary_data` (sampled
     at the midpoint angles of PoissonKernel.boundary_nodes), plus its first
-    derivatives, at every masked node.
+    derivatives, at every masked node; `by_radius` is `_radius_order(grid)`.
 
     This is the Poisson integral evaluated through its Fourier series:
     H = Re F(zeta) with F holomorphic, F(zeta) = c0 + sum 2 g_k zeta^k.
@@ -169,7 +164,7 @@ def _harmonic_completion(grid: Grid, boundary_data: np.ndarray):
     keep = np.nonzero(np.abs(coeff) > 1e-15 * scale)[0]
     K = int(keep[-1]) + 1 if len(keep) else 1
     coeff = coeff[:K]
-    order, zs, rmax = _radius_order(grid)
+    order, zs, rmax = by_radius
     degrees = _tail_degrees(np.abs(coeff), rmax)
     # degree k runs on the nodes from first[k] on: the blocks with K_b > k
     first = np.minimum(_TAIL_BLOCK * np.searchsorted(degrees, np.arange(K), side="right"),
@@ -211,8 +206,9 @@ def _solve_disk_m1_values(grid: Grid, F: np.ndarray) -> dict:
         blocks[j][i] = grid.extract(pot)
     # the completions run once the convolutions have freed their transforms,
     # so that the two do not peak together
+    by_radius = _radius_order(grid)
     for i, trace in enumerate(traces):
-        for block, part in zip(blocks, _harmonic_completion(grid, -trace)):
+        for block, part in zip(blocks, _harmonic_completion(grid, -trace, by_radius)):
             block[i] += part
     return dict(zip(jets, blocks))
 

@@ -163,8 +163,8 @@ _CHUNK_CELLS = 1 << 16  # stack cells per pass of SweepCache's ball sums
 
 
 class SweepCache:
-    """Per-center shells, runs and distance orderings for the cells of a
-    ball sweep, with the sweep grouped by center once.
+    """Per-center shells and runs for the cells of a ball sweep, with the
+    sweep grouped by center once.
 
     A run is a maximal stretch of consecutive cells (in cell order) that lie
     in one shell.  Per center, one ``np.add.reduceat`` over the runs gives
@@ -180,8 +180,6 @@ class SweepCache:
         by_center: dict[tuple, list[int]] = {}
         for i, b in enumerate(self.balls):
             by_center.setdefault(b.center, []).append(i)
-        self._order = {}
-        self._dist = {}
         # (center, ball indices, run starts, inner runs sorted by shell,
         # their first run per non-empty shell, each ball's cumulative-sum
         # column) per center, in first-seen order
@@ -189,9 +187,6 @@ class SweepCache:
         self.sizes = np.zeros(len(self.balls), dtype=int)
         for c, idx in by_center.items():
             d = distance(grid.nodes, c)
-            o = np.argsort(d, kind="stable")
-            self._order[c] = o
-            self._dist[c] = d[o]
             idx = np.array(idx)
             radii = np.array([self.balls[i].radius for i in idx])
             shells, ball_shell = np.unique(radii, return_inverse=True)
@@ -207,16 +202,18 @@ class SweepCache:
             # column 0 of the cumulative sums is the empty ball
             column = np.searchsorted(run_shell[by_shell[firsts]], ball_shell, side="right")
             self._groups.append((c, idx, starts, by_shell, firsts, column))
-            self.sizes[idx] = self.counts(c, radii)
+            # a ball holds the cells of its own shell and every inner one
+            counts = np.bincount(cell_shell, minlength=len(shells))
+            self.sizes[idx] = np.cumsum(counts)[ball_shell]
         self._whole = np.flatnonzero(self.sizes == grid.n_cells)
 
-    def counts(self, center, radii: np.ndarray) -> np.ndarray:
-        """Number of cells with |node - center| < r for each r."""
-        return np.searchsorted(self._dist[center], radii, side="left")
+    def _nearest(self, center) -> np.ndarray:
+        """The cells in order of distance from center, ties in cell order."""
+        return np.argsort(distance(self.grid.nodes, center), kind="stable")
 
     def prefix_sums(self, center, values: np.ndarray) -> np.ndarray:
         """Sums of values over the cells nearest center, for every count."""
-        return np.concatenate([[0.0], np.cumsum(values[self._order[center]])])
+        return np.concatenate([[0.0], np.cumsum(values[self._nearest(center)])])
 
     def ball_sums(self, a) -> np.ndarray:
         """Sum of each row of a, (cells,), (k, cells) or a list of k rows,
@@ -252,7 +249,7 @@ class SweepCache:
     def ball_cells(self):
         """(ball index, the ball's cells nearest first) for every ball."""
         for c, idx, *_ in self._groups:
-            order = self._order[c]
+            order = self._nearest(c)
             for i, n in zip(idx, self.sizes[idx]):
                 yield i, order[:n]
 
@@ -267,8 +264,8 @@ class SweepCache:
 
 class MorreyEvaluator:
     """Morrey norms of fields, or stacks of fields (arrays or lists of
-    rows), against one (grid, sweep).  Weight sums and phi values are
-    computed once per weight and phi; inner ball norms are cached per
+    rows), against one (grid, sweep).  Cell integrals, weight sums and phi
+    values are computed once per weight and phi; inner ball norms are cached per
     (values object, w, p, weak), so sweeping the phi family costs one pass
     over the balls per phi.  Callers must not mutate value arrays or lists
     between calls."""
@@ -276,14 +273,21 @@ class MorreyEvaluator:
     def __init__(self, grid: Grid, sweep):
         self.grid = grid
         self.cache = SweepCache(grid, sweep)
+        self._cells = {}
         self._wsums = {}
         self._phis = {}
         self._inner = {}
 
+    def cell_integrals(self, w) -> np.ndarray:
+        """w's integral over every cell of the grid."""
+        if w not in self._cells:
+            self._cells[w] = weight_cell_integrals(w, self.grid)
+        return self._cells[w]
+
     def weight_sums(self, w) -> np.ndarray:
         """w(Omega n B) for every sweep ball."""
         if w not in self._wsums:
-            self._wsums[w] = self.cache.ball_sums(weight_cell_integrals(w, self.grid))
+            self._wsums[w] = self.cache.ball_sums(self.cell_integrals(w))
         return self._wsums[w]
 
     def phi_values(self, phi) -> np.ndarray:
@@ -305,7 +309,7 @@ class MorreyEvaluator:
         hit = self._inner.get(key)
         if hit is not None and hit[0] is values:
             return hit[1]
-        wc = weight_cell_integrals(w, self.grid)
+        wc = self.cell_integrals(w)
         if weak:
             inner = self.cache.weak_ball_norms(np.abs(values), wc, p)
         else:

@@ -142,22 +142,14 @@ def _oversampled_cells(w: Weight, grid: Grid) -> np.ndarray:
     return np.concatenate(blocks) * (grid.h / _OVERSAMPLE) ** grid.dim
 
 
-@lru_cache(maxsize=256)
-def _cells_cached(w: Weight, grid: Grid) -> np.ndarray:
-    if isinstance(w, ConstantWeight):
-        out = np.full(grid.n_cells, w.c * grid.cell_measure)
-    elif grid.dim == 1:
-        x = grid.nodes[:, 0]
-        out = _power_cells_1d(x - grid.h / 2, x + grid.h / 2, w.center[0], w.gamma)
-    else:
-        out = _oversampled_cells(w, grid)
-    out.setflags(write=False)
-    return out
-
-
 def weight_cell_integrals(w: Weight, grid: Grid) -> np.ndarray:
     """integral of w over each masked cell (vector aligned with grid.nodes)."""
-    return _cells_cached(w, grid)
+    if isinstance(w, ConstantWeight):
+        return np.full(grid.n_cells, w.c * grid.cell_measure)
+    if grid.dim == 1:
+        x = grid.nodes[:, 0]
+        return _power_cells_1d(x - grid.h / 2, x + grid.h / 2, w.center[0], w.gamma)
+    return _oversampled_cells(w, grid)
 
 
 def weight_measure(w: Weight, region: Ball | None, grid: Grid) -> float:

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 
 import numpy as np
@@ -329,6 +330,23 @@ def test_apriori_ratio_scale_invariance():
         return un / ev.norm(field.values, w, phi, 2.0)
 
     assert ratio(2.0 * f) == pytest.approx(ratio(f), rel=1e-8)
+
+
+@pytest.mark.parametrize("suite", ["apriori", "boundedness", "lemma24", "marok1"])
+def test_no_grid_outlives_a_suite(suite):
+    # no module-level cache keeps a grid: once a suite returns, the only
+    # grid it leaves alive is the one of the cached convolver
+    from morreylab.operators import _Convolver
+
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, Grid)]  # kept alive
+    run_suite(suite, tiny_config())
+    gc.collect()
+    alive = [o for o in gc.get_objects()
+             if isinstance(o, Grid) and not any(o is b for b in before)]
+    held = [c.grid for c in gc.get_objects() if isinstance(c, _Convolver)]
+    assert len(alive) <= 1
+    assert all(any(g is h for h in held) for g in alive)
 
 
 def test_run_suite_unknown():

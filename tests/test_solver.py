@@ -250,7 +250,7 @@ def test_harmonic_completion_matches_out_of_place_horner(dom, n, monkeypatch):
     monkeypatch.setattr(solver, "_TAIL_EPS", 0.0)
     g = Grid(dom, n)
     data = _boundary_data(n)
-    got = solver._harmonic_completion(g, data)
+    got = solver._harmonic_completion(g, data, solver._radius_order(g))
     want = oracles.harmonic_completion(dom.center, dom.radius, g.nodes, data)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -266,7 +266,7 @@ def test_harmonic_completion_tail_stays_within_its_bound(dom, n):
 
     g = Grid(dom, n)
     data = _boundary_data(n)
-    got = solver._harmonic_completion(g, data)
+    got = solver._harmonic_completion(g, data, solver._radius_order(g))
     want = oracles.harmonic_completion(dom.center, dom.radius, g.nodes, data)
     M = len(data)
     ghat = np.fft.rfft(data) / M
@@ -284,10 +284,10 @@ def test_harmonic_completion_tail_stays_within_its_bound(dom, n):
 
 
 def test_harmonic_completion_of_zero_data_is_zero():
-    from morreylab.solver import _harmonic_completion
+    from morreylab.solver import _harmonic_completion, _radius_order
 
     g = Grid(DISK, 33)  # a node sits at the center, r = 0
-    for field in _harmonic_completion(g, np.zeros(8 * 33)):
+    for field in _harmonic_completion(g, np.zeros(8 * 33), _radius_order(g)):
         assert np.all(field == 0.0)
 
 

@@ -356,10 +356,27 @@ def test_stacked_ball_sums_match_prefix_sums(dim):
     assert got.shape == (len(stack), len(sweep))
     for row, sums in zip(stack, got):
         assert np.array_equal(cache.ball_sums(row), sums)
-        want = [cache.prefix_sums(b.center, row)[cache.counts(b.center, [b.radius])[0]]
-                for b in sweep]
+        want = [cache.prefix_sums(b.center, row)[n] for b, n in zip(sweep, cache.sizes)]
         np.testing.assert_allclose(sums, want, rtol=1e-12, atol=1e-15)
     assert np.all(got[:, 0] == 0.0) and np.all(got[:, -1] == 0.0)
+
+
+def _array_bytes(obj) -> int:
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    return sum(map(_array_bytes, obj)) if isinstance(obj, (list, tuple)) else 0
+
+
+def test_sweep_cache_holds_its_shells_only():
+    # per center the runs of its shells (1.7 times one cell array's
+    # distances and ordering, over all 21 centers here), not a distance and
+    # an ordering of every cell per center
+    g = Grid(Disk((0.0, 0.0), 1.0), 128)
+    cache = SweepCache(g, nested_sweep(g, 5))
+    held = sum(_array_bytes(v) for k, v in vars(cache).items() if k != "grid")
+    assert 0 < held < 2 * (2 * g.n_cells * 8)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
