@@ -215,12 +215,12 @@ def cmd_operators(args) -> int:
     bump, _, _ = polynomial_bump(harness._interior_center(dom), rho, dom.dim)
     f = SampledField(g, bump(g.nodes))
     radii = operator_radius_grid(g, sec["radius_points"])
-    cols = {"f": f.values, "Mf": maximal_field(f, radii).values}
+    cols = {"f": f.values, "Mf": maximal_field(g, [f.values], radii)[0]}
     status = _EXIT_PASS
     if dom.dim == 2:
         alpha = tuple(sec["alpha"])
         kern = CZKernel(2, m, alpha)
-        cols["Kstar"] = singular_field(f, kern, radii).values
+        cols["Kstar"] = singular_field(g, [f.values], kern, radii)[0]
         # the identity is implemented for m = 1; beta is alpha less one unit
         ident = alpha if sum(alpha) == 2 else (2, 0)
         [rep] = singular_identity_check(f, [(ident, (1, 0) if ident[0] else (0, 1))])

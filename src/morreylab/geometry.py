@@ -239,7 +239,7 @@ class Grid:
         """The masked cells of a lattice, or of each lattice of a stack."""
         lattice = np.asarray(lattice)
         stack = lattice.shape[:lattice.ndim - self.dim]
-        return lattice.reshape(stack + (-1,))[..., self.lattice_mask]
+        return lattice.reshape(stack + self.lattice_mask.shape)[..., self.lattice_mask]
 
 
 @dataclass(frozen=True, eq=False)

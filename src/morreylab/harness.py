@@ -4,9 +4,9 @@ Every suite builds (f, w, phi, p) cases from a config, computes both sides of
 one inequality family, fits the implicit constant as the empirical sup of
 LHS/RHS, and re-runs under grid refinement.  Verdicts follow one rule:
 
-    PASS      |C*(2N) - C*(N)| / C*(N) <= suite tolerance at every step,
-    DIVERGENT growth >= 50% at two consecutive steps,
-    UNSTABLE  anything in between,
+    PASS      |C*(2N) - C*(N)| / C*(N) <= suite tolerance at every step, two levels or more,
+    DIVERGENT growth >= 50% at each of the last two steps (from 0 to 0 is no growth),
+    UNSTABLE  anything in between, one level included,
 
 with negative controls (weights outside the Muckenhoupt class) expected to
 come out DIVERGENT.  Suites emit one CSV of rows, optional (r, ratio) plot
@@ -419,7 +419,9 @@ def trend_verdict(values, tolerance: float) -> str:
     vals = [v for v in values if np.isfinite(v)]
     if len(vals) != len(values) or not vals:
         return "FAIL"
-    growth = [b / a if a > 0 else np.inf for a, b in zip(vals, vals[1:])]
+    if len(vals) < 2:
+        return "UNSTABLE"  # no refinement step to judge
+    growth = [b / a if a > 0 else (np.inf if b else 1.0) for a, b in zip(vals, vals[1:])]
     if len(growth) >= 2 and all(g >= 1.5 for g in growth[-2:]):
         return "DIVERGENT"
     if all(abs(b - a) <= tolerance * a for a, b in zip(vals, vals[1:])):
@@ -529,7 +531,7 @@ def suite_ap(config: dict) -> SuiteResult:
         rows.append(("ap", f"control-N{n}", est.value, np.nan, np.nan, n,
                      "out-of-class"))
     growth = [b / a for a, b in zip(control_vals, control_vals[1:])]
-    diverged = all(gr >= 1.5 for gr in growth)
+    diverged = bool(growth) and all(gr >= 1.5 for gr in growth)
     notes.append(f"control growth per refinement: {[round(g, 4) for g in growth]}")
     verdict = "PASS" if (ok and diverged) else "FAIL"
     return SuiteResult(suite="ap", verdict=verdict, fitted_constant=full.value,
@@ -656,8 +658,8 @@ def suite_pointwise(config: dict) -> SuiteResult:
             corpus = build_corpus(g, seed=seed, n_random=cfg["n_random"])
             sols = solve_dirichlet_many(dom, m, [f for _, f in corpus])
             radii = _nested_operator_grid(g, 4 if dom.dim == 2 else 6)
-            for sol, mf in zip(sols, maximal_field([f for _, f in corpus], radii)):
-                mf = np.maximum(mf.values, 1e-300)
+            for sol, mf in zip(sols, maximal_field(g, [f.values for _, f in corpus], radii)):
+                mf = np.maximum(mf, 1e-300)
                 for a in per_level:
                     ratio = (np.abs(sol.jet[a].values) / mf).max()
                     per_level[a][n] = max(per_level[a].get(n, 0.0), ratio)
@@ -714,8 +716,7 @@ def suite_lemma22(config: dict) -> SuiteResult:
             corpus = build_corpus(g, seed=seed, n_random=2)[:n_funcs]
             radii = _nested_operator_grid(g, 3 if dom.dim == 2 else 5)
             F = np.column_stack([np.abs(f.values) for _, f in corpus])
-            MF = np.column_stack([mf.values for mf in
-                                  maximal_field([f for _, f in corpus], radii)])
+            MF = maximal_field(g, F.T, radii).T
             hn = g.cell_measure
             kf, sf, smf = _offdiagonal_region_sums(g, gf, alphas, F, MF)
             fits = []
@@ -766,19 +767,20 @@ def suite_lemma24(config: dict) -> SuiteResult:
             daus = [max((sol.jet[a].values for a in alphas), key=lambda v: np.abs(v).max())
                     for sol in sols]
             sgns = [np.abs(dau) ** (p - 1.0) * np.sign(dau) for dau in daus]
-            dist_gs = [gv for sgn in sgns for gv in (sgn, sgn * wdist)]
+            dist_gs = [(sgn, sgn * wdist) for sgn in sgns]
             # M|f| of every member (also M|g| of the first four members as
-            # g), then M|g| of every dist-g, in one stack
-            fields = [f for _, f in corpus]
-            ms = [mf.values for mf in maximal_field(
-                fields + [SampledField(g, np.abs(gv)) for gv in dist_gs], radii)]
-            ksfs = ([np.zeros(g.n_cells)] * len(fields) if kern is None
-                    else [kf.values for kf in singular_field(fields, kern, radii)])
-            for i, ((fname, f), dau, mf, ksf) in enumerate(zip(corpus, daus, ms, ksfs)):
+            # g), then M|g| of each member's two dist-g, in one stack
+            k = len(corpus)
+            fvals = [f.values for _, f in corpus]
+            ms = maximal_field(g, fvals + [gv for pair in dist_gs for gv in pair], radii)
+            mfs, mdists = ms[:k], ms[k:].reshape(k, 2, -1)
+            ksfs = (np.zeros((k, g.n_cells)) if kern is None
+                    else singular_field(g, fvals, kern, radii))
+            for (fname, f), dau, mf, ksf, gvs, mgs in zip(corpus, daus, mfs, ksfs,
+                                                          dist_gs, mdists):
                 absf = np.abs(f.values)
-                gs = [(gn, dist_gs[2 * i + d], ms[len(fields) + 2 * i + d])
-                      for d, gn in enumerate(("dist-g", "dist-g-weighted"))]
-                gs += [(gn, fg.values, mg) for (gn, fg), mg in zip(corpus[:4], ms)]
+                gs = list(zip(("dist-g", "dist-g-weighted"), gvs, mgs))
+                gs += [(gn, fg.values, mg) for (gn, fg), mg in zip(corpus[:4], mfs)]
                 for gname, gv, mg in gs:
                     lhs = float((np.abs(dau * gv)).sum() * hn)
                     rhs = float(((ksf + mf) * np.abs(gv) + mg * absf
@@ -855,22 +857,20 @@ def suite_boundedness(config: dict) -> SuiteResult:
                     corpus = corpus[: cfg["corpus_2d"]] + [corpus[-1]]
                 corpora.append(corpus)
             # one stack per operator over the corpora of every p
-            fields = [f for corpus in corpora for _, f in corpus]
-            ops = [maximal_field(fields, radii)]
+            fvals = np.stack([f.values for corpus in corpora for _, f in corpus])
+            ops = [maximal_field(g, fvals, radii)]
             if kern is not None:
-                ops.append(singular_field(fields, kern, radii))
+                ops.append(singular_field(g, fvals, kern, radii))
             tnames = ["M", "K*"][: len(ops)]
-            start = 0
-            for p, corpus in zip(ps, corpora):
-                F = np.stack([f.values for _, f in corpus])
-                # the operator fields of corpus member i are rows
-                # i * len(tnames) ... of one stack
-                T = np.stack([op[start + i].values for i in range(len(corpus)) for op in ops])
-                start += len(corpus)
+            # member-major: corpus member i has rows i * len(tnames) ... of T
+            ops = np.stack(ops, axis=1).reshape(-1, g.n_cells)
+            ends = np.cumsum([len(corpus) for corpus in corpora])[:-1]
+            for p, corpus, F, T in zip(ps, corpora, np.split(fvals, ends),
+                                       np.split(ops, len(tnames) * ends)):
                 if dom.dim == 1 and p == ps[0]:
                     # radius-grid doubling probe (flag if the maximal field
                     # is still grid-sensitive at this density)
-                    fine = maximal_field(corpus[0][1], _nested_operator_grid(g, 12)).values
+                    fine = maximal_field(g, F[:1], _nested_operator_grid(g, 12))[0]
                     sens = np.abs(fine - T[0]).max() / max(np.abs(fine).max(), 1e-300)
                     if sens > 0.01:
                         rows.append((label, f"radius-grid-probe-N{n}",
@@ -888,7 +888,7 @@ def suite_boundedness(config: dict) -> SuiteResult:
                     per_combo.setdefault(key, []).append(sup_ratio)
                     rows.append((label, case, sup_ratio, 1.0, sup_ratio, n,
                                  f"{tag};sup at {sup_case}"))
-            del ev, corpora, fields, ops, corpus, F, T  # before the next level
+            del ev, corpora, fvals, ops, corpus, F, T  # before the next level
         for key, vals in per_combo.items():
             tag = key[-1]
             if tag == "in-class":
@@ -950,9 +950,8 @@ def suite_marok1(config: dict) -> SuiteResult:
         wt_all = wsums[nb:].reshape(nb, -1)
         fits = []
         # one stack: the K* field of every corpus member, then every member
-        fields = [f for _, f in corpus]
-        ks = np.stack([kf.values for kf in singular_field(fields, kern, radii)]
-                      + [f.values for f in fields])
+        F = np.stack([f.values for _, f in corpus])
+        ks = np.concatenate([singular_field(g, F, kern, radii), F])
         sums = cache.power_sums(ks, wc, p)
         for i, (name, _) in enumerate(corpus):
             f_sums = sums[len(corpus) + i, nb:].reshape(nb, -1)

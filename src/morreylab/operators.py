@@ -3,9 +3,11 @@ and the differentiation identity for second derivatives of the potential.
 
 All operators treat the field as extended by zero outside the domain; ball
 volumes in the maximal operator are full Lebesgue ball measures.  Each
-operator has one implementation, for one field or a list of fields on one
-grid: sliding window sums in 1D and FFT convolutions in 2D (the discrete
-sums are translation-invariant on the lattice).  `_in_ball` is the one
+operator has one implementation.  It takes a grid and a stack of rows of
+masked-cell values on it, a (k, cells) array or a list of k rows (the row
+forms `spaces.SweepCache` takes), and returns one (k, cells) array: sliding
+window sums in 1D and FFT convolutions in 2D (the discrete sums are
+translation-invariant on the lattice).  `_in_ball` is the one
 rule for which lattice offsets a ball or a truncation holds.
 
 `_convolutions` is the one convolution path, a stack of rows against a
@@ -34,7 +36,7 @@ stages line by line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 
@@ -277,51 +279,43 @@ def _window_sums_1d(lattice: np.ndarray, k) -> np.ndarray:
     return cs[..., hi] - cs[..., lo]
 
 
-def _stackable(op):
-    """`op` on a list of fields on one grid, also given one field."""
-    @wraps(op)
-    def wrapper(f, *args):
-        if isinstance(f, SampledField):
-            return op([f], *args)[0]
-        if any(x.grid is not f[0].grid for x in f):
-            raise ValueError("stacked fields must share one grid")
-        return op(f, *args) if f else []
-    return wrapper
+def _row_stack(grid: Grid, rows) -> np.ndarray:
+    """A (k, cells) array, or a list of k rows, on `grid` as one (k, cells)
+    array; rows of any other length raise a ValueError."""
+    return np.asarray(rows, dtype=float).reshape(len(rows), grid.n_cells)
 
 
-@_stackable
-def maximal_field(fields, radius_grid):
+def maximal_field(grid: Grid, rows, radius_grid) -> np.ndarray:
     """Mf = sup over the radius grid of the |f| average over each ball, on
-    every masked node; the denominator is the full ball volume."""
-    g = fields[0].grid
+    every masked node, for each row f of `rows`; the denominator is the
+    full ball volume."""
+    absf = np.abs(_row_stack(grid, rows))
     radii = np.asarray(radius_grid, dtype=float)
-    if g.dim == 1:
-        offs = np.arange(g.n) * g.h  # half-width: the offsets k >= 1 in the ball
+    if grid.dim == 1:
+        offs = np.arange(grid.n) * grid.h  # half-width: the offsets k >= 1 in the ball
         k = np.array([_in_ball(t, offs).sum() - 1 for t in radii], dtype=int)
-        s = _window_sums_1d(g.embed(np.abs([f.values for f in fields])), k) * g.cell_measure
-        best = (s / (2.0 * radii[:, None])).max(axis=-2, initial=0.0)
-        return [SampledField(g, v) for v in g.extract(best)]
-    best = np.full((len(fields), g.n, g.n), -np.inf)
-    for i, j, s in _convolutions(g, [np.abs(f.values) for f in fields],
-                                 [_ball_kernel(g, t) for t in radii]):
+        s = _window_sums_1d(grid.embed(absf), k) * grid.cell_measure
+        return grid.extract((s / (2.0 * radii[:, None])).max(axis=-2, initial=0.0))
+    best = np.full((len(absf), grid.n, grid.n), -np.inf)
+    for i, j, s in _convolutions(grid, absf, [_ball_kernel(grid, t) for t in radii]):
         np.maximum(best[i], s / (np.pi * radii[j] ** 2), out=best[i])
-    return [SampledField(g, v) for v in np.maximum(g.extract(best), 0.0)]
+    return np.maximum(grid.extract(best), 0.0)
 
 
-@_stackable
-def singular_field(fields, kernel: CZKernel, eps_grid):
-    """K* f = sup over truncations |K_eps f| on every masked node."""
-    g = fields[0].grid
+def singular_field(grid: Grid, rows, kernel: CZKernel, eps_grid) -> np.ndarray:
+    """K* f = sup over truncations |K_eps f| on every masked node, for each
+    row f of `rows`."""
+    rows = _row_stack(grid, rows)
     eps = np.asarray(eps_grid, dtype=float)
-    if (eps < g.h).any():
+    if (eps < grid.h).any():
         raise ValueError("truncation below resolution")
-    if g.dim == 1:
-        return [SampledField(g, np.zeros(g.n_cells)) for _ in fields]
-    best = np.zeros((len(fields), g.n, g.n))
-    for i, _, part in _convolutions(g, [f.values for f in fields],
-                                    [_truncated_kernel(g, kernel, e) for e in eps]):
+    if grid.dim == 1:
+        return np.zeros_like(rows)
+    best = np.zeros((len(rows), grid.n, grid.n))
+    for i, _, part in _convolutions(grid, rows,
+                                    [_truncated_kernel(grid, kernel, e) for e in eps]):
         np.maximum(best[i], np.abs(part), out=best[i])
-    return [SampledField(g, v) for v in g.extract(best)]
+    return grid.extract(best)
 
 
 # ---------------------------------------------------------------------------

@@ -195,20 +195,17 @@ def ball_measure(w: Weight, x, r: float) -> float:
     return float((vals * rho[:, None]).sum() * (r / quad) * (2 * np.pi / (2 * quad)))
 
 
-def _cell_extrema(w: Weight, grid: Grid, sel: np.ndarray) -> tuple[float, float]:
-    """(ess inf, ess sup) of w over the selected cell union, analytic: a
-    power's distance to its center ranges over each cell's node distance
-    plus or minus half the cell diagonal."""
+def _cell_ess_inf(w: Weight, grid: Grid, sel: np.ndarray) -> float:
+    """ess inf of w over the selected cell union, analytic: a power's
+    distance to its center ranges over each cell's node distance plus or
+    minus half the cell diagonal."""
     if isinstance(w, ConstantWeight):
-        return w.c, w.c
+        return w.c
     d = distance(grid.nodes[sel], w.center)
     half = grid.h / np.sqrt(4.0 / grid.dim)  # half the cell diagonal
-    dmin = np.maximum(d - half, 0.0)
-    dmax = d + half
     if w.gamma >= 0:
-        return float(dmin.min() ** w.gamma), float(dmax.max() ** w.gamma)
-    with np.errstate(divide="ignore"):
-        return float(dmax.max() ** w.gamma), float(dmin.min() ** w.gamma)
+        return float(np.maximum(d - half, 0.0).min() ** w.gamma)
+    return float((d + half).max() ** w.gamma)
 
 
 @dataclass(frozen=True)
@@ -258,7 +255,7 @@ def ap_constant(w: Weight, p: float, grid: Grid, sweep: list[Ball]) -> ApEstimat
             lo = np.ones(len(balls))
             for i, cells in cache.ball_cells():
                 if len(cells):
-                    lo[i] = _cell_extrema(w, grid, cells)[0]
+                    lo[i] = _cell_ess_inf(w, grid, cells)
             vals = np.where(lo > 0, avg_w / lo, np.inf)
     vals = np.where(live, vals, -np.inf)
     i = int(np.argmax(vals))

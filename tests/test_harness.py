@@ -68,6 +68,29 @@ def test_trend_verdict_rules():
     assert trend_verdict([1.0, 1.3, 1.1], 0.15) == "UNSTABLE"
     assert trend_verdict([1.0, 1.6, 2.6], 0.15) == "DIVERGENT"
     assert trend_verdict([1.0, np.nan], 0.15) == "FAIL"
+    # a step from 0 to 0 is no growth, one from 0 to more is unbounded
+    assert trend_verdict([0.0, 0.0, 0.0], 0.15) == trend_verdict([0.0, 0.0], 0.15) == "PASS"
+    assert trend_verdict([1.0, 0.0, 0.0], 0.15) == "UNSTABLE"
+    assert trend_verdict([0.0, 1.0, 2.0], 0.15) == "DIVERGENT"
+    # one level is no refinement study
+    assert trend_verdict([1.0], 0.15) == trend_verdict([0.0], 0.15) == "UNSTABLE"
+
+
+def test_lemma22_vacuous_1d_rows_pass_at_three_levels():
+    # the off-diagonal order-2m kernel vanishes in 1D: every level fits 0
+    cfg = tiny_config()
+    cfg["lemma22"].update(cases=[["interval", 1]], grids_1d=[16, 32, 64])
+    r = run_suite("lemma22", cfg)
+    assert r.trend == [[0.0, 0.0, 0.0]] and r.verdict == "PASS"
+
+
+def test_suite_ap_control_needs_a_growth_step():
+    # one grid gives the out-of-class control no refinement step to diverge
+    cfg = tiny_config()
+    cfg["ap"]["grids"] = [64]
+    assert run_suite("ap", cfg).verdict == "FAIL"
+    cfg["ap"]["grids"] = [32, 64]
+    assert run_suite("ap", cfg).verdict == "PASS"
 
 
 def test_nested_sweep_is_nested():
@@ -127,10 +150,10 @@ def test_suite_lemma24_one_maximal_field_per_level(monkeypatch):
     # two dist-g test functions of each member; one K* stack on the disk
     calls = []
     mf, sf = harness.maximal_field, harness.singular_field
-    monkeypatch.setattr(harness, "maximal_field", lambda fs, radii: calls.append(
-        ("M", fs[0].grid.n, len(fs))) or mf(fs, radii))
-    monkeypatch.setattr(harness, "singular_field", lambda fs, k, radii: calls.append(
-        ("K*", fs[0].grid.n, len(fs))) or sf(fs, k, radii))
+    monkeypatch.setattr(harness, "maximal_field", lambda g, fs, radii: calls.append(
+        ("M", g.n, len(fs))) or mf(g, fs, radii))
+    monkeypatch.setattr(harness, "singular_field", lambda g, fs, k, radii: calls.append(
+        ("K*", g.n, len(fs))) or sf(g, fs, k, radii))
     cfg = tiny_config()
     cfg["lemma24"].update(cases=[["interval", 1], ["disk", 1]], grids_1d=[32, 64],
                           grids_2d=[24, 48], corpus_2d=5)
@@ -162,8 +185,7 @@ def test_suite_lemma22_oracle_n64():
     radii = _nested_operator_grid(g, 5)
     name_f, f = corpus[1]
     name_g, gg = corpus[2]
-    mf = maximal_field(f, radii).values
-    mg = maximal_field(gg, radii).values
+    mf, mg = maximal_field(g, [f.values, gg.values], radii)
     nodes = [tuple(p) for p in g.nodes]
     dists = list(g.boundary_dist)
 
@@ -193,8 +215,7 @@ def test_lemma22_region_sums_match_oracle_2d(monkeypatch):
     assert [s.stop - s.start for s in greens._row_blocks(g.n_cells)] == [32, 32, 16]
     corpus = build_corpus(g, seed=7, n_random=1)[:2]
     F = np.column_stack([np.abs(f.values) for _, f in corpus])
-    MF = np.column_stack([maximal_field(f, _nested_operator_grid(g, 3)).values
-                          for _, f in corpus])
+    MF = maximal_field(g, F.T, _nested_operator_grid(g, 3)).T
     hn = g.cell_measure
     nodes = [tuple(p) for p in g.nodes]
     dists = list(g.boundary_dist)
@@ -259,10 +280,10 @@ def test_suite_boundedness_small():
 def test_suites_take_one_operator_stack_per_level(monkeypatch, suite, section):
     calls = []
     mf, sf = harness.maximal_field, harness.singular_field
-    monkeypatch.setattr(harness, "maximal_field", lambda fs, radii: calls.append(
-        ("M", fs[0].grid.n)) or mf(fs, radii))
-    monkeypatch.setattr(harness, "singular_field", lambda fs, k, radii: calls.append(
-        ("K*", fs[0].grid.n)) or sf(fs, k, radii))
+    monkeypatch.setattr(harness, "maximal_field", lambda g, fs, radii: calls.append(
+        ("M", g.n)) or mf(g, fs, radii))
+    monkeypatch.setattr(harness, "singular_field", lambda g, fs, k, radii: calls.append(
+        ("K*", g.n)) or sf(g, fs, k, radii))
     cfg = tiny_config()
     cfg[suite].update(section)
     run_suite(suite, cfg)

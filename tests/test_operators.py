@@ -48,12 +48,12 @@ def test_maximal_constant_one():
     f = SampledField(g, np.ones(g.n_cells))
     i = nearest_node(g, [0.0])
     assert g.nodes[i, 0] == 0.0
-    got = maximal_field(f, operator_radius_grid(g)).values[i]
+    got = maximal_field(g, [f.values], operator_radius_grid(g))[0, i]
     # the 2k + 1 cells within k h < t against the exact-ball denominator
     # are off by a factor within 1 +- h/2t: an overshoot of at most 1.5,
     # at t just above h, and below 2% from t = 25 h on (index 28 on)
     assert 1.0 - 1e-12 <= got <= 1.5
-    coarse = maximal_field(f, operator_radius_grid(g)[28:]).values[i]
+    coarse = maximal_field(g, [f.values], operator_radius_grid(g)[28:])[0, i]
     assert coarse == pytest.approx(1.0, rel=0.02)
 
 
@@ -62,10 +62,10 @@ def test_maximal_offset_indicator():
     f = SampledField.from_function(g, lambda x: (np.abs(x) < 1.0).astype(float))
     i = nearest_node(g, [2.0])
     radii = np.concatenate([operator_radius_grid(g, 64), [3.0]])
-    got = maximal_field(f, radii).values[i]
+    got = maximal_field(g, [f.values], radii)[0, i]
     assert got == pytest.approx(1.0 / 3.0, rel=0.02)
     # dense sweep oracle: the optimum over a fine t grid agrees
-    dense = maximal_field(f, np.linspace(0.1, 8.0, 1500)).values[i]
+    dense = maximal_field(g, [f.values], np.linspace(0.1, 8.0, 1500))[0, i]
     assert got == pytest.approx(dense, rel=0.02)
 
 
@@ -75,7 +75,7 @@ def test_maximal_dominates_single_ball_average():
     f = SampledField(g, rng.uniform(0, 1, g.n_cells))
     i = nearest_node(g, [0.2, -0.1])
     radii = operator_radius_grid(g, 16)
-    m = maximal_field(f, radii).values[i]
+    m = maximal_field(g, [f.values], radii)[0, i]
     cells = lattice_cells(g)
     r2 = np.array([oracles.lattice_r2(cells[i], b, g.h) for b in cells])
     for t in radii[:4]:
@@ -89,9 +89,9 @@ def test_maximal_sublinear_homogeneous():
     f1 = SampledField(g, rng.normal(size=g.n_cells))
     f2 = SampledField(g, rng.normal(size=g.n_cells))
     radii = operator_radius_grid(g, 24)
-    m1, m2 = maximal_field(f1, radii).values, maximal_field(f2, radii).values
-    assert np.all(maximal_field(f1 + f2, radii).values <= m1 + m2 + 1e-12)
-    np.testing.assert_allclose(maximal_field(-3.0 * f1, radii).values, 3.0 * m1,
+    m1, m2 = maximal_field(g, [f1.values, f2.values], radii)
+    assert np.all(maximal_field(g, [f1.values + f2.values], radii)[0] <= m1 + m2 + 1e-12)
+    np.testing.assert_allclose(maximal_field(g, [-3.0 * f1.values], radii)[0], 3.0 * m1,
                                rtol=1e-12)
 
 
@@ -100,12 +100,12 @@ def test_maximal_field_matches_pointwise():
         rng = np.random.default_rng(3)
         f = SampledField(g, rng.uniform(-1, 1, g.n_cells))
         radii = operator_radius_grid(g, 12)
-        field = maximal_field(f, radii)
+        field = maximal_field(g, [f.values], radii)[0]
         idx = rng.integers(0, g.n_cells, 12)
         cells = lattice_cells(g)
         want = oracles.maximal_lattice(cells, f.values, g.h, radii,
                                        centers=[cells[i] for i in idx])
-        np.testing.assert_allclose(field.values[idx], want, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(field[idx], want, rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [16, 17, 24, 25])
@@ -124,10 +124,10 @@ def test_fields_match_pointwise_at_the_alias_boundary(n):
     cz = CZKernel(2, 1, (1, 1))
     cells = lattice_cells(g)
     np.testing.assert_allclose(
-        maximal_field(f, radii).values,
+        maximal_field(g, [f.values], radii)[0],
         oracles.maximal_lattice(cells, f.values, g.h, radii), rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(
-        singular_field(f, cz, radii).values,
+        singular_field(g, [f.values], cz, radii)[0],
         oracles.maximal_singular_lattice(cells, f.values, g.h, kernel_at(cz), radii),
         rtol=1e-9, atol=1e-12)
 
@@ -142,10 +142,10 @@ def test_radii_one_rounding_apart_keep_their_own_balls():
     for k in (1, 3, 5):
         radii = [k * g.h, np.nextafter(k * g.h, np.inf)]
         np.testing.assert_allclose(
-            maximal_field(f, radii).values,
+            maximal_field(g, [f.values], radii)[0],
             oracles.maximal_lattice(cells, f.values, g.h, radii), rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(
-            singular_field(f, cz, radii).values,
+            singular_field(g, [f.values], cz, radii)[0],
             oracles.maximal_singular_lattice(cells, f.values, g.h, kernel_at(cz), radii),
             rtol=1e-9, atol=1e-12)
 
@@ -157,24 +157,44 @@ def test_stacks_equal_each_field(n, k):
     # k = 5 holds the spectra and streams the rows
     g = disk_grid(n)
     rng = np.random.default_rng(n + k)
-    fields = [SampledField(g, rng.normal(size=g.n_cells)) for _ in range(k)]
+    fields = rng.normal(size=(k, g.n_cells))
     radii = operator_radius_grid(g, 4)
     cz = CZKernel(2, 1, (1, 1))
-    for stack, each in ((maximal_field(fields, radii),
-                         [maximal_field(f, radii) for f in fields]),
-                        (singular_field(fields, cz, radii),
-                         [singular_field(f, cz, radii) for f in fields])):
-        assert len(stack) == k
+    for stack, each in ((maximal_field(g, fields, radii),
+                         [maximal_field(g, [f], radii)[0] for f in fields]),
+                        (singular_field(g, fields, cz, radii),
+                         [singular_field(g, [f], cz, radii)[0] for f in fields])):
+        assert stack.shape == (k, g.n_cells)
         for got, want in zip(stack, each):
-            assert got.grid is g
-            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("g", [Grid(Interval(0.0, 1.0), 40), disk_grid(24)])
+@pytest.mark.parametrize("k", [1, 3])
+def test_operators_take_an_array_or_a_list_of_rows(g, k):
+    rows = np.random.default_rng(k).normal(size=(k, g.n_cells))
+    radii = operator_radius_grid(g, 6)
+    cz = CZKernel(2, 1, (1, 1))
+    for op in (lambda r: maximal_field(g, r, radii),
+               lambda r: singular_field(g, r, cz, radii)):
+        stack = op(rows)
+        assert type(stack) is np.ndarray and stack.shape == (k, g.n_cells)
+        assert np.array_equal(stack, op(list(rows)))
 
 
 def test_stacks_take_one_grid():
-    f = SampledField(disk_grid(16), np.ones(disk_grid(16).n_cells))
-    assert maximal_field([], [0.5]) == singular_field([], CZKernel(2, 1, (1, 1)), [0.5]) == []
-    with pytest.raises(ValueError, match="share one grid"):
-        maximal_field([f, SampledField(disk_grid(16), f.values)], [0.5])
+    # every row holds one value per masked cell of the grid passed
+    cz = CZKernel(2, 1, (1, 1))
+    for g in (Grid(Interval(0.0, 1.0), 16), disk_grid(16)):
+        for empty in ([], np.zeros((0, g.n_cells))):
+            assert maximal_field(g, empty, [0.5]).shape == (0, g.n_cells)
+            assert singular_field(g, empty, cz, [0.5]).shape == (0, g.n_cells)
+        for bad in ([np.ones(g.n_cells + 1)], np.ones((2, g.n_cells - 1)),
+                    [np.ones(g.n_cells), np.ones(g.n_cells - 1)], np.ones(g.n_cells)):
+            with pytest.raises(ValueError):
+                maximal_field(g, bad, [0.5])
+            with pytest.raises(ValueError):
+                singular_field(g, bad, cz, [0.5])
 
 
 @pytest.mark.parametrize("k", [1, 2, 8, 24])
@@ -187,15 +207,15 @@ def test_stack_working_set(k):
 
     g = disk_grid(65)  # a 256-point transform: the outputs stay small
     rng = np.random.default_rng(k)
-    fields = [SampledField(g, rng.normal(size=g.n_cells)) for _ in range(k)]
+    fields = rng.normal(size=(k, g.n_cells))
     radii = operator_radius_grid(g, 12)
-    maximal_field(fields[0], radii)  # first-call state stays out of the peak
+    maximal_field(g, fields[:1], radii)  # first-call state stays out of the peak
     size = _Convolver(g).size
     transform = size * (size // 2 + 1) * 16
     outputs = 3 * k * g.n**2 * 8  # |f| rows, running maxima and results
     tracemalloc.start()
     try:
-        maximal_field(fields, radii)
+        maximal_field(g, fields, radii)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -215,7 +235,8 @@ def test_maximal_field_1d_decides_ties_by_the_lattice_rule(n, integer_radii):
         radii = np.concatenate([radii, np.arange(1, n) * g.h])
     want = np.array(oracles.ball_averages_lattice(lattice_cells(g), f.values, g.h, radii))
     for t, col in zip(radii, want.T):
-        np.testing.assert_allclose(maximal_field(f, [t]).values, col, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(maximal_field(g, [f.values], [t])[0], col,
+                                   rtol=1e-9, atol=1e-12)
 
 
 def test_maximal_zero_extension_box_invariance():
@@ -225,8 +246,8 @@ def test_maximal_zero_extension_box_invariance():
     g2 = Grid(dom, 64 + 32, box=((-pad, 1.0 + pad),))
     vals = np.sin(np.pi * g1.nodes[:, 0])
     radii = operator_radius_grid(g1, 16)
-    m1 = maximal_field(SampledField(g1, vals), radii).values
-    m2 = maximal_field(SampledField(g2, vals), radii).values
+    m1 = maximal_field(g1, [vals], radii)[0]
+    m2 = maximal_field(g2, [vals], radii)[0]
     assert np.abs(m1 - m2).max() < 1e-12
 
 
@@ -263,7 +284,7 @@ def test_truncated_radial_cancellation():
     assert not g.nodes[i].any()
     k = CZKernel(2, 1, (2, 0))
     for eps in (2 * g.h, 0.3, 0.7):
-        assert singular_field(f, k, [eps]).values[i] < 1e-10
+        assert singular_field(g, [f.values], k, [eps])[0, i] < 1e-10
 
 
 def test_truncated_odd_symmetry():
@@ -272,14 +293,14 @@ def test_truncated_odd_symmetry():
     k = CZKernel(2, 1, (2, 0))  # even under the reflection
     axis = np.abs(g.nodes[:, 0]) < 1e-12
     assert axis.sum() > 10
-    assert singular_field(f, k, [3 * g.h]).values[axis].max() < 1e-10
+    assert singular_field(g, [f.values], k, [3 * g.h])[0, axis].max() < 1e-10
 
 
 def test_truncated_below_resolution():
     g = disk_grid(16)
     f = SampledField(g, np.ones(g.n_cells))
     with pytest.raises(ValueError, match="truncation below resolution"):
-        singular_field(f, CZKernel(2, 1, (2, 0)), [g.h / 2, 2 * g.h])
+        singular_field(g, [f.values], CZKernel(2, 1, (2, 0)), [g.h / 2, 2 * g.h])
 
 
 def test_truncated_smooth_oversampling_oracle():
@@ -296,7 +317,7 @@ def test_truncated_smooth_oversampling_oracle():
         i = nearest_node(g, x)
         assert np.linalg.norm(g.nodes[i] - x) < 1e-12
         f = SampledField(g, bump(g.nodes))
-        vals[n] = singular_field(f, k, [2 * g.h]).values[i]
+        vals[n] = singular_field(g, [f.values], k, [2 * g.h])[0, i]
     assert vals[195] == pytest.approx(vals[65], rel=1e-4)
 
 
@@ -306,12 +327,12 @@ def test_maximal_singular_dominates_and_constant_region():
     k = CZKernel(2, 1, (2, 0))
     i = nearest_node(g, [2.0, 0.0])
     eps_grid = operator_radius_grid(g, 24)
-    ks = singular_field(f, k, eps_grid).values[i]
+    ks = singular_field(g, [f.values], k, eps_grid)[0, i]
     for e in eps_grid[:5]:
-        assert ks >= singular_field(f, k, [e]).values[i] - 1e-14
+        assert ks >= singular_field(g, [f.values], k, [e])[0, i] - 1e-14
     # truncations below the distance to the support see the whole support
-    a = singular_field(f, k, [0.3]).values[i]
-    b = singular_field(f, k, [0.8]).values[i]
+    a = singular_field(g, [f.values], k, [0.3])[0, i]
+    b = singular_field(g, [f.values], k, [0.8])[0, i]
     assert a == pytest.approx(b, abs=1e-6 * max(a, 1))
 
 
@@ -321,12 +342,12 @@ def test_singular_field_matches_pointwise():
     f = SampledField(g, rng.normal(size=g.n_cells))
     k = CZKernel(2, 1, (1, 1))
     eps_grid = operator_radius_grid(g, 8)
-    field = singular_field(f, k, eps_grid)
+    field = singular_field(g, [f.values], k, eps_grid)[0]
     idx = rng.integers(0, g.n_cells, 8)
     cells = lattice_cells(g)
     want = oracles.maximal_singular_lattice(cells, f.values, g.h, kernel_at(k), eps_grid,
                                             centers=[cells[i] for i in idx])
-    np.testing.assert_allclose(field.values[idx], want, rtol=1e-8, atol=1e-11)
+    np.testing.assert_allclose(field[idx], want, rtol=1e-8, atol=1e-11)
 
 
 def test_singular_linearity():
@@ -351,20 +372,20 @@ def test_no_spectrum_outlives_its_call(monkeypatch):
     fb = SampledField(b, rng.normal(size=b.n_cells))
     radii = operator_radius_grid(a, 8)
     cz = CZKernel(2, 1, (1, 1))
-    first = maximal_field(fa, radii).values
-    for call in (lambda: maximal_field([fa, fa], radii),
-                 lambda: singular_field(fa, cz, radii),
-                 lambda: singular_field([fa] * 9, cz, radii),
+    first = maximal_field(a, [fa.values], radii)[0]
+    for call in (lambda: maximal_field(a, [fa.values] * 2, radii),
+                 lambda: singular_field(a, [fa.values], cz, radii),
+                 lambda: singular_field(a, [fa.values] * 9, cz, radii),
                  lambda: singular_identity_check(fa, [((2, 0), (1, 0))]),
                  lambda: solve_dirichlet_many(a.domain, 1, [fa]),
                  lambda: solve_dirichlet_many(a.domain, 1, [fa] * 4),
-                 lambda: maximal_field(fb, operator_radius_grid(b, 8))):
+                 lambda: maximal_field(b, [fb.values], operator_radius_grid(b, 8))):
         call()
         for conv in convs:
             assert conv._spectra == {} and conv._work is None and conv._rows is None
     assert _convolver.cache_info().currsize == 1
     # the spectra are built again at each call, to the same bits
-    assert np.array_equal(first, maximal_field(fa, radii).values)
+    assert np.array_equal(first, maximal_field(a, [fa.values], radii)[0])
 
 
 # --- identity -----------------------------------------------------------------
@@ -419,13 +440,13 @@ def test_one_forward_transform_per_field(monkeypatch):
     radii = operator_radius_grid(g, 6)
     singular_identity_check(f, [((2, 0), (1, 0)), ((0, 2), (0, 1))])
     assert len(calls) == 1
-    maximal_field(f, radii)
-    singular_field(f, CZKernel(2, 1, (1, 1)), radii)
+    maximal_field(g, [f.values], radii)
+    singular_field(g, [f.values], CZKernel(2, 1, (1, 1)), radii)
     assert len(calls) == 3
     # a stack of k fields: one transform per field, whichever set is held
     for k in (2, 9):
         calls.clear()
-        maximal_field([f] * k, radii)
+        maximal_field(g, [f.values] * k, radii)
         assert len(calls) == k
     calls.clear()
     solve_dirichlet(g.domain, 1, f)
