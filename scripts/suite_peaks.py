@@ -59,7 +59,7 @@ def main(argv=None) -> int:
                              env=env, check=True, capture_output=True, text=True).stdout
         r = json.loads(out.strip().splitlines()[-1])
         print(f"{r['suite']:<12} {r['verdict']:<9} {r['fitted_constant']:<22} "
-              f"{r['wall_s']:>8.1f} {r['peak_rss_mb']:>8.0f}", flush=True)
+              f"{r['wall_s']:>8.3f} {r['peak_rss_mb']:>8.0f}", flush=True)
     return 0
 
 

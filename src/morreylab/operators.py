@@ -24,13 +24,27 @@ values up to rounding.  The operators take the smallest such power of
 two, pow2(2n-1), the default size; the solver's free-space potentials
 pass pow2(3n-2) (see `solver._solve_disk_m1_values` for why).
 
-`_Convolver.apply` is irfft2 by hand: the product spectrum and its inverse
-column transform go into one reused buffer, and the inverse row transform
-runs only on the n rows of the central block, into a second.  Both
-buffers live while one `_convolutions` call runs and are overwritten by
-each apply, so apply returns a copy of the central block: callers hold
-several results at once.  The bits are irfft2's, which runs the same two
-stages line by line.
+`_Convolver.apply` is irfft2 by hand: the product spectrum `fwd *
+spectrum` and its inverse column transform go into one buffer, and the
+inverse row transform runs only on the n rows of the central block, into
+a second, so apply returns a copy of the central block: callers hold
+several results at once.  On the last apply that uses the streamed
+transform (a spectrum after its last row, or a row's transform after its
+last kernel), `_convolutions` tells the convolver so through its state and
+the product goes into that transform's own buffer; a separate product
+buffer exists only when a held transform meets more than one streamed
+one.  The freed buffer is the call's one spare, and `forward` and
+`spectrum` compute into it: they run rfft2 in its two stages, the row
+transforms into the top rows, zeros below, then the column transforms in
+place, which drops rfft2's padded copy and a fresh buffer per transform.
+A spectrum's kernel is built and row-transformed a block of lattice rows
+at a time (`greens._row_blocks`), so the builder's temporaries never span
+the lattice.  Every buffer lives for one `_convolutions` call.  The bits
+are rfft2's and irfft2's, which run the same stages line by line.
+
+`benchmark/tracer.py` wraps `spectrum(key, build)` and `apply(fwd, key,
+build)` in hooks of fixed positional arguments and reads `grid`, `size`
+and `_spectra`; so the last use is convolver state, not an argument.
 """
 
 from __future__ import annotations
@@ -41,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import Grid, SampledField, log_radii
-from .greens import FundamentalSolution
+from .greens import FundamentalSolution, _row_blocks
 
 __all__ = [
     "CZKernel",
@@ -108,30 +122,69 @@ class _Convolver:
         offs = np.arange(-(n - 1), n) * grid.h
         self.offsets = offs[:, None], offs[None, :]
         self._spectra: dict = {}
-        # apply's buffers: the product spectrum, then its column transform,
-        # and the kept rows of the inverse; allocated at the first apply of
-        # a call, dropped by _convolutions after its last
+        # set by _convolutions before the last apply that uses its streamed
+        # transform: "spectrum" or "forward", the operand whose buffer takes
+        # that apply's product
+        self._last = None
+        # one spare transform-sized buffer, the streamed transform freed by
+        # its last use; the next forward or spectrum is computed into it
+        self._spare = None
+        # apply's buffers: the product of an apply that is not a last use,
+        # and the kept rows of the inverse; allocated when first needed in
+        # a call, dropped by _convolutions after its last apply, as are the
+        # spare and the spectra
         self._work = self._rows = None
 
+    def _rfft2(self, blocks) -> np.ndarray:
+        """rfft2(real, s=(size, size)) of the real lattice whose row blocks
+        `blocks` yields in order, by its two stages, into the spare buffer
+        or a fresh one: the row transforms, zero rows below them, then the
+        column transforms in place.  rfft2's bits, without its padded copy
+        of the row transforms."""
+        size = self.size
+        out, self._spare = self._spare, None
+        if out is None:
+            out = np.empty((size, size // 2 + 1), dtype=complex)
+        k = 0
+        for block in blocks:
+            np.fft.rfft(block, size, axis=1, out=out[k: k + len(block)])
+            k += len(block)
+        out[k:] = 0.0
+        return np.fft.fft(out, size, axis=0, out=out)
+
     def spectrum(self, key, build):
+        """The kernel's spectrum, built a block of lattice rows at a time,
+        so that the builder's temporaries stay block-sized."""
         if key not in self._spectra:
-            self._spectra[key] = np.fft.rfft2(build(*self.offsets),
-                                              s=(self.size, self.size))
+            o1, o2 = self.offsets
+            self._spectra[key] = self._rfft2(build(o1[rows], o2)
+                                             for rows in _row_blocks(len(o1)))
         return self._spectra[key]
 
     def forward(self, lattice: np.ndarray) -> np.ndarray:
-        return np.fft.rfft2(lattice, s=(self.size, self.size))
+        return self._rfft2([lattice])
 
     def apply(self, fwd: np.ndarray, key, build) -> np.ndarray:
         """The central n x n block of irfft2(fwd * spectrum), as a fresh
         array with irfft2's bits (see the module docstring)."""
         n, size = self.grid.n, self.size
-        if self._work is None:
-            self._work = np.empty_like(fwd)
-            self._rows = np.empty((n, size))
-        work = np.multiply(fwd, self.spectrum(key, build), out=self._work)
+        spectrum = self.spectrum(key, build)
+        last, self._last = self._last, None
+        if last == "spectrum":
+            work = self._spectra.pop(key)
+        elif last == "forward":
+            work = fwd
+        else:
+            if self._work is None:
+                self._work = np.empty_like(fwd)
+            work = self._work
+        np.multiply(fwd, spectrum, out=work)
         np.fft.ifft(work, size, axis=0, out=work)
+        if self._rows is None:
+            self._rows = np.empty((n, size))
         np.fft.irfft(work[n - 1: 2 * n - 1], size, axis=1, out=self._rows)
+        if last is not None:
+            self._spare = work
         return self._rows[:, n - 1: 2 * n - 1].copy()
 
 
@@ -146,28 +199,35 @@ def _convolutions(grid: Grid, rows, kernels, size: int | None = None):
     """(i, j, lattice) for the convolution of masked-cell row i of `rows`
     (zero outside) with the kernel that builder j of `kernels` builds, each
     row meeting the kernels in order, at transform size `size` (None: the
-    operators' pow2(2n-1)).  A spectrum is keyed by its builder's position."""
+    operators' pow2(2n-1)).  A spectrum is keyed by its builder's position.
+    Before the last apply that uses the streamed transform it sets
+    `conv._last`, so that the product overwrites that transform."""
     conv = _convolver(grid, size)
     try:
         if len(rows) <= len(kernels):
             fwds = [conv.forward(grid.embed(v)) for v in rows]
             for j, build in enumerate(kernels):
                 for i, fwd in enumerate(fwds):
+                    if i == len(fwds) - 1:
+                        conv._last = "spectrum"
                     yield i, j, conv.apply(fwd, j, build)
-                conv._spectra.clear()
         else:
             for i, v in enumerate(rows):
                 fwd = conv.forward(grid.embed(v))
                 for j, build in enumerate(kernels):
+                    if j == len(kernels) - 1:
+                        conv._last = "forward"
                     yield i, j, conv.apply(fwd, j, build)
     finally:
         conv._spectra.clear()
-        conv._work = conv._rows = None
+        conv._last = conv._spare = conv._work = conv._rows = None
 
 
 # ---------------------------------------------------------------------------
-# lattice kernels: each builder takes the convolver's offsets along each
-# axis and returns the kernel on the (2n-1)^2 lattice they broadcast to
+# lattice kernels: each builder takes offsets along each axis (a block of
+# the first axis's, all of the second's) and returns the kernel on the
+# lattice block they broadcast to, entry by entry, so that blocks built
+# apart give the whole-lattice bits
 
 
 def _in_ball(t: float, *offsets: np.ndarray) -> np.ndarray:

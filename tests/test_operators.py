@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -197,14 +200,26 @@ def test_stacks_take_one_grid():
                 singular_field(g, bad, cz, [0.5])
 
 
-@pytest.mark.parametrize("k", [1, 2, 8, 24])
-def test_stack_working_set(k):
-    # a k-row stack against K spectra holds min(k, K) transforms, the
-    # streamed one, apply's buffer and the temporaries of one rfft2: a peak
-    # of min(k, K) + 3.2 to 4.0 transforms here for k <= 8, outputs
-    # included; not one spectrum per radius nor one transform per row
+def _traced_peak(call) -> int:
     import tracemalloc
 
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 24])
+def test_stack_working_set(k):
+    # a k-row stack against K spectra holds min(k, K) transforms and the
+    # streamed one, plus apply's product buffer when a held transform meets
+    # more than one streamed one (the last use takes the product in the
+    # streamed transform's own buffer, which the next transform reuses).
+    # One more transform covers apply's row buffer and a kernel block with
+    # its temporaries: 0.83 of it here; a fresh buffer per transform or
+    # rfft2's padded copy would put the peak past that
     g = disk_grid(65)  # a 256-point transform: the outputs stay small
     rng = np.random.default_rng(k)
     fields = rng.normal(size=(k, g.n_cells))
@@ -212,14 +227,26 @@ def test_stack_working_set(k):
     maximal_field(g, fields[:1], radii)  # first-call state stays out of the peak
     size = _Convolver(g).size
     transform = size * (size // 2 + 1) * 16
-    outputs = 3 * k * g.n**2 * 8  # |f| rows, running maxima and results
-    tracemalloc.start()
-    try:
-        maximal_field(g, fields, radii)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= (min(k, len(radii)) + 4) * transform + outputs
+    outputs = k * (g.n_cells + g.n**2) * 8  # |f| rows and running maxima
+    held = min(k, len(radii))
+    schedule = held + 1 + (held > 1)
+    peak = _traced_peak(lambda: maximal_field(g, fields, radii))
+    assert peak <= (schedule + 1) * transform + outputs
+
+
+def test_single_rhs_solve_working_set():
+    # one right-hand side against the solver's three Gamma kernels at its
+    # pow2(3n-2) size: the row's transform and one spectrum at a time, each
+    # built into the buffer of the one before, plus apply's row buffer, a
+    # kernel block's temporaries and the solver's blocks: 2.64 transforms
+    # here, 3.02 with each kernel built on the whole lattice, and 4.26 with
+    # that, a fresh buffer per spectrum and rfft2's padded copy
+    g = disk_grid(256)
+    f = SampledField(g, np.random.default_rng(5).normal(size=g.n_cells))
+    solve_dirichlet(g.domain, 1, f)  # first-call state stays out of the peak
+    size = _pow2(3 * g.n - 2)
+    transform = size * (size // 2 + 1) * 16
+    assert _traced_peak(lambda: solve_dirichlet(g.domain, 1, f)) <= 3.0 * transform
 
 
 @pytest.mark.parametrize("n,integer_radii", [(98, True), (322, False)])
@@ -382,7 +409,8 @@ def test_no_spectrum_outlives_its_call(monkeypatch):
                  lambda: maximal_field(b, [fb.values], operator_radius_grid(b, 8))):
         call()
         for conv in convs:
-            assert conv._spectra == {} and conv._work is None and conv._rows is None
+            assert conv._spectra == {} and conv._spare is None and conv._last is None
+            assert conv._work is None and conv._rows is None
     assert _convolver.cache_info().currsize == 1
     # the spectra are built again at each call, to the same bits
     assert np.array_equal(first, maximal_field(a, [fa.values], radii)[0])
@@ -455,6 +483,63 @@ def test_one_forward_transform_per_field(monkeypatch):
     assert len(calls) == 6
 
 
+def _bench_tracer():
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_benchmark_probe_counts_the_schedule():
+    # benchmark/tracer.py's Probe, installed as benchmark/child.py does,
+    # wraps _Convolver.spectrum(key, build) and apply(fwd, key, build) in
+    # pre-hooks of fixed positional arguments and reads _spectra, grid and
+    # size: those signatures and attributes are the convolver's contract
+    from morreylab import cli, greens, harness, operators, spaces
+
+    tracing = _bench_tracer()
+    g = disk_grid(24)
+    rows = np.random.default_rng(6).normal(size=(5, g.n_cells))
+    fields = [SampledField(g, r) for r in rows[:3]]
+    radii = operator_radius_grid(g, 4)
+    pairs = [((2, 0), (1, 0)), ((0, 2), (0, 1))]
+
+    def jets(sols):
+        return [f.values for s in sols for f in s.jet.values()]
+
+    def identity():
+        return [np.array([[r.fitted_a, r.max_discrepancy, r.trace_residual]
+                          for r in singular_identity_check(fields[0], pairs)])]
+
+    # (call, applies, spectrum builds): 5 rows hold the 4 spectra, one
+    # row meets the solver's 3 kernels, 3 rows are held against them, and
+    # the identity check meets 2 potentials and 2 truncations
+    calls = [(lambda: [maximal_field(g, rows, radii)], 20, 4),
+             (lambda: jets([solve_dirichlet(g.domain, 1, fields[0])]), 3, 3),
+             (lambda: jets(solve_dirichlet_many(g.domain, 1, fields)), 9, 3),
+             (identity, 4, 4)]
+    untraced = [call() for call, _, _ in calls]
+    originals = {a: vars(_Convolver)[a] for a in ("spectrum", "apply")}
+    tracer = tracing.Tracer("test")
+    probe = tracing.Probe(tracer)
+    probe.install(cli, harness, spaces, greens, operators)
+    try:
+        assert all(vars(_Convolver)[a] is not f for a, f in originals.items())
+        for (call, applies, builds), want in zip(calls, untraced):
+            before = probe.fft_applies, probe.spectrum_builds
+            got = call()
+            assert (probe.fft_applies - before[0],
+                    probe.spectrum_builds - before[1]) == (applies, builds)
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    finally:
+        tracer.restore()
+    assert all(vars(_Convolver)[a] is f for a, f in originals.items())
+    assert probe.spectrum_lookups == probe.fft_applies == 36
+    assert probe.spectra_held() == (0, 0)
+
+
 @pytest.mark.parametrize("grid", [Grid(Interval(0.0, 1.0), 16), disk_grid(24)])
 def test_masked_fd_exact_on_linear_fields(grid):
     from morreylab.operators import _masked_fd
@@ -525,10 +610,15 @@ def _lattice_kernels(g):
 def test_convolver_apply_is_irfft2_central_block(n, solver_size):
     g = disk_grid(n)
     conv = _Convolver(g, _pow2(3 * n - 2) if solver_size else None)
-    fwd = conv.forward(g.embed(np.random.default_rng(n).normal(size=g.n_cells)))
+    lattice = g.embed(np.random.default_rng(n).normal(size=g.n_cells))
+    fwd = conv.forward(lattice)
     size = conv.size
+    # the staged forward transforms keep rfft2's bits
+    assert np.array_equal(fwd, np.fft.rfft2(lattice, s=(size, size)))
     for key, build in enumerate(_lattice_kernels(g)):
-        want = np.fft.irfft2(fwd * conv.spectrum(key, build), s=(size, size))
+        spectrum = conv.spectrum(key, build)
+        assert np.array_equal(spectrum, np.fft.rfft2(build(*conv.offsets), s=(size, size)))
+        want = np.fft.irfft2(fwd * spectrum, s=(size, size))
         assert np.array_equal(conv.apply(fwd, key, build),
                               want[n - 1: 2 * n - 1, n - 1: 2 * n - 1])
 

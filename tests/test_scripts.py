@@ -43,7 +43,7 @@ def test_suite_peaks_smoke():
     header, line = out.splitlines()
     assert header.split() == ["suite", "verdict", "fitted", "constant", "wall", "s",
                               "peak", "MB"]
-    m = re.fullmatch(r"ap\s+PASS\s+(\S+)\s+(\d+\.\d)\s+(\d+)", line)
+    m = re.fullmatch(r"ap\s+PASS\s+(\S+)\s+(\d+\.\d{3})\s+(\d+)", line)
     assert m, line
     float(m.group(1))
     assert int(m.group(3)) > 0
