@@ -63,6 +63,9 @@ def _corpus_field(g: Grid, seed: int, name: str, path: str) -> SampledField:
     return corpus[name]
 
 
+_CSV_BLOCK = 1024  # rows of a field CSV formatted by one call
+
+
 def _field_csv(path: str, grid: Grid, columns: dict):
     """Node coordinates and columns, one row per cell, as csv.writer would
     write them: "%.17g" numbers and CRLF line ends."""
@@ -71,9 +74,11 @@ def _field_csv(path: str, grid: Grid, columns: dict):
     table = np.column_stack([grid.nodes, *columns.values()])
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(head)
-        # in chunks: a list of every row at once would raise the peak RSS
-        for start in range(0, len(table), 4096):
-            fh.writelines(row % tuple(r) for r in table[start:start + 4096].tolist())
+        # one format call per block of rows; one for every row at once
+        # would raise the peak RSS
+        for start in range(0, len(table), _CSV_BLOCK):
+            block = table[start:start + _CSV_BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ Each Green function is assembled as G = Gamma + h with the regular part h in
 closed form, so both G and h (and their x-derivatives) are available off and
 on the diagonal.  All x-derivatives come from one jet per Green function,
 `jet(alphas, x, y)`: the terms they share are built once, those of a single
-point on that point alone.  The derivatives are closed-form up to order 3;
-disk m=2 forms order 4 as a Richardson-extrapolated central difference of
-the closed-form order 3.
+point on that point alone.  Terms are built on one contiguous array per axis
+(a jet's pair offsets are x[..., i] - y[..., i]), and the products that
+several disk m=2 partials share are `_Terms` entries indexed by axes.  The
+derivatives are closed-form up to order 3; disk m=2 forms order 4 as a
+Richardson-extrapolated central difference of the closed-form order 3.
 
 The closed forms are treated as hypotheses: the test suite admits them only
 after they reproduce smooth solutions through the quadrature identity
@@ -43,16 +45,23 @@ __all__ = [
 
 class _Terms:
     """The terms that the entries of one jet share.  Each is built on first
-    use by the rule of its name, then kept; keyword arguments seed inputs."""
+    use by the rule of its name, then kept: t.name by rule(t), and a term
+    indexed by axes, t[name, *axes], by rule(t, *axes).  Keyword arguments
+    seed inputs."""
 
     def __init__(self, rules: dict, **given):
-        self.__dict__.update(given, _rules=rules)
+        self.__dict__.update(given, _rules=rules, _keyed={})
 
     def __getattr__(self, name):
         if name not in self._rules:
             raise AttributeError(name)
         value = self.__dict__[name] = self._rules[name](self)
         return value
+
+    def __getitem__(self, key):
+        if key not in self._keyed:
+            self._keyed[key] = self._rules[key[0]](self, *key[1:])
+        return self._keyed[key]
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +138,7 @@ class FundamentalSolution:
             if self.dim == 1:
                 out = self._forms(z.reshape(-1) if z.ndim else z[None])(tuple(alpha))
                 return out.reshape(z.shape) if z.ndim else out[0]
-            out = self._forms(*np.moveaxis(np.atleast_2d(z), -1, 0))(tuple(alpha))
+            out = self._forms(*np.ascontiguousarray(np.moveaxis(np.atleast_2d(z), -1, 0)))(tuple(alpha))
         return out if z.ndim > 1 else out[0]
 
     def _forms(self, *z):
@@ -206,7 +215,7 @@ class GreenFunction:
         shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
         h = self._regular(alphas, x, y)
         if not regular:
-            gam = self.gamma._forms(*np.moveaxis(x - y, -1, 0))
+            gam = self.gamma._forms(*(x[..., i] - y[..., i] for i in range(self.dim)))
         for a in alphas:
             with np.errstate(divide="ignore", invalid="ignore"):
                 if regular:
@@ -232,12 +241,12 @@ class GreenFunction:
         return next(self.jet([alpha], x, y, regular=True))[1]
 
     def _unit(self, p):
-        """Points in the unit model domain: t in [0, 1], or the coordinate
-        pair of a point of the unit disk."""
+        """Points in the unit model domain: t in [0, 1], or one coordinate
+        array per axis of a point of the unit disk."""
         if isinstance(self.domain, Interval):
             return (p[..., 0] - self.domain.a) / self.domain.diameter
-        u = (p - np.asarray(self.domain.center)) / self.domain.radius
-        return u[..., 0], u[..., 1]
+        c, R = self.domain.center, self.domain.radius
+        return [(p[..., i] - c[i]) / R for i in (0, 1)]
 
 
 class IntervalGreen1(GreenFunction):
@@ -311,16 +320,19 @@ class DiskGreen1(GreenFunction):
         c = 2.0 * np.pi
 
         def h(alpha):
-            if sum(alpha) == 0:
+            k = sum(alpha)
+            if k == 0:
                 return (0.5 * np.log(t.A2) + np.log(R)) / c
-            if sum(alpha) == 1:
-                return t.g[0 if alpha[0] else 1] / t.A2 / c / R
-            if alpha == (1, 1):
-                return (-2.0 * t.g[0] * t.g[1] / t.A4) / c / R**2
-            if sum(alpha) == 2:
+            if k == 1:
+                v = t.g[0 if alpha[0] else 1] / t.A2 / c
+            elif alpha == (1, 1):
+                v = (-2.0 * t.g[0] * t.g[1] / t.A4) / c
+            elif k == 2:
                 g = t.g[0 if alpha[0] else 1]
-                return (t.eA - 2.0 * g * g / t.A4) / c / R**2
-            raise ValueError(f"derivative order {alpha} not available for disk m=1")
+                v = (t.eA - 2.0 * g * g / t.A4) / c
+            else:
+                raise ValueError(f"derivative order {alpha} not available for disk m=1")
+            return v if R**k == 1.0 else v / R**k  # v / 1.0 is v
         return h
 
 
@@ -342,7 +354,13 @@ _DISK2_TERMS = {
     "Ad": lambda t: [2.0 * t.d[i] - t.xQ[i] for i in (0, 1)],
     "AdA": lambda t: [t.Ad[i] / t.A for i in (0, 1)],
     "addA": lambda t: t.add / t.A,
-    "X": lambda t: {(i, j): t.Ad[i] * t.Ad[j] / t.A2 for i, j in ((0, 0), (0, 1), (1, 1))},
+    # keyed by axes (i <= j): the products that recur in the partials of
+    # order 2 and 3, in one alpha or across alphas
+    "B": lambda t, i, j: (t.addA if i == j else 0.0) - t.Ad[i] * t.Ad[j] / t.A2,
+    "dB": lambda t, k, i, j: t.d[k] * t["B", i, j],
+    "addAd": lambda t, k: t.add * t.Ad[k],
+    "addAdA2": lambda t, k: t["addAd", k] / t.A2,
+    "AdAd2": lambda t, i, j: 2.0 * t.Ad[i] * t.Ad[j],
 }
 
 
@@ -350,7 +368,9 @@ def _disk2_partial(t, alpha):
     """x-partial of the unit-disk regular part h = (q/2 - P log A)/(8 pi) for
     |alpha| <= 3.  P = s/2 and A = s + q are quadratic in x, so their third
     partials vanish and the chain rule terminates: P has partials d_i and
-    delta_ij, A has Ad_i and delta_ij * add."""
+    delta_ij, A has Ad_i and delta_ij * add.  Each partial sums its terms in
+    one fixed order; a product that recurs, in one partial or in the
+    partials of several alphas, is a keyed term of t, built once."""
     idx = [ax for ax in (0, 1) for _ in range(alpha[ax])]
     if not idx:
         val = t.q / 2.0 - t.P * t.u
@@ -359,22 +379,26 @@ def _disk2_partial(t, alpha):
         val = -t.xQ[i] / 2.0 - t.d[i] * t.u - t.P * t.Ad[i] / t.A
     elif len(idx) == 2:
         i, j = idx
+        p = t.d[i] * t.Ad[j] / t.A
         val = -2.0 * t.Qe / 2.0 - t.u if i == j else 0.0
-        val = (val - t.d[i] * t.Ad[j] / t.A - t.d[j] * t.Ad[i] / t.A
-               - t.P * ((t.addA if i == j else 0.0) - t.X[i, j]))
+        val = (val - p - (p if i == j else t.d[j] * t.Ad[i] / t.A)
+               - t.P * t["B", i, j])
     else:
         i, j, l = idx
-        d, Ad, AdA, X = t.d, t.Ad, t.AdA, t.X
-        val = (-(AdA[l] if i == j else 0.0)
-               - (AdA[j] if i == l else 0.0)
-               - d[i] * ((t.addA if j == l else 0.0) - X[j, l])
-               - (AdA[i] if j == l else 0.0)
-               - d[j] * ((t.addA if i == l else 0.0) - X[i, l])
-               - d[l] * ((t.addA if i == j else 0.0) - X[i, j])
-               - t.P * (-(t.add * Ad[l] / t.A2 if i == j else 0.0)
-                        - ((t.add * Ad[j] if i == l else 0.0)
-                           + (Ad[i] * t.add if j == l else 0.0)) / t.A2
-                        + 2.0 * Ad[i] * Ad[j] * Ad[l] / t.A3))
+        # d_i B_jl, d_j B_il and d_l B_ij: i == j or j == l makes two of them
+        # one key.  add Ad_l where i == j, add Ad_i where j == l.  The delta
+        # terms that vanish are left out of the sum: x - 0.0 is x
+        ad = t["addAd", l if i == j else i]
+        val = -t.AdA[l] if i == j else -0.0
+        if i == l:
+            val = val - t.AdA[j]
+        val = val - t["dB", i, j, l]
+        if j == l:
+            val = val - t.AdA[i]
+        val = (val - t["dB", j, i, l] - t["dB", l, i, j]
+               - t.P * (-(t["addAdA2", l] if i == j else 0.0)
+                        - ((ad if i == l else 0.0) + (ad if j == l else 0.0)) / t.A2
+                        + t["AdAd2", i, j] * t.Ad[l] / t.A3))
     return val / (8.0 * np.pi)
 
 
@@ -425,7 +449,8 @@ class DiskGreen2(GreenFunction):
                 raise ValueError(f"derivative order {alpha} not available for disk m=2")
             if k == 4 and not fourth:
                 fourth.update(_disk2_fourth(t, [a for a in alphas if sum(a) == 4]))
-            return R ** (2 - k) * (fourth[alpha] if k == 4 else _disk2_partial(t, alpha))
+            v = fourth[alpha] if k == 4 else _disk2_partial(t, alpha)
+            return v if R ** (2 - k) == 1.0 else R ** (2 - k) * v  # 1.0 * v is v
         return h
 
 

@@ -690,9 +690,10 @@ def _offdiagonal_region_sums(g: Grid, gf, alphas, F: np.ndarray, MF: np.ndarray)
         X = g.nodes[sl][:, None, :]
         Y = g.nodes[None, :, :]
         mask = distance(X, Y) > g.boundary_dist[sl][:, None]
+        near = ~mask
         for a, kv in gf.jet(alphas, X, Y):
             np.abs(kv, out=kv)
-            kv[~mask] = 0.0
+            kv[near] = 0.0
             kf[a][sl] = kv @ F
         mk = np.where(mask, 1.0, 0.0)
         sf[sl] = mk @ F

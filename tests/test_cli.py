@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from morreylab.cli import _field_csv, main
+from morreylab.cli import _CSV_BLOCK, _field_csv, main
 from morreylab.geometry import Disk, Grid, Interval
 
 
@@ -355,7 +355,10 @@ def test_out_env_fallback(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("grid", [Grid(Interval(0.0, 1.0), 5000),
-                                  Grid(Disk((0.0, 0.0), 1.0), 12)])
+                                  Grid(Disk((0.0, 0.0), 1.0), 12),
+                                  # a last block of one row, and whole blocks only
+                                  Grid(Interval(-1.0, 2.0), 2 * _CSV_BLOCK + 1),
+                                  Grid(Interval(0.0, 1.0), 3 * _CSV_BLOCK)])
 def test_field_csv_matches_csv_writer(tmp_path, grid):
     vals = np.linspace(-3.0, 3.0, grid.n_cells) / 7.0
     vals[:6] = [np.nan, np.inf, -np.inf, -0.0, 1e-300, 5e-324]

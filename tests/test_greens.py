@@ -192,6 +192,40 @@ def test_jet_unbroadcast_equals_broadcast(dom, m, kmax, regular):
         assert v.tobytes() == w.tobytes(), a
 
 
+def _layouts(a):
+    """a in C order, in Fortran order and as a strided slice of a larger
+    array."""
+    sliced = np.full(tuple(2 * s for s in a.shape), np.nan)[(slice(None, None, 2),) * a.ndim]
+    sliced[...] = a
+    return [np.ascontiguousarray(a), np.asfortranarray(a), sliced]
+
+
+@pytest.mark.parametrize("regular", [False, True])
+@pytest.mark.parametrize("dom,m,kmax", JET_CASES)
+def test_jet_bits_do_not_depend_on_layout(dom, m, kmax, regular):
+    # every pairing of operand layouts gives the bits of C-ordered operands,
+    # diagonal cells included
+    gf = green_function(dom, m)
+    nodes = Grid(dom, 16 if dom.dim == 1 else 8).nodes
+    alphas = multi_indices(dom.dim, kmax)
+    xs, ys = _layouts(nodes[:, None, :]), _layouts(nodes[None, :, :])
+    assert not xs[2].flags.c_contiguous and not ys[2].flags.c_contiguous
+    want = [v.tobytes() for _, v in gf.jet(alphas, xs[0], ys[0], regular)]
+    for x in xs:
+        for y in ys:
+            assert [v.tobytes() for _, v in gf.jet(alphas, x, y, regular)] == want
+
+
+@pytest.mark.parametrize("dom,m,kmax", JET_CASES)
+def test_fundamental_solution_bits_do_not_depend_on_layout(dom, m, kmax):
+    gam = FundamentalSolution(dom.dim, m)
+    nodes = Grid(dom, 16 if dom.dim == 1 else 8).nodes
+    zs = _layouts(nodes[:, None, :] - nodes[None, :, :])
+    for alpha in multi_indices(dom.dim, kmax):
+        want = gam.derivative(alpha, zs[0]).tobytes()
+        assert all(gam.derivative(alpha, z).tobytes() == want for z in zs), alpha
+
+
 @pytest.mark.parametrize("regular", [False, True])
 @pytest.mark.parametrize("dom,m,kmax", JET_CASES)
 def test_jet_entries_are_derivatives_of_the_order_below(dom, m, kmax, regular):

@@ -1,5 +1,6 @@
-"""The two refactor gates: scripts/same_outputs.py decides "same bits" and
-scripts/suite_peaks.py "same peaks"."""
+"""The two refactor gates, scripts/same_outputs.py ("same bits") and
+scripts/suite_peaks.py ("same peaks"), and the kernel timer
+scripts/layer_timings.py."""
 
 import importlib.util
 import re
@@ -47,3 +48,16 @@ def test_suite_peaks_smoke():
     assert m, line
     float(m.group(1))
     assert int(m.group(3)) > 0
+
+
+def test_layer_timings_smoke():
+    out = subprocess.run([sys.executable, str(SCRIPTS / "layer_timings.py"), "condition-213"],
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    header, line = out.splitlines()
+    assert header.split() == ["kernel", "min", "s"]
+    m = re.fullmatch(r"condition-213\s+(\d+\.\d{4})", line)
+    assert m, line
+    assert float(m.group(1)) > 0
+    bad = subprocess.run([sys.executable, str(SCRIPTS / "layer_timings.py"), "no-such-kernel"],
+                         capture_output=True, text=True, timeout=120)
+    assert bad.returncode == 2 and "unknown kernel 'no-such-kernel'" in bad.stderr
