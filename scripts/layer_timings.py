@@ -113,12 +113,12 @@ def _morrey_norm():
     from morreylab import harness
     from morreylab.geometry import nested_sweep
     from morreylab.solver import solve_dirichlet_many
-    from morreylab.spaces import MorreyEvaluator, multi_indices
+    from morreylab.spaces import MorreyEvaluator
 
     dom, g, fields = _solve_inputs()
-    sols = solve_dirichlet_many(dom, 1, fields)
+    jet = solve_dirichlet_many(dom, 1, fields)
     stack = ([f.values for f in fields]
-             + [sol.jet[a].values for sol in sols for a in multi_indices(2, 2)])
+             + [block[i] for i in range(len(fields)) for block in jet.values()])
     ev = MorreyEvaluator(g, nested_sweep(g, 5))
     _, w, _ = harness.default_weights(dom, 2.0)[0]
     phi = harness.default_phis(dom, 2.0, w)[0][1]

@@ -49,6 +49,8 @@ def _load(args) -> dict:
         raise harness.ConfigError(f"bad config: {exc}") from None
     if args.grid is not None:
         harness._check_number("--grid", "grid", args.grid)
+        least = harness._least_grid(cfg, f"{args.command}.grid")  # of its own grid key
+        harness._check_number("--grid", "grid", args.grid, harness._count(least))
     if args.seed is not None:
         harness._check_number("--seed", "seed", args.seed)
         cfg["seed"] = args.seed
@@ -174,11 +176,11 @@ def cmd_solve(args) -> int:
     n = sec["grid"] if args.grid is None else args.grid
     g = Grid(dom, n)
     f = _corpus_field(g, cfg["seed"], sec["f"], "solve.f")
-    sol = solve_dirichlet(dom, m, f)
-    resid = residual_check(dom, m, sol, f)
+    jet = solve_dirichlet(dom, m, f)
+    resid = residual_check(m, jet[(0,) * dom.dim], f)
     out = _out_dir(args, cfg)
     cols = {"f": f.values}
-    for a, fld in sorted(sol.jet.items()):
+    for a, fld in sorted(jet.items()):
         cols["u" + "".join(map(str, a))] = fld.values
     _field_csv(os.path.join(out, "solution.csv"), g, cols)
     print(f"solved ({dom.dim}D, m={m}, N={n}); interior residual {resid:.3e}")

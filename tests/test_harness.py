@@ -93,6 +93,30 @@ def test_suite_ap_control_needs_a_growth_step():
     assert run_suite("ap", cfg).verdict == "PASS"
 
 
+@pytest.mark.parametrize("ap", [{"p": 1.6, "grids": [64, 128, 256]},
+                                {"grids": [128, 256, 512]}])
+def test_suite_ap_control_is_judged_by_its_span(ap):
+    # the control grows toward sqrt(2) per step, under the 1.5 gate here
+    # (1.455 and 1.476 at p = 1.6); across the study it spans over 2
+    cfg = tiny_config()
+    cfg["ap"].update(ap)
+    r = run_suite("ap", cfg)
+    steps = [b / a for a, b in zip(r.trend, r.trend[1:])]
+    assert min(steps) < 1.5 <= harness._control_span(r.trend)
+    assert r.verdict == "PASS"
+
+
+def test_control_span_rejects_a_converging_series():
+    # the in-class |x|^0.5 of the ap suite converges: it spans about 1.003
+    from morreylab.weights import ap_constant, ap_sweep
+
+    w = PowerWeight((0.0,), 0.5)
+    grids = [Grid(Interval(-1.0, 1.0), n) for n in (64, 128, 256)]
+    vals = [ap_constant(w, 2.0, g, ap_sweep(g, w)).value for g in grids]
+    assert harness._control_span(vals) < 1.5
+    assert harness._control_span([0.0, 1.0]) == 0.0
+
+
 def test_nested_sweep_is_nested():
     dom = Interval(0.0, 1.0)
     coarse = {(b.center, round(b.radius, 12)) for b in nested_sweep(Grid(dom, 32), 5)}
@@ -345,8 +369,8 @@ def test_apriori_ratio_scale_invariance():
     phi = InverseWeightMeasurePhi(2.0, w)
 
     def ratio(field):
-        sol = solve_dirichlet(dom, 1, field)
-        un = sum(ev.norm(sol.jet[a].values, w, phi, 2.0)
+        jet = solve_dirichlet(dom, 1, field)
+        un = sum(ev.norm(jet[a].values, w, phi, 2.0)
                  for a in multi_indices(1, 2))
         return un / ev.norm(field.values, w, phi, 2.0)
 

@@ -505,8 +505,8 @@ def test_benchmark_probe_counts_the_schedule():
     radii = operator_radius_grid(g, 4)
     pairs = [((2, 0), (1, 0)), ((0, 2), (0, 1))]
 
-    def jets(sols):
-        return [f.values for s in sols for f in s.jet.values()]
+    def fields_of(jet):
+        return [f.values for f in jet.values()]
 
     def identity():
         return [np.array([[r.fitted_a, r.max_discrepancy, r.trace_residual]
@@ -516,8 +516,8 @@ def test_benchmark_probe_counts_the_schedule():
     # row meets the solver's 3 kernels, 3 rows are held against them, and
     # the identity check meets 2 potentials and 2 truncations
     calls = [(lambda: [maximal_field(g, rows, radii)], 20, 4),
-             (lambda: jets([solve_dirichlet(g.domain, 1, fields[0])]), 3, 3),
-             (lambda: jets(solve_dirichlet_many(g.domain, 1, fields)), 9, 3),
+             (lambda: fields_of(solve_dirichlet(g.domain, 1, fields[0])), 3, 3),
+             (lambda: list(solve_dirichlet_many(g.domain, 1, fields).values()), 9, 3),
              (identity, 4, 4)]
     untraced = [call() for call, _, _ in calls]
     originals = {a: vars(_Convolver)[a] for a in ("spectrum", "apply")}
